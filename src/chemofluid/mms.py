@@ -20,7 +20,7 @@ import sympy as sym
 from chemofluid.fields import ScalarField, VectorField
 from chemofluid.geometry import LevelSetDomain, classify_cells
 from chemofluid.model import KineticsModel, linear_model
-from chemofluid.solver import LinearSystems, SimState, SolverConfig, step
+from chemofluid.solver import LinearSystems, SimState, SolverConfig, StepClock, step
 
 
 @dataclass
@@ -106,9 +106,12 @@ def run_manufactured(ms: ManufacturedSolution, n_side: int, end_time: float,
     Xv, Yv = np.meshgrid(g.xc, g.yn, indexing="ij")
     u0.v[:] = np.where(g.fluid_face_y, ms.v(Xv, Yv, 0.0), 0.0)
     state = SimState(n0, c0, u0, ScalarField.zeros(g), 0.0)
-    while state.t < end_time - 1e-12:
-        state = step(state, cfg, ms.model, lin, dt=min(dt, end_time - state.t),
+    clock = StepClock(dt)
+    end_ticks = clock.ticks_of(end_time)
+    while clock.ticks < end_ticks:
+        state = step(state, cfg, ms.model, lin, dt=clock.advance(dt, end_ticks),
                      sources=ms.sources)
+        state.t = clock.t
     T = state.t
     act = g.active
     err_n = float(np.abs(state.n.data - np.where(act, ms.n(X, Y, T), 0.0))[act].max())

@@ -1,6 +1,8 @@
 """Run orchestration: the time loop with diagnostics, CSV artifacts, summaries.
 
-A run lands exactly on the configured output cadence; at every output time a
+A run lands exactly on the configured output cadence: time is an integer
+count of solver ticks (StepClock), so every output time is a whole number of
+ticks and is hit without rounding drift. At every output time a
 full diagnostics row is recorded and a rolling three-snapshot window feeds
 the entropy-identity residual of the middle row. Artifacts under the output
 directory:
@@ -43,7 +45,7 @@ from chemofluid.diagnostics import (
 from chemofluid.fields import ScalarField, normal_derivative_of_gradsq
 from chemofluid.geometry import volume_integral
 from chemofluid.model import build_derived, default_c_floor, validate_assumptions
-from chemofluid.solver import LinearSystems, SolverAbort, cfl_dt, quantize_dt, step
+from chemofluid.solver import LinearSystems, SolverAbort, StepClock, cfl_dt, quantize_dt, step
 from chemofluid.diagnostics import _c_at_segments
 
 INEQ_HEADER = "id,time,lhs,rhs,violation,tolerance,passed"
@@ -139,20 +141,22 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     emit(state, 0)
     steps = 0
     out_index = 1
-    next_out = dt_out
-    end_time = cfg.end_time
+    clock = StepClock(cfg.dt_max)
+    out_ticks = max(1, clock.ticks_of(dt_out))
+    end_ticks = clock.ticks_of(cfg.end_time)
+    next_out = min(out_ticks, end_ticks)
     try:
-        while state.t < end_time - 1e-12:
+        while clock.ticks < end_ticks:
             t0 = time.perf_counter()
-            dt = quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max)
-            dt = min(dt, next_out - state.t)
+            dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max), next_out)
             state = step(state, cfg, model, lin, dt=dt)
+            state.t = clock.t
             steps += 1
             timings["stepping"] += time.perf_counter() - t0
-            if abs(state.t - next_out) < 1e-10:
+            if clock.ticks == next_out:
                 emit(state, out_index)
                 out_index += 1
-                next_out = min(end_time, next_out + dt_out)
+                next_out = min(end_ticks, next_out + out_ticks)
     except SolverAbort as exc:
         exc.step_index = steps
         _write_atomic(out / "diagnostics.csv", record.csv_text())

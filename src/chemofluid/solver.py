@@ -17,8 +17,13 @@ The step size combines a per-cell outflow CFL bound (exactly the positivity
 condition of the upwind fluxes, equal to cfl_safety * h / speed for
 unidirectional flow) with dt_max; diffusion is implicit and imposes no bound.
 Implicit systems are symmetric positive (semi)definite and solved either by
-cached sparse LU factorizations (default; the step size is quantized to
-dt_max / 2^k so factorizations are reused) or by conjugate gradients.
+cached sparse LU factorizations (default) or by conjugate gradients. The LU
+path runs SuperLU in symmetric mode with a multiple-minimum-degree ordering of
+A + A^T and no pivoting, which roughly halves the fill of the unsymmetric
+default. Factorizations are reused because the step size is quantized to
+dt_max / 2^k and time is kept by StepClock as an integer count of ticks
+dt_max / 2^K: a step is exactly one of those levels or the exact remainder to
+an output time, so no rounding drift creates a new step size.
 """
 
 from __future__ import annotations
@@ -186,8 +191,9 @@ class LinearSystems:
     (V - dt*L) x = V*b with V the wet-volume diagonal. Viscosity acts per
     velocity component on the fluid faces with homogeneous Dirichlet walls.
     The pressure Poisson operator on interior cells is singular (constants
-    per connected component); the direct path pins one cell per component,
-    the CG path projects the nullspace.
+    per connected component); the direct path pins one cell per component
+    to zero (its row and column become the identity, so the pinned matrix
+    stays symmetric), the CG path projects the nullspace.
     """
 
     def __init__(self, geom: GridGeometry, config: SolverConfig):
@@ -256,7 +262,8 @@ class LinearSystems:
         labels, ncomp = ndimage.label(interior)
         self.pressure_comp = labels[interior] - 1
         self.n_comp = int(ncomp)
-        self._pressure_factor = None
+        self.comp_cells = [np.nonzero(self.pressure_comp == k)[0] for k in range(self.n_comp)]
+        self.pressure_pins = np.array([cells[0] for cells in self.comp_cells], dtype=int)
 
     def _build_viscous(self):
         g = self.geom
@@ -284,9 +291,11 @@ class LinearSystems:
     # -- solves --------------------------------------------------------
 
     def _factorize(self, key, build):
+        """Cached LU of the symmetric positive definite matrix build()."""
         f = self._factor_cache.get(key)
         if f is None:
-            f = spla.splu(build().tocsc())
+            f = spla.splu(build().tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
             self._factor_cache[key] = f
         return f
 
@@ -343,24 +352,24 @@ class LinearSystems:
         interior = g.interior
         b_cells = rhs.data[interior]
         scale = float(np.abs(b_cells).sum()) + 1e-300
-        for comp in range(self.n_comp):
-            mcomp = self.pressure_comp == comp
-            resid = abs(float(b_cells[mcomp].sum()))
+        for comp, cells in enumerate(self.comp_cells):
+            resid = abs(float(b_cells[cells].sum()))
             if resid > 1e-6 * scale + 1e-12:
                 raise SolverAbort(
                     f"pressure rhs incompatible on component {comp}: residual {resid:.3e}")
-            b_cells[mcomp] -= b_cells[mcomp].mean()
+            b_cells[cells] -= b_cells[cells].mean()
         b = b_cells * (g.h * g.h)
 
         if self.config.linear_solver == "direct":
-            if self._pressure_factor is None:
-                A = (-self.L_pressure).tolil()
-                for comp in range(self.n_comp):
-                    pin = int(np.nonzero(self.pressure_comp == comp)[0][0])
-                    A.rows[pin] = [pin]
-                    A.data[pin] = [1.0]
-                self._pressure_factor = spla.splu(A.tocsc())
-            x = self._pressure_factor.solve(-b)
+            def build():
+                keep = np.ones(self.n_pressure)
+                keep[self.pressure_pins] = 0.0
+                return (sp.diags(keep) @ (-self.L_pressure) @ sp.diags(keep)
+                        + sp.diags(1.0 - keep))
+
+            rhs = -b
+            rhs[self.pressure_pins] = 0.0
+            x = self._factorize(("pressure",), build).solve(rhs)
         else:
             comp = self.pressure_comp
 
@@ -373,9 +382,8 @@ class LinearSystems:
 
             x = solve_spd(-self.L_pressure, -b, tol=self.config.tol,
                           max_iters=self.config.max_iters, project=project)
-        for k in range(self.n_comp):
-            m = self.pressure_comp == k
-            x[m] -= x[m].mean()
+        for cells in self.comp_cells:
+            x[cells] -= x[cells].mean()
         out = np.zeros((g.nx, g.ny))
         out[interior] = x
         return ScalarField(g, out)
@@ -429,6 +437,37 @@ def quantize_dt(dt_raw: float, dt_max: float) -> float:
         return dt_max
     k = math.ceil(math.log2(dt_max / dt_raw))
     return dt_max / (2.0 ** k)
+
+
+class StepClock:
+    """Exact simulated time: an integer count of ticks of dt_max / 2^K.
+
+    K is the smallest exponent with tick <= DT_UNDERFLOW, so every level that
+    quantize_dt makes of a step bound passing the cfl_dt floor is a whole,
+    nonzero number of ticks. A step is then exactly a level, or the exact
+    remainder to a target when that is shorter, and ``t`` is ``ticks * tick``
+    however many steps were taken: float drift can neither shift an output
+    time nor create a new step size (and with it new LU factorizations).
+    """
+
+    def __init__(self, dt_max: float):
+        exponent = max(0, math.ceil(math.log2(dt_max / DT_UNDERFLOW)))
+        self.tick = dt_max / 2.0 ** exponent
+        self.ticks = 0
+
+    def ticks_of(self, span: float) -> int:
+        """The time span as the nearest whole number of ticks."""
+        return round(span / self.tick)
+
+    @property
+    def t(self) -> float:
+        return self.ticks * self.tick
+
+    def advance(self, dt: float, target: int) -> float:
+        """Move by the level dt, or to the tick count target if nearer; return the step."""
+        n = min(self.ticks_of(dt), target - self.ticks)
+        self.ticks += n
+        return n * self.tick
 
 
 # ---------------------------------------------------------------------------

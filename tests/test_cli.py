@@ -191,6 +191,35 @@ output.every_time = 0.5
             cs.append(ve["C"])
         assert all(np.isfinite(c) for c in cs)
 
+    def test_steps_are_levels_or_remainders(self, tmp_path, monkeypatch):
+        # float drift in the clock must not turn a dt_max / 2^k level into a
+        # nearby new step size (each costs fresh LU factorizations) or shift
+        # an output time
+        import chemofluid.runner as runner
+        dt_out = dt_max = 0.02
+        seen = []
+        step = runner.step
+
+        def recording_step(state, *args, **kwargs):
+            seen.append((state.t, kwargs["dt"]))
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "step", recording_step)
+        rc = RunConfig({"grid.n": 48, "solver.dt_max": dt_max, "output.every_time": dt_out,
+                        "solver.end_time": 0.3})
+        runner.run_simulation(rc, tmp_path)
+        levels = {dt_max / 2.0 ** k for k in range(40)}
+        out_times = [j * dt_out for j in range(16)]
+        for t, dt in seen:
+            if dt not in levels:
+                t_next = min(s for s in out_times if s > t)
+                assert dt == pytest.approx(t_next - t, rel=1e-12), (t, dt)
+        dts = sorted({dt for _, dt in seen})
+        assert all(b > a * (1.0 + 1e-9) for a, b in zip(dts, dts[1:])), dts
+        # row j sits at j * dt_out, a whole number of ticks dt_max / 2^K
+        rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",", 1)[0]) for r in rows] == out_times
+
 
 class TestDeterminism:
     def test_repeated_run_byte_identical(self, tmp_path):

@@ -6,12 +6,14 @@ from chemofluid.fields import ScalarField, VectorField, divergence
 from chemofluid.geometry import LevelSetDomain, classify_cells, volume_integral
 from chemofluid.model import linear_model
 from chemofluid.solver import (
+    DT_UNDERFLOW,
     InitialData,
     LinearSolverError,
     LinearSystems,
     SimState,
     SolverAbort,
     SolverConfig,
+    StepClock,
     cfl_dt,
     quantize_dt,
     solve_spd,
@@ -76,6 +78,15 @@ class TestCfl:
         assert quantize_dt(0.05, 0.05) == 0.05
         assert quantize_dt(0.013, 0.05) == 0.05 / 4
         assert quantize_dt(1.0, 0.05) == 0.05
+
+    def test_clock_ticks_cover_every_level(self):
+        # the finest level a step bound at the underflow floor quantizes to
+        # is still a whole, nonzero number of ticks
+        for dt_max in (0.0037, 0.02, 0.05, 1.0):
+            clock = StepClock(dt_max)
+            level = quantize_dt(DT_UNDERFLOW, dt_max)
+            assert clock.ticks_of(level) >= 1
+            assert clock.ticks_of(level) * clock.tick == level
 
 
 class TestStepC:
@@ -249,10 +260,11 @@ class TestSolveSpd:
         assert np.abs(solve_spd(A, np.zeros(10))).max() == 0.0
 
     def test_neumann_nullspace(self, grid96):
-        # lap p = 0 with the mean-zero gauge gives exactly zero
-        lin = LinearSystems(grid96, SolverConfig(linear_solver="cg"))
-        p = lin.pressure_solve(ScalarField.zeros(grid96))
-        assert np.abs(p.data).max() == 0.0
+        # lap p = 0 with the mean-zero gauge gives exactly zero on both paths
+        for linear_solver in ("cg", "direct"):
+            lin = LinearSystems(grid96, SolverConfig(linear_solver=linear_solver))
+            p = lin.pressure_solve(ScalarField.zeros(grid96))
+            assert np.abs(p.data).max() == 0.0, linear_solver
 
     def test_helmholtz_residual(self, grid96):
         lin = LinearSystems(grid96, SolverConfig())
@@ -280,3 +292,56 @@ class TestSolveSpd:
         a = LinearSystems(grid96, cfg_cg).helmholtz_solve(0.02, rhs)
         b = LinearSystems(grid96, cfg_lu).helmholtz_solve(0.02, rhs)
         assert np.abs(a.data - b.data).max() < 1e-9
+
+
+@pytest.fixture(scope="module")
+def two_disks():
+    """Two disjoint disks: the pressure operator has one constant mode per disk."""
+    def phi(x, y):
+        return np.minimum((x + 0.5) ** 2, (x - 0.5) ** 2) + y ** 2 - 0.35 ** 2
+
+    g = classify_cells(LevelSetDomain(phi, (-1.0, 1.0, -0.5, 0.5)), 1.0 / 48.0)
+    assert g.n_components == 2
+    return g
+
+
+def direct_system(lin, name, dt, rng):
+    """Matrix A, right-hand side b and the cached-LU solution x of A x = b."""
+    g = lin.geom
+    h2 = g.h * g.h
+    if name == "helmholtz":
+        b = rng.standard_normal(lin.n_scalar)
+        rhs = np.zeros((g.nx, g.ny))
+        rhs[g.active] = b
+        x = lin.helmholtz_solve(dt, ScalarField(g, rhs)).data[g.active]
+        return sp.diags(lin.vol) - dt * lin.L_scalar, lin.vol * b, x
+    if name in ("viscous_u", "viscous_v"):
+        vel = VectorField.zeros(g)
+        vel.u[g.fluid_face_x] = rng.standard_normal(lin.n_u)
+        vel.v[g.fluid_face_y] = rng.standard_normal(lin.n_v)
+        out = lin.viscous_solve(dt, vel)
+        if name == "viscous_u":
+            mask, adj, b, x = g.fluid_face_x, lin.adj_u, vel.u, out.u
+        else:
+            mask, adj, b, x = g.fluid_face_y, lin.adj_v, vel.v, out.v
+        A = sp.identity(adj.shape[0]) * (1.0 + 4.0 * dt / h2) - (dt / h2) * adj
+        return A, b[mask], x[mask]
+    # pressure: a compatible rhs, mean zero on every component
+    b = rng.standard_normal(lin.n_pressure)
+    for cells in lin.comp_cells:
+        b[cells] -= b[cells].mean()
+    rhs = np.zeros((g.nx, g.ny))
+    rhs[g.interior] = b
+    x = lin.pressure_solve(ScalarField(g, rhs)).data[g.interior]
+    return lin.L_pressure / h2, b, x
+
+
+class TestDirectSolves:
+    @pytest.mark.parametrize("system", ["helmholtz", "viscous_u", "viscous_v", "pressure"])
+    def test_residual(self, two_disks, system):
+        lin = LinearSystems(two_disks, SolverConfig())
+        A, b, x = direct_system(lin, system, 0.02, np.random.default_rng(9))
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        if system == "pressure":
+            for cells in lin.comp_cells:
+                assert abs(x[cells].mean()) <= 1e-12 * np.abs(x).max()
