@@ -14,11 +14,21 @@ discretely here:
 * the integral inequality  int g'/g^3 |grad c|^4 <= (2+sqrt(2))^2
   int (g/g') |D^2 rho(c)|^2  and the pointwise bound |tr H|^2 <= 2 |H|^2;
 * the entropy production identity relating d/dt E to the dissipation and the
-  transport/boundary source terms, evaluated as a residual over trajectory
-  windows;
+  transport/boundary source terms, evaluated as a residual over three
+  consecutive outputs: from three states (``entropy_identity_residual``), or
+  during a run from the stored rows and the middle state's source terms
+  (``DiagnosticsRecord.identity_residual``), which needs no state copies;
 * empirical-constant fits for the entropy-energy and kinetic-energy
   inequalities, and the long-time convergence monitor toward the flat state
   (n_inf, 0, 0).
+
+Per-state intermediates are computed once per state in a ``Frame``: grad c
+and |grad c|^2, psi(c) and its gradient, grad n, the Hessian of rho(c),
+g, g' and g'' of c, and the boundary probes with c at the segments. Every
+single-state function takes a state (or field) or a frame. Passed one frame,
+the row, the curvature-lemma check, the quartic-gradient check and the
+boundary term share these intermediates instead of recomputing them. Each
+formula is still written once, in the function that owns it.
 
 Integrands with 1/g weights are singular as c -> 0; cells below the model's
 c_floor are clamped or masked and their fraction is reported. All checks are
@@ -28,6 +38,7 @@ read-only and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,10 +61,6 @@ LOG_CLAMP = 1e-30
 HESSIAN_CONST = (2.0 + np.sqrt(2.0)) ** 2   # dimension-2 constant of the integral inequality
 
 
-class BoundaryEvaluationError(RuntimeError):
-    """Every boundary segment had to be skipped; boundary diagnostics undefined."""
-
-
 @dataclass
 class InequalityReport:
     id: str
@@ -72,6 +79,94 @@ class InequalityReport:
 
 
 # ---------------------------------------------------------------------------
+# the per-state frame
+# ---------------------------------------------------------------------------
+
+class Frame:
+    """Intermediates of one state that several diagnostics share.
+
+    Built over a SimState, or over a chemoattractant field alone for the
+    checks that need only c (then grad_n and whatever needs n or u are
+    unavailable). Each quantity is computed on first use and kept,
+    so every diagnostic that reads it from the same frame sees the same
+    array and none is evaluated twice. ``derived`` may be None for the
+    boundary-lemma check, which needs no transform of c.
+    """
+
+    def __init__(self, state_or_c, derived: DerivedScalars | None = None):
+        self.state = state_or_c if isinstance(state_or_c, SimState) else None
+        self.c = state_or_c.c if self.state is not None else state_or_c
+        self.geom = self.c.geom
+        self.derived = derived
+
+    @cached_property
+    def grad_c(self) -> tuple[ScalarField, ScalarField]:
+        return gradient_neumann(self.c)
+
+    @cached_property
+    def grad_c2(self) -> np.ndarray:
+        cx, cy = self.grad_c
+        return cx.data ** 2 + cy.data ** 2
+
+    @cached_property
+    def psi_c(self) -> np.ndarray:
+        return self.derived.psi(self.c.data)
+
+    @cached_property
+    def grad_psi(self) -> tuple[ScalarField, ScalarField]:
+        g = self.geom
+        return gradient_neumann(ScalarField(g, np.where(g.active, self.psi_c, 0.0)))
+
+    @cached_property
+    def grad_n(self) -> tuple[ScalarField, ScalarField]:
+        return gradient_neumann(self.state.n)
+
+    @cached_property
+    def rho_hessian_sq(self) -> np.ndarray:
+        """|D^2 rho(c)|^2 per cell."""
+        g = self.geom
+        rho_c = ScalarField(g, np.where(g.active, self.derived.rho(self.c.data), 0.0))
+        return hessian(rho_c).frobenius_sq()
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self.derived.g(self.c.data)
+
+    @cached_property
+    def g_prime(self) -> np.ndarray:
+        return self.derived.g_prime(self.c.data)
+
+    @cached_property
+    def g_pp(self) -> np.ndarray:
+        return self.derived.g_pp(self.c.data)
+
+    @cached_property
+    def boundary_probes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(d|grad c|^2/dnu, |grad c|^2 near the wall, valid) per segment."""
+        return normal_derivative_of_gradsq(self.c, self.geom, gradsq=self.grad_c2)
+
+    @cached_property
+    def c_seg(self) -> np.ndarray:
+        """Chemoattractant sampled just inside each segment (fallback: host cell)."""
+        geom = self.geom
+        px = geom.seg_mid[:, 0] - 1.5 * geom.h * geom.seg_normal[:, 0]
+        py = geom.seg_mid[:, 1] - 1.5 * geom.h * geom.seg_normal[:, 1]
+        vals, ok = bilinear_sample(geom, self.c.data, px, py)
+        host = self.c.data[geom.seg_cell[:, 0], geom.seg_cell[:, 1]]
+        return np.where(ok, vals, host)
+
+    @cached_property
+    def boundary_integrand(self) -> np.ndarray:
+        """1/2 (1/g(c)) d|grad c|^2/dnu per segment (meaningless where not valid)."""
+        dq, _, _ = self.boundary_probes
+        return 0.5 * dq / self.derived.g(self.c_seg)
+
+
+def _frame(state_or_frame, derived: DerivedScalars | None = None) -> Frame:
+    return state_or_frame if isinstance(state_or_frame, Frame) else Frame(state_or_frame, derived)
+
+
+# ---------------------------------------------------------------------------
 # pointwise / single-state functionals
 # ---------------------------------------------------------------------------
 
@@ -82,11 +177,11 @@ def entropy_functional(state: SimState, derived: DerivedScalars) -> float:
 
 
 def entropy_parts(state: SimState, derived: DerivedScalars) -> tuple[float, float]:
-    g = state.n.geom
-    n = np.maximum(state.n.data, LOG_CLAMP)
-    ent_n = volume_integral(np.where(g.active, state.n.data * np.log(n), 0.0), g)
-    psi_c = ScalarField(g, np.where(g.active, derived.psi(state.c.data), 0.0))
-    px, py = gradient_neumann(psi_c)
+    f = _frame(state, derived)
+    g = f.geom
+    n = f.state.n.data
+    ent_n = volume_integral(np.where(g.active, n * np.log(np.maximum(n, LOG_CLAMP)), 0.0), g)
+    px, py = f.grad_psi
     grad_psi_sq = volume_integral(px.data ** 2 + py.data ** 2, g)
     return ent_n, grad_psi_sq
 
@@ -97,14 +192,12 @@ def dissipation_terms(state: SimState, derived: DerivedScalars) -> tuple[float, 
     The Hessian quadrature runs over cells with full 3x3 stencils only; see
     GridGeometry.stencil_ok.
     """
-    g = state.n.geom
-    nx, ny = gradient_neumann(state.n)
+    f = _frame(state, derived)
+    g = f.geom
+    nx, ny = f.grad_n
     fisher = volume_integral(
-        np.where(g.active, (nx.data ** 2 + ny.data ** 2) / np.maximum(state.n.data, LOG_CLAMP), 0.0), g)
-    rho_c = ScalarField(g, np.where(g.active, derived.rho(state.c.data), 0.0))
-    H = hessian(rho_c)
-    hess_rho = volume_integral(
-        np.where(g.stencil_ok, derived.g(state.c.data) * H.frobenius_sq(), 0.0), g)
+        np.where(g.active, (nx.data ** 2 + ny.data ** 2) / np.maximum(f.state.n.data, LOG_CLAMP), 0.0), g)
+    hess_rho = volume_integral(np.where(g.stencil_ok, f.g * f.rho_hessian_sq, 0.0), g)
     return fisher, hess_rho
 
 
@@ -117,22 +210,9 @@ def hessian_pointwise_violation(field: ScalarField) -> float:
 
 def boundary_term(state_or_c, derived: DerivedScalars, geom: GridGeometry) -> float:
     """1/2 oint (1/g(c)) d|grad c|^2/dnu dS over the resolvable segments."""
-    c = state_or_c.c if isinstance(state_or_c, SimState) else state_or_c
-    dq, _, valid = normal_derivative_of_gradsq(c, geom)
-    if not np.any(valid):
-        raise BoundaryEvaluationError("all boundary segments were skipped")
-    c_seg = _c_at_segments(c, geom)
-    vals = np.where(valid, dq / derived.g(c_seg), 0.0)
-    return 0.5 * surface_integral(vals, geom)
-
-
-def _c_at_segments(c: ScalarField, geom: GridGeometry) -> np.ndarray:
-    """Chemoattractant sampled just inside each segment (fallback: host cell)."""
-    px = geom.seg_mid[:, 0] - 1.5 * geom.h * geom.seg_normal[:, 0]
-    py = geom.seg_mid[:, 1] - 1.5 * geom.h * geom.seg_normal[:, 1]
-    vals, ok = bilinear_sample(geom, c.data, px, py)
-    host = c.data[geom.seg_cell[:, 0], geom.seg_cell[:, 1]]
-    return np.where(ok, vals, host)
+    f = _frame(state_or_c, derived)
+    _, _, valid = f.boundary_probes
+    return surface_integral(np.where(valid, f.boundary_integrand, 0.0), geom)
 
 
 def check_ms_lemma(c: ScalarField, geom: GridGeometry, c_check: float = 1.0,
@@ -143,9 +223,7 @@ def check_ms_lemma(c: ScalarField, geom: GridGeometry, c_check: float = 1.0,
     boundary probes are first order on an O(h) baseline, so sqrt(h) is the
     honest certified rate).
     """
-    dq, qn, valid = normal_derivative_of_gradsq(c, geom)
-    if not np.any(valid):
-        raise BoundaryEvaluationError("all boundary segments were skipped")
+    dq, qn, valid = _frame(c).boundary_probes
     resid = dq - 2.0 * geom.kappa_max * qn
     resid = np.where(valid, resid, -np.inf)
     k = int(np.argmax(resid))
@@ -167,17 +245,12 @@ def check_inequality_33(state_or_c, derived: DerivedScalars, tol_rel: float = 0.
     domains the inequality is evaluated and reported but a violation is not
     treated as a failure (it rests on a convexity-backed boundary sign).
     """
-    c = state_or_c.c if isinstance(state_or_c, SimState) else state_or_c
-    g = c.geom
-    mask = g.stencil_ok & (c.data >= derived.c_floor)
-    cx, cy = gradient_neumann(c)
-    grad_c2 = cx.data ** 2 + cy.data ** 2
-    gc = derived.g(c.data)
-    gp = derived.g_prime(c.data)
-    lhs = volume_integral(np.where(mask, gp / gc ** 3 * grad_c2 ** 2, 0.0), g)
-    rho_c = ScalarField(g, np.where(g.active, derived.rho(c.data), 0.0))
-    H = hessian(rho_c)
-    rhs = HESSIAN_CONST * volume_integral(np.where(mask, gc / gp * H.frobenius_sq(), 0.0), g)
+    f = _frame(state_or_c, derived)
+    g = f.geom
+    mask = g.stencil_ok & (f.c.data >= derived.c_floor)
+    gc, gp = f.g, f.g_prime
+    lhs = volume_integral(np.where(mask, gp / gc ** 3 * f.grad_c2 ** 2, 0.0), g)
+    rhs = HESSIAN_CONST * volume_integral(np.where(mask, gc / gp * f.rho_hessian_sq, 0.0), g)
     tol = tol_rel * rhs + 1e-12
     violation = lhs - rhs
     passed = (lhs <= rhs + tol) or (not g.is_convex)
@@ -189,8 +262,46 @@ def check_inequality_33(state_or_c, derived: DerivedScalars, tol_rel: float = 0.
 
 
 # ---------------------------------------------------------------------------
-# entropy production identity over a trajectory window
+# entropy production identity
 # ---------------------------------------------------------------------------
+
+def identity_source_terms(f: Frame) -> tuple[float, float, float, float]:
+    """Transport, consumption and concavity sources of the entropy identity at one state.
+
+    (transport_grad, transport_lap, consumption, concavity), the first four
+    right-hand terms of the balance in ``entropy_identity_residual``.
+    """
+    g = f.geom
+    st = f.state
+    cx, cy = f.grad_c
+    grad_c2 = f.grad_c2
+    uc, vc = cell_centered_velocity(st.u)
+    u_dot_gc = uc * cx.data + vc * cy.data
+    lap_c = laplacian_neumann(f.c)
+    gc, gp, gpp = f.g, f.g_prime, f.g_pp
+    c_cl = f.derived.clamp(f.c.data)
+    f_val = f.derived.model.f(c_cl)
+    fp_val = f.derived.model.f_p(c_cl)
+
+    t1 = -0.5 * volume_integral(np.where(g.active, gp / gc ** 2 * grad_c2 * u_dot_gc, 0.0), g)
+    t2 = volume_integral(np.where(g.active, lap_c.data / gc * u_dot_gc, 0.0), g)
+    t3 = volume_integral(
+        np.where(g.active, st.n.data * (f_val * gp / (2.0 * gc ** 2) - fp_val / gc) * grad_c2, 0.0), g)
+    t4 = 0.5 * volume_integral(np.where(g.active, gpp / gc ** 2 * grad_c2 ** 2, 0.0), g)
+    return t1, t2, t3, t4
+
+
+def _identity_balance(dEdt: float, fisher: float, hess_rho: float,
+                      sources: tuple[float, float, float, float], boundary: float):
+    t1, t2, t3, t4 = sources
+    rhs = t1 + t2 + t3 + t4 + boundary
+    residual = abs(dEdt + fisher + hess_rho - rhs)
+    terms = {"dEdt": dEdt, "fisher": fisher, "hess_rho": hess_rho,
+             "transport_grad": t1, "transport_lap": t2, "consumption": t3,
+             "concavity": t4, "boundary": boundary}
+    scale = max(max(abs(v) for v in terms.values()), 1e-30)
+    return residual, residual / scale, terms
+
 
 def entropy_identity_residual(states: tuple[SimState, SimState, SimState],
                               derived: DerivedScalars, geom: GridGeometry):
@@ -207,7 +318,8 @@ def entropy_identity_residual(states: tuple[SimState, SimState, SimState],
             + boundary term
 
     Returns (residual, normalized_residual, terms_dict); the normalization is
-    the largest term magnitude.
+    the largest term magnitude. A run evaluates the same balance from its
+    rows instead (DiagnosticsRecord.identity_residual), holding no states.
     """
     s0, s1, s2 = states
     if not (s0.t < s1.t < s2.t):
@@ -215,37 +327,10 @@ def entropy_identity_residual(states: tuple[SimState, SimState, SimState],
     e0 = entropy_functional(s0, derived)
     e2 = entropy_functional(s2, derived)
     dEdt = (e2 - e0) / (s2.t - s0.t)
-    fisher, hess_rho = dissipation_terms(s1, derived)
-
-    g = geom
-    c = s1.c
-    cd = c.data
-    cx, cy = gradient_neumann(c)
-    grad_c2 = cx.data ** 2 + cy.data ** 2
-    uc, vc = cell_centered_velocity(s1.u)
-    u_dot_gc = uc * cx.data + vc * cy.data
-    lap_c = laplacian_neumann(c)
-    gc = derived.g(cd)
-    gp = derived.g_prime(cd)
-    gpp = derived.g_pp(cd)
-    c_cl = derived.clamp(cd)
-    f_val = derived.model.f(c_cl)
-    fp_val = derived.model.f_p(c_cl)
-
-    t1 = -0.5 * volume_integral(np.where(g.active, gp / gc ** 2 * grad_c2 * u_dot_gc, 0.0), g)
-    t2 = volume_integral(np.where(g.active, lap_c.data / gc * u_dot_gc, 0.0), g)
-    t3 = volume_integral(
-        np.where(g.active, s1.n.data * (f_val * gp / (2.0 * gc ** 2) - fp_val / gc) * grad_c2, 0.0), g)
-    t4 = 0.5 * volume_integral(np.where(g.active, gpp / gc ** 2 * grad_c2 ** 2, 0.0), g)
-    t5 = boundary_term(c, derived, geom)
-
-    rhs = t1 + t2 + t3 + t4 + t5
-    residual = abs(dEdt + fisher + hess_rho - rhs)
-    terms = {"dEdt": dEdt, "fisher": fisher, "hess_rho": hess_rho,
-             "transport_grad": t1, "transport_lap": t2, "consumption": t3,
-             "concavity": t4, "boundary": t5}
-    scale = max(max(abs(v) for v in terms.values()), 1e-30)
-    return residual, residual / scale, terms
+    mid = Frame(s1, derived)
+    fisher, hess_rho = dissipation_terms(mid, derived)
+    return _identity_balance(dEdt, fisher, hess_rho, identity_source_terms(mid),
+                             boundary_term(mid, derived, geom))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +347,8 @@ COLUMNS = (
 class DiagnosticsRecord:
     """Per-output-time rows of every tracked functional, in a fixed column order.
 
-    ``identity_residual`` is a trajectory quantity (needs a three-state
-    window); the runner fills it for interior rows, endpoints stay 0.
+    ``identity_residual`` is a trajectory quantity (needs the rows on both
+    sides); the runner fills it for interior rows, endpoints stay 0.
     """
 
     def __init__(self, geom: GridGeometry, n_inf: float, c0_max: float):
@@ -273,42 +358,52 @@ class DiagnosticsRecord:
         self.rows: list[dict] = []
 
     def append_state(self, state: SimState, derived: DerivedScalars) -> dict:
+        """Record the row of a state (or of a Frame over one, sharing its intermediates)."""
         g = self.geom
-        ent_n, grad_psi_sq = entropy_parts(state, derived)
-        fisher, hess_rho = dissipation_terms(state, derived)
-        cx, cy = gradient_neumann(state.c)
-        grad_c_4 = volume_integral((cx.data ** 2 + cy.data ** 2) ** 2, g)
-        psi_c = derived.psi(state.c.data)
-        psi_l2 = volume_integral(np.where(g.active, psi_c ** 2, 0.0), g)
-        n_pos = np.maximum(state.n.data, 0.0)
+        f = _frame(state, derived)
+        st = f.state
+        ent_n, grad_psi_sq = entropy_parts(f, derived)
+        fisher, hess_rho = dissipation_terms(f, derived)
+        grad_c_4 = volume_integral(f.grad_c2 ** 2, g)
+        psi_l2 = volume_integral(np.where(g.active, f.psi_c ** 2, 0.0), g)
+        n_pos = np.maximum(st.n.data, 0.0)
         n_l65 = volume_integral(np.where(g.active, n_pos ** 1.2, 0.0), g) ** (5.0 / 3.0)
-        try:
-            bterm = boundary_term(state.c, derived, g)
-        except BoundaryEvaluationError:
-            bterm = 0.0   # every segment skipped; the ms report carries the count
-        ms = check_ms_lemma(state.c, g, time=state.t)
         row = {
-            "t": state.t,
-            "mass": volume_integral(state.n, g),
-            "c_max": state.c.max_active(),
+            "t": st.t,
+            "mass": volume_integral(st.n, g),
+            "c_max": st.c.max_active(),
             "entropy_n": ent_n,
             "grad_psi_sq": grad_psi_sq,
             "fisher": fisher,
             "hess_rho": hess_rho,
             "grad_c_4": grad_c_4,
-            "u_l2": mac_norm_sq(state.u),
-            "grad_u_l2": mac_grad_norm_sq(state.u),
+            "u_l2": mac_norm_sq(st.u),
+            "grad_u_l2": mac_grad_norm_sq(st.u),
             "psi_l2": psi_l2,
             "n_l65_sq": n_l65,
-            "boundary_term": bterm,
-            "ms_violation": ms.violation,
-            "conv_n": float(np.abs(state.n.data[g.active] - self.n_inf).max()),
-            "u_sup": state.u.sup_norm(),
+            "boundary_term": boundary_term(f, derived, g),
+            "ms_violation": check_ms_lemma(f, g, time=st.t).violation,
+            "conv_n": float(np.abs(st.n.data[g.active] - self.n_inf).max()),
+            "u_sup": st.u.max_speed(),
             "identity_residual": 0.0,
-            "clamped_frac": derived.clamped_fraction(state.c),
+            "clamped_frac": derived.clamped_fraction(st.c),
         }
         self.rows.append(row)
         return row
+
+    def identity_residual(self, index: int, sources: tuple[float, float, float, float]):
+        """The entropy-identity balance of interior row ``index`` from the rows around it.
+
+        dE/dt is the centered difference of entropy_n + grad_psi_sq/2 over
+        the neighbouring rows; fisher, hess_rho and the boundary term are the
+        row's own; ``sources`` are identity_source_terms of the row's state.
+        Same values as entropy_identity_residual on the three states.
+        """
+        r0, r1, r2 = self.rows[index - 1:index + 2]
+        e0 = r0["entropy_n"] + 0.5 * r0["grad_psi_sq"]
+        e2 = r2["entropy_n"] + 0.5 * r2["grad_psi_sq"]
+        dEdt = (e2 - e0) / (r2["t"] - r0["t"])
+        return _identity_balance(dEdt, r1["fisher"], r1["hess_rho"], sources, r1["boundary_term"])
 
     def column(self, name: str) -> np.ndarray:
         return np.array([r[name] for r in self.rows])

@@ -113,9 +113,6 @@ class VectorField:
     def max_speed(self) -> float:
         return float(max(np.abs(self.u).max(), np.abs(self.v).max()))
 
-    def sup_norm(self) -> float:
-        return self.max_speed()
-
 
 @dataclass
 class TensorField:
@@ -135,50 +132,17 @@ class TensorField:
 
 
 # ---------------------------------------------------------------------------
-# neighbor gymnastics
-# ---------------------------------------------------------------------------
-
-def _nbr(data: np.ndarray, mask: np.ndarray, dx: int, dy: int):
-    """Neighbor values at offset (dx, dy) and their activity mask.
-
-    Edge rows/columns fall back to the center value / inactive; the 2-cell
-    exterior margin guarantees they never feed an active-cell stencil.
-    """
-    nb = data
-    ok = mask
-    if dx == 1:
-        nb = np.vstack([data[1:], data[-1:]])
-        ok = np.vstack([mask[1:], np.zeros((1, mask.shape[1]), bool)])
-    elif dx == -1:
-        nb = np.vstack([data[:1], data[:-1]])
-        ok = np.vstack([np.zeros((1, mask.shape[1]), bool), mask[:-1]])
-    if dy == 1:
-        nb = np.hstack([nb[:, 1:], nb[:, -1:]])
-        ok = np.hstack([ok[:, 1:], np.zeros((ok.shape[0], 1), bool)])
-    elif dy == -1:
-        nb = np.hstack([nb[:, :1], nb[:, :-1]])
-        ok = np.hstack([np.zeros((ok.shape[0], 1), bool), ok[:, :-1]])
-    return nb, ok
-
-
-def _mirror(data, active, dx, dy):
-    nb, ok = _nbr(data, active, dx, dy)
-    return np.where(ok, nb, data)
-
-
-# ---------------------------------------------------------------------------
 # differential operators
 # ---------------------------------------------------------------------------
 
 def gradient_neumann(s: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Cell-centered gradient, centered differences with Neumann mirror ghosts."""
     g = s.geom
-    act = g.active
-    d = s.data
-    gx = (_mirror(d, act, 1, 0) - _mirror(d, act, -1, 0)) / (2.0 * g.h)
-    gy = (_mirror(d, act, 0, 1) - _mirror(d, act, 0, -1)) / (2.0 * g.h)
-    gx[~act] = 0.0
-    gy[~act] = 0.0
+    sE, sW, sN, sS = (s.data.take(ix) for ix in g.mirror_gathers)
+    gx = (sE - sW) / (2.0 * g.h)
+    gy = (sN - sS) / (2.0 * g.h)
+    gx[~g.active] = 0.0
+    gy[~g.active] = 0.0
     return ScalarField(g, gx), ScalarField(g, gy)
 
 
@@ -190,10 +154,9 @@ def laplacian_neumann(s: ScalarField) -> ScalarField:
     """
     g = s.geom
     d = s.data
-    sE, _ = _nbr(d, g.active, 1, 0)
-    sW, _ = _nbr(d, g.active, -1, 0)
-    sN, _ = _nbr(d, g.active, 0, 1)
-    sS, _ = _nbr(d, g.active, 0, -1)
+    # a neighbor across a zero-aperture face carries no flux, so its mirror
+    # ghost serves as well as its value
+    sE, sW, sN, sS = (d.take(ix) for ix in g.mirror_gathers)
     # face flux = (a h) * (s_j - s_i)/h = a (s_j - s_i); divide by wet volume
     net = (g.aperture_x[1:, :] * (sE - d) + g.aperture_x[:-1, :] * (sW - d)
            + g.aperture_y[:, 1:] * (sN - d) + g.aperture_y[:, :-1] * (sS - d))
@@ -206,21 +169,17 @@ def hessian(s: ScalarField) -> TensorField:
     """Second derivatives: centered with mirror ghosts, cross term by nested
     first differences (symmetrized)."""
     g = s.geom
-    act = g.active
     d = s.data
     h2 = g.h * g.h
-    sE = _mirror(d, act, 1, 0)
-    sW = _mirror(d, act, -1, 0)
-    sN = _mirror(d, act, 0, 1)
-    sS = _mirror(d, act, 0, -1)
-    xx = (sE - 2.0 * d + sW) / h2
-    yy = (sN - 2.0 * d + sS) / h2
+    E, W, N, S = g.mirror_gathers
+    xx = (d.take(E) - 2.0 * d + d.take(W)) / h2
+    yy = (d.take(N) - 2.0 * d + d.take(S)) / h2
     gx, gy = gradient_neumann(s)
-    dyx = (_mirror(gx.data, act, 0, 1) - _mirror(gx.data, act, 0, -1)) / (2.0 * g.h)
-    dxy = (_mirror(gy.data, act, 1, 0) - _mirror(gy.data, act, -1, 0)) / (2.0 * g.h)
+    dyx = (gx.data.take(N) - gx.data.take(S)) / (2.0 * g.h)
+    dxy = (gy.data.take(E) - gy.data.take(W)) / (2.0 * g.h)
     xy = 0.5 * (dxy + dyx)
     for arr in (xx, xy, yy):
-        arr[~act] = 0.0
+        arr[~g.active] = 0.0
     return TensorField(g, xx, xy, yy)
 
 
@@ -287,68 +246,44 @@ def bilinear_sample(geom: GridGeometry, data: np.ndarray, x, y):
     Returns (values, valid); a sample is valid only when all four stencil
     cells are active.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx = (x - geom.bbox[0]) / geom.h - 0.5
-    fy = (y - geom.bbox[2]) / geom.h - 0.5
-    i0 = np.clip(np.floor(fx).astype(int), 0, geom.nx - 2)
-    j0 = np.clip(np.floor(fy).astype(int), 0, geom.ny - 2)
-    tx = fx - i0
-    ty = fy - j0
-    inside = (tx >= -1e-12) & (tx <= 1.0 + 1e-12) & (ty >= -1e-12) & (ty <= 1.0 + 1e-12)
-    act = geom.active
-    valid = inside & act[i0, j0] & act[i0 + 1, j0] & act[i0, j0 + 1] & act[i0 + 1, j0 + 1]
-    vals = (data[i0, j0] * (1 - tx) * (1 - ty) + data[i0 + 1, j0] * tx * (1 - ty)
-            + data[i0, j0 + 1] * (1 - tx) * ty + data[i0 + 1, j0 + 1] * tx * ty)
-    return vals, valid
+    stencil = geom.bilinear_stencil(x, y)
+    return stencil.sample(data), stencil.valid
 
 
 def normal_derivative_of_gradsq(s: ScalarField, geom: GridGeometry,
-                                depths: tuple[float, float, float] = (2.0, 3.5, 5.0)):
+                                depths: tuple[float, float, float] = (2.0, 3.5, 5.0),
+                                gradsq: np.ndarray | None = None):
     """Outward normal derivative of |grad s|^2 at the boundary segments.
 
-    q = |grad s|^2 is formed at cell centers and probed along the inward
-    normal at depths[i]*h below each segment midpoint. Two one-sided
-    differences (between probes 1-2 and 2-3) are extrapolated linearly to
-    the wall, which removes the O(h) depth bias of a single difference.
-    Segments without room for the deepest probe fall back to the plain
-    two-probe difference; segments without room for two probes are pushed
-    deeper (two retries) and finally skipped.
+    q = |grad s|^2 is formed at cell centers (or taken from ``gradsq`` when
+    the caller already holds it) and probed along the inward normal at
+    depths[i]*h below each segment midpoint. Two one-sided differences
+    (between probes 1-2 and 2-3) are extrapolated linearly to the wall,
+    which removes the O(h) depth bias of a single difference. Segments
+    without room for the deepest probe fall back to the plain two-probe
+    difference; segments without room for two probes are pushed deeper
+    (two retries) and finally skipped. The probe stencils are the
+    geometry's (GridGeometry.boundary_probes), which raises ResolutionError
+    when every segment would be skipped.
 
     Returns (dq_dnu, q_near, valid) arrays over segments.
     """
-    gx, gy = gradient_neumann(s)
-    q = gx.data ** 2 + gy.data ** 2
-    h = geom.h
-    n = geom.seg_mid.shape[0]
-    dq = np.zeros(n)
-    qn = np.zeros(n)
-    valid = np.zeros(n, dtype=bool)
-
-    def probe(d, mask):
-        px = geom.seg_mid[mask, 0] - d * geom.seg_normal[mask, 0]
-        py = geom.seg_mid[mask, 1] - d * geom.seg_normal[mask, 1]
-        return bilinear_sample(geom, q, px, py)
-
-    for extra in (0.0, 0.75, 1.5):
-        todo = ~valid
-        if not np.any(todo):
-            break
-        d1, d2, d3 = ((d + extra) * h for d in depths)
-        q1, ok1 = probe(d1, todo)
-        q2, ok2 = probe(d2, todo)
-        q3, ok3 = probe(d3, todo)
-        two = ok1 & ok2
-        est_a = np.where(two, (q1 - q2) / (d2 - d1), 0.0)
-        est_b = np.where(ok2 & ok3, (q2 - q3) / (d3 - d2), 0.0)
+    if gradsq is None:
+        gx, gy = gradient_neumann(s)
+        gradsq = gx.data ** 2 + gy.data ** 2
+    levels, valid = geom.boundary_probes(depths)
+    dq = np.zeros(valid.shape)
+    qn = np.zeros(valid.shape)
+    for segs, (d1, d2, d3), (p1, p2, p3) in levels:
+        q1, q2, q3 = p1.sample(gradsq), p2.sample(gradsq), p3.sample(gradsq)
+        ok3 = p3.valid
+        est_a = (q1 - q2) / (d2 - d1)
+        est_b = np.where(ok3, (q2 - q3) / (d3 - d2), 0.0)
         m_a = 0.5 * (d1 + d2)
         m_b = 0.5 * (d2 + d3)
         wall = est_a + (est_a - est_b) * m_a / (m_b - m_a)
-        est = np.where(two & ok3, wall, est_a)
-        idx = np.nonzero(todo)[0][two]
-        dq[idx] = est[two]
-        qn[idx] = q1[two]
-        valid[idx] = True
+        dq[segs] = np.where(ok3, wall, est_a)
+        qn[segs] = q1
     return dq, qn, valid
 
 

@@ -23,7 +23,10 @@ conservative flux operators in :mod:`chemofluid.fields`. Faces adjacent to
 exterior cells always have zero aperture, which makes zero-flux boundary
 conditions automatic in flux form.
 
-Geometry objects are immutable after construction.
+Geometry objects are immutable after construction. What depends on the grid
+alone (the cell masks, the mirror-neighbour gathers of the derivative
+stencils, the boundary-probe stencils) is computed on first use and cached
+on the object.
 """
 
 from __future__ import annotations
@@ -157,6 +160,32 @@ class LevelSetDomain:
         return LevelSetDomain(phi, (xlo, xhi, ylo, yhi), tag=tag)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class BilinearStencil:
+    """Bilinear interpolation stencils at sample points.
+
+    corners holds the flat indices of cells (i0, j0), (i0+1, j0), (i0, j0+1)
+    and (i0+1, j0+1); a sample is valid only when all four cells are active.
+    """
+
+    corners: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    tx: np.ndarray
+    ty: np.ndarray
+    valid: np.ndarray
+
+    def sample(self, data: np.ndarray) -> np.ndarray:
+        """Interpolated values of cell-centered data (nx, ny) at the points."""
+        d00, d10, d01, d11 = (data.take(k) for k in self.corners)
+        tx, ty = self.tx, self.ty
+        return (d00 * (1 - tx) * (1 - ty) + d10 * tx * (1 - ty)
+                + d01 * (1 - tx) * ty + d11 * tx * ty)
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Classified uniform grid plus extracted boundary data. Immutable."""
@@ -181,9 +210,16 @@ class GridGeometry:
 
     # ---- derived masks and coordinates -------------------------------
 
+    def _cached(self, key, build):
+        """build() evaluated once per geometry; the geometry never changes."""
+        value = self._extras.get(key)
+        if value is None:
+            value = self._extras[key] = build()
+        return value
+
     @property
     def interior(self) -> np.ndarray:
-        return self.cell_class == INTERIOR
+        return self._cached("interior", lambda: _read_only(self.cell_class == INTERIOR))
 
     @property
     def band(self) -> np.ndarray:
@@ -191,7 +227,7 @@ class GridGeometry:
 
     @property
     def active(self) -> np.ndarray:
-        return self.cell_class != EXTERIOR
+        return self._cached("active", lambda: _read_only(self.cell_class != EXTERIOR))
 
     @property
     def xc(self) -> np.ndarray:
@@ -254,8 +290,7 @@ class GridGeometry:
         difference stencils amplify to O(1/h), while dropping the collar is
         a first-order quadrature error consistent with the scheme.
         """
-        cached = self._extras.get("stencil_ok")
-        if cached is None:
+        def build():
             act = self.active
             ok = act.copy()
             ok[1:, :] &= act[:-1, :]
@@ -266,10 +301,78 @@ class GridGeometry:
             ok[:-1, :-1] &= act[1:, 1:]
             ok[1:, :-1] &= act[:-1, 1:]
             ok[:-1, 1:] &= act[1:, :-1]
-            ok.setflags(write=False)
-            self._extras["stencil_ok"] = ok
-            cached = ok
-        return cached
+            return _read_only(ok)
+        return self._cached("stencil_ok", build)
+
+    @property
+    def mirror_gathers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Flat gather indices of the east, west, north and south mirror neighbours.
+
+        ``data.take(ix)`` is the neighbour's value where that neighbour is
+        active and the cell's own value otherwise: the mirror ghost that
+        realizes the homogeneous Neumann condition. Off-grid neighbours count
+        as inactive; the 2-cell exterior margin keeps them out of every
+        active-cell stencil.
+        """
+        def build():
+            act = self.active
+            own = np.arange(self.nx * self.ny).reshape(self.nx, self.ny)
+            gathers = []
+            for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
+                ok = np.roll(act, -shift, axis=axis)
+                edge = [slice(None), slice(None)]
+                edge[axis] = -1 if shift == 1 else 0
+                ok[tuple(edge)] = False
+                gathers.append(_read_only(np.where(ok, np.roll(own, -shift, axis=axis), own)))
+            return tuple(gathers)
+        return self._cached("mirror_gathers", build)
+
+    def bilinear_stencil(self, x, y) -> BilinearStencil:
+        """Four-cell interpolation stencils of cell-centered data at points (x, y)."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        fx = (x - self.bbox[0]) / self.h - 0.5
+        fy = (y - self.bbox[2]) / self.h - 0.5
+        i0 = np.clip(np.floor(fx).astype(int), 0, self.nx - 2)
+        j0 = np.clip(np.floor(fy).astype(int), 0, self.ny - 2)
+        tx = fx - i0
+        ty = fy - j0
+        inside = (tx >= -1e-12) & (tx <= 1.0 + 1e-12) & (ty >= -1e-12) & (ty <= 1.0 + 1e-12)
+        act = self.active
+        valid = inside & act[i0, j0] & act[i0 + 1, j0] & act[i0, j0 + 1] & act[i0 + 1, j0 + 1]
+        k00 = i0 * self.ny + j0
+        return BilinearStencil((k00, k00 + self.ny, k00 + 1, k00 + self.ny + 1), tx, ty, valid)
+
+    def boundary_probes(self, depths: tuple[float, float, float]):
+        """Probe stencils along the inward normal of every boundary segment.
+
+        Probe k of a segment sits (depths[k] + extra) * h below its midpoint.
+        A segment is resolved at the first extra in (0, 0.75, 1.5) where its
+        two shallower probes have full stencils. Returns (levels, valid):
+        levels holds (segments, (d1, d2, d3), three BilinearStencils) per
+        extra, valid marks the resolved segments. Which probes are valid
+        depends on the geometry alone, so a grid where no segment resolves
+        is rejected here, before any field is probed.
+        """
+        def probe(d, segs):
+            return self.bilinear_stencil(self.seg_mid[segs, 0] - d * self.seg_normal[segs, 0],
+                                         self.seg_mid[segs, 1] - d * self.seg_normal[segs, 1])
+
+        def build():
+            valid = np.zeros(len(self.seg_weight), dtype=bool)
+            levels = []
+            for extra in (0.0, 0.75, 1.5):
+                todo = np.nonzero(~valid)[0]
+                if not len(todo):
+                    break
+                ds = tuple((d + extra) * self.h for d in depths)
+                done = todo[probe(ds[0], todo).valid & probe(ds[1], todo).valid]
+                levels.append((done, ds, tuple(probe(d, done) for d in ds)))
+                valid[done] = True
+            if not valid.any():
+                raise ResolutionError("no boundary segment has room for two probes; refine the grid")
+            return tuple(levels), _read_only(valid)
+        return self._cached(("boundary_probes", tuple(depths)), build)
 
 
 def _phi_derivatives(domain: LevelSetDomain, x, y, step: float):

@@ -2,10 +2,14 @@
 
 A run lands exactly on the configured output cadence: time is an integer
 count of solver ticks (StepClock), so every output time is a whole number of
-ticks and is hit without rounding drift. At every output time a
-full diagnostics row is recorded and a rolling three-snapshot window feeds
-the entropy-identity residual of the middle row. Artifacts under the output
-directory:
+ticks and is hit without rounding drift. At every output time one
+diagnostics Frame is built over the state, and the row and both per-state
+inequality checks read their shared intermediates from it. The
+entropy-identity residual of a row needs the rows on both sides. So the
+source terms of each state are computed when it is emitted and kept until
+the next row arrives. dE/dt, the dissipation and the boundary term then come
+from the stored rows, and no state is copied or held. Artifacts under the
+output directory:
 
     diagnostics.csv    one row per output time (column order in csv_schema.md)
     inequalities.csv   one row per inequality evaluation
@@ -31,22 +35,22 @@ import numpy as np
 from chemofluid.config import RunConfig
 from chemofluid.diagnostics import (
     DiagnosticsRecord,
+    Frame,
     InequalityReport,
+    boundary_term,
     check_energy_inequality,
     check_inequality_33,
     check_ms_lemma,
     check_velocity_energy,
     convergence_monitor,
-    entropy_identity_residual,
     hessian_pointwise_violation,
+    identity_source_terms,
     random_neumann_field,
-    boundary_term,
 )
-from chemofluid.fields import ScalarField, normal_derivative_of_gradsq
+from chemofluid.fields import ScalarField
 from chemofluid.geometry import volume_integral
 from chemofluid.model import build_derived, default_c_floor, validate_assumptions
 from chemofluid.solver import LinearSystems, SolverAbort, StepClock, cfl_dt, quantize_dt, step
-from chemofluid.diagnostics import _c_at_segments
 
 INEQ_HEADER = "id,time,lhs,rhs,violation,tolerance,passed"
 
@@ -120,19 +124,22 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
 
     record = DiagnosticsRecord(geom, n_inf=n_inf, c0_max=c0_max)
     ineq_rows: list[InequalityReport] = []
-    window = collections.deque(maxlen=3)
+    prev_sources = None   # identity source terms of the previous row's state
     dt_out = rc["output.every_time"]
     snap_every = rc["output.snapshot_every"]
 
     def emit(st, index):
+        nonlocal prev_sources
         t_diag = time.perf_counter()
-        record.append_state(st, derived)
-        ineq_rows.append(check_ms_lemma(st.c, geom, c_check=rc["check.ms_c"], time=st.t))
-        ineq_rows.append(check_inequality_33(st, derived, time=st.t))
-        window.append(st.copy())
-        if len(window) == 3:
-            _, nres, _ = entropy_identity_residual(tuple(window), derived, geom)
+        frame = Frame(st, derived)
+        record.append_state(frame, derived)
+        ineq_rows.append(check_ms_lemma(frame, geom, c_check=rc["check.ms_c"], time=st.t))
+        ineq_rows.append(check_inequality_33(frame, derived, time=st.t))
+        if index >= 2:
+            _, nres, _ = record.identity_residual(index - 1, prev_sources)
             record.set_identity_residual(index - 1, nres)
+        # row 0 is an endpoint, whose residual stays 0: it needs no sources
+        prev_sources = identity_source_terms(frame) if index else None
         if snap_every and index % snap_every == 0:
             from chemofluid.gridio import save_state
             save_state(out / f"snap_{index:04d}.txt", st)
@@ -236,12 +243,12 @@ def run_inequality_scan(rc: RunConfig, out_dir) -> dict:
                                  smooth_len=rc["scan.smooth_len"],
                                  n_smooth=rc["scan.n_smooth"])
         c = ScalarField(geom, np.where(geom.active, c_base + z.data, 0.0))
-        ms = check_ms_lemma(c, geom, c_check=rc["check.ms_c"])
-        bt = boundary_term(c, derived, geom)
-        dq, _, ok = normal_derivative_of_gradsq(c, geom)
-        integrand = 0.5 * dq / derived.g(_c_at_segments(c, geom))
-        bt_ptw = float(np.where(ok, integrand, -np.inf).max())
-        i33 = check_inequality_33(c, derived)
+        frame = Frame(c, derived)
+        ms = check_ms_lemma(frame, geom, c_check=rc["check.ms_c"])
+        bt = boundary_term(frame, derived, geom)
+        _, _, ok = frame.boundary_probes
+        bt_ptw = float(np.where(ok, frame.boundary_integrand, -np.inf).max())
+        i33 = check_inequality_33(frame, derived)
         hv = hessian_pointwise_violation(c)
         rows.append((trial, ms.violation, ms.tolerance, bt, bt_ptw, i33.lhs, i33.rhs, hv))
         worst_ms = max(worst_ms, ms.violation)

@@ -23,7 +23,7 @@ from chemofluid.diagnostics import (
 from chemofluid.fields import ScalarField, VectorField, divergence
 from chemofluid.geometry import volume_integral
 from chemofluid.model import build_derived, default_c_floor
-from chemofluid.solver import LinearSystems, cfl_dt, quantize_dt, step
+from chemofluid.solver import LinearSystems, StepClock, cfl_dt, quantize_dt, step
 from chemofluid.runner import run_inequality_scan
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -81,11 +81,14 @@ def instrumented_run(rc: RunConfig):
             window.pop(0)
 
     emit(state)
-    next_out = dt_out
-    while state.t < cfg.end_time - 1e-12:
-        dt = quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max)
-        dt = min(dt, next_out - state.t)
+    clock = StepClock(cfg.dt_max)
+    out_ticks = max(1, clock.ticks_of(dt_out))
+    end_ticks = clock.ticks_of(cfg.end_time)
+    next_out = min(out_ticks, end_ticks)
+    while clock.ticks < end_ticks:
+        dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max), next_out)
         state = step(state, cfg, model, lin, dt=dt)
+        state.t = clock.t
         probes["dt"].append(dt)
         probes["c_max"].append(state.c.max_active())
         probes["n_min"].append(state.n.min_active())
@@ -96,9 +99,9 @@ def instrumented_run(rc: RunConfig):
         pmax = float(np.abs(state.p.data[geom.interior]).max())
         pmean = abs(float(state.p.data[geom.interior].mean()))
         probes["p_gauge_ratio"].append(pmean / max(1e-12 * pmax, 1e-300))
-        if abs(state.t - next_out) < 1e-10:
+        if clock.ticks == next_out:
             emit(state)
-            next_out = min(cfg.end_time, next_out + dt_out)
+            next_out = min(end_ticks, next_out + out_ticks)
     for k in probes:
         probes[k] = np.asarray(probes[k])
     energy = check_energy_inequality(record)
@@ -164,15 +167,17 @@ def residual_studies():
                   if coupled else VectorField.zeros(g))
             st = InitialData(n0, c0, u0).make_state()
             derived = build_derived(model, default_c_floor(c0.max_active()), c0.max_active())
-            snaps = {}
-            next_out = 0.0
-            while st.t < cfg.end_time - 1e-12:
-                if abs(st.t - next_out) < 1e-9:
-                    snaps[round(st.t, 9)] = st.copy()
-                    next_out += dt_cad
-                st = step(st, cfg, model, lin, dt=min(dt, cfg.end_time - st.t))
-            snaps[round(st.t, 9)] = st.copy()
-            win = tuple(snaps[round(0.12 + s * dt_cad, 9)] for s in (-1, 0, 1))
+            clock = StepClock(dt)
+            cad_ticks = clock.ticks_of(dt_cad)
+            end_ticks = clock.ticks_of(cfg.end_time)
+            snaps = {0: st.copy()}   # by output index: state at t = index * dt_cad
+            while clock.ticks < end_ticks:
+                st = step(st, cfg, model, lin, dt=clock.advance(dt, end_ticks))
+                st.t = clock.t
+                if clock.ticks % cad_ticks == 0:
+                    snaps[clock.ticks // cad_ticks] = st.copy()
+            mid = round(0.12 / dt_cad)
+            win = tuple(snaps[mid + s] for s in (-1, 0, 1))
             _, nres, _ = entropy_identity_residual(win, derived, g)
             normalized.append(nres)
         orders = [float(np.log2(normalized[i] / normalized[i + 1])) for i in range(2)]

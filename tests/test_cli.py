@@ -107,6 +107,13 @@ class TestCliExitCodes:
         assert main(["check-geometry", "--config", cfg]) == 0
         assert "kappa_max" in capsys.readouterr().out
 
+    def test_unprobeable_boundary_is_config_error(self, tmp_path, capsys):
+        # a thin annulus at 32^2: no boundary segment has room for two probes,
+        # so every boundary diagnostic would be undefined
+        cfg = write_cfg(tmp_path, "domain.shape = annulus\ndomain.r_inner = 0.8\ngrid.n = 32\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "refine the grid" in capsys.readouterr().err
+
     def test_mms_requires_two_resolutions(self, tmp_path):
         cfg = write_cfg(tmp_path, "mms.resolutions = 32\n")
         assert main(["mms", "--config", cfg]) == 4

@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from chemofluid.diagnostics import (
+    COLUMNS,
     DiagnosticsRecord,
+    Frame,
     boundary_term,
     check_energy_inequality,
     check_inequality_33,
@@ -14,11 +16,13 @@ from chemofluid.diagnostics import (
     entropy_identity_residual,
     entropy_parts,
     hessian_pointwise_violation,
+    identity_source_terms,
     random_neumann_field,
 )
-from chemofluid.fields import ScalarField, VectorField
+from chemofluid.fields import ScalarField, VectorField, gradient_neumann, mac_grad_norm_sq, mac_norm_sq
 from chemofluid.geometry import LevelSetDomain, classify_cells, volume_integral
-from chemofluid.solver import LinearSystems, SimState, SolverConfig
+from chemofluid.model import linear_model
+from chemofluid.solver import InitialData, LinearSystems, SimState, SolverConfig, step
 
 
 def make_state(geom, n, c, u=None):
@@ -211,6 +215,44 @@ class TestInequality33:
         assert rep.extra["convex"] is False
 
 
+@pytest.fixture(scope="module")
+def trajectory(disk64):
+    """Five consecutive states of a coupled run: bump in n and c, swirling flow."""
+    X, Y = disk64.cell_centers()
+    n0 = ScalarField(disk64, np.where(
+        disk64.active, 1.0 + 0.4 * np.exp(-((X - 0.2) ** 2 + (Y - 0.1) ** 2) / 0.08), 0.0))
+    u0 = VectorField.from_stream(disk64, lambda x, y: 0.15 * np.exp(-(x * x + y * y) / 0.18))
+    states = [InitialData(n0, ScalarField.from_function(disk64, bump_c), u0).make_state()]
+    cfg = SolverConfig(dt_max=0.01)
+    model = linear_model(G=0.5, kappa_ns=1.0)
+    lin = LinearSystems(disk64, cfg)
+    for _ in range(4):
+        states.append(step(states[-1], cfg, model, lin, dt=0.01))
+    return states
+
+
+def standalone_row(st, derived, geom, n_inf):
+    """Every diagnostics column from the public single-state functions, each on its own."""
+    ent_n, grad_psi_sq = entropy_parts(st, derived)
+    fisher, hess_rho = dissipation_terms(st, derived)
+    cx, cy = gradient_neumann(st.c)
+    n_pos = np.maximum(st.n.data, 0.0)
+    return {
+        "t": st.t, "mass": volume_integral(st.n, geom), "c_max": st.c.max_active(),
+        "entropy_n": ent_n, "grad_psi_sq": grad_psi_sq, "fisher": fisher, "hess_rho": hess_rho,
+        "grad_c_4": volume_integral((cx.data ** 2 + cy.data ** 2) ** 2, geom),
+        "u_l2": mac_norm_sq(st.u), "grad_u_l2": mac_grad_norm_sq(st.u),
+        "psi_l2": volume_integral(np.where(geom.active, derived.psi(st.c.data) ** 2, 0.0), geom),
+        "n_l65_sq": volume_integral(np.where(geom.active, n_pos ** 1.2, 0.0), geom) ** (5.0 / 3.0),
+        "boundary_term": boundary_term(st.c, derived, geom),
+        "ms_violation": check_ms_lemma(st.c, geom).violation,
+        "conv_n": float(np.abs(st.n.data[geom.active] - n_inf).max()),
+        "u_sup": st.u.max_speed(),
+        "identity_residual": 0.0,
+        "clamped_frac": derived.clamped_fraction(st.c),
+    }
+
+
 class TestIdentityResidual:
     def test_steady_state_vanishes(self, disk64, derived_linear):
         states = []
@@ -221,6 +263,29 @@ class TestIdentityResidual:
         res, _, terms = entropy_identity_residual(tuple(states), derived_linear, disk64)
         assert res < 1e-12
         assert abs(terms["dEdt"]) < 1e-12
+
+    def test_shared_frame_matches_standalone(self, disk64, derived_linear, trajectory):
+        # one frame per state, as a run uses them, against every standalone
+        # function on the bare state: same floats, bit for bit
+        rec = DiagnosticsRecord(disk64, n_inf=1.0, c0_max=1.25)
+        sources = []
+        for st in trajectory:
+            frame = Frame(st, derived_linear)
+            row = rec.append_state(frame, derived_linear)
+            assert row == standalone_row(st, derived_linear, disk64, 1.0)
+            for shared, alone in ((check_ms_lemma(frame, disk64, c_check=3.0, time=st.t),
+                                   check_ms_lemma(st.c, disk64, c_check=3.0, time=st.t)),
+                                  (check_inequality_33(frame, derived_linear, time=st.t),
+                                   check_inequality_33(st, derived_linear, time=st.t))):
+                assert shared.row() == alone.row()
+                assert (shared.location, shared.extra) == (alone.location, alone.extra)
+            sources.append(identity_source_terms(frame))
+        assert sorted(row) == sorted(COLUMNS)
+        for k in range(1, len(trajectory) - 1):
+            res, nres, terms = rec.identity_residual(k, sources[k])
+            window = tuple(trajectory[k - 1:k + 2])
+            assert (res, nres, terms) == entropy_identity_residual(window, derived_linear, disk64)
+            assert terms["transport_grad"] != 0.0 and terms["boundary"] != 0.0
 
     def test_window_must_be_ordered(self, disk64, derived_linear):
         sts = [make_state(disk64, 1.0, 1.0) for _ in range(3)]

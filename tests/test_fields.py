@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from chemofluid.fields import (
     ScalarField,
@@ -13,7 +14,7 @@ from chemofluid.fields import (
     mac_norm_sq,
     normal_derivative_of_gradsq,
 )
-from chemofluid.geometry import classify_cells, volume_integral
+from chemofluid.geometry import LevelSetDomain, ResolutionError, classify_cells, volume_integral
 
 from conftest import deep_interior
 
@@ -22,6 +23,39 @@ def radial_neumann(x, y):
     # zero radial derivative on the unit circle
     r2 = x * x + y * y
     return r2 * (2.0 - r2)
+
+
+def mirror_reference(data, active, dx, dy):
+    """Neighbor at (dx, dy) where it is active, else the cell itself (vstack/hstack copies)."""
+    nb, ok = data, active
+    if dx == 1:
+        nb = np.vstack([data[1:], data[-1:]])
+        ok = np.vstack([active[1:], np.zeros((1, active.shape[1]), bool)])
+    elif dx == -1:
+        nb = np.vstack([data[:1], data[:-1]])
+        ok = np.vstack([np.zeros((1, active.shape[1]), bool), active[:-1]])
+    if dy == 1:
+        nb = np.hstack([nb[:, 1:], nb[:, -1:]])
+        ok = np.hstack([ok[:, 1:], np.zeros((ok.shape[0], 1), bool)])
+    elif dy == -1:
+        nb = np.hstack([nb[:, :1], nb[:, :-1]])
+        ok = np.hstack([np.zeros((ok.shape[0], 1), bool), ok[:, :-1]])
+    return np.where(ok, nb, data)
+
+
+class TestMirrorGathers:
+    @pytest.mark.parametrize("geom_name", ["disk64", "star64"])
+    def test_equal_to_copies(self, geom_name, request):
+        g = request.getfixturevalue(geom_name)
+        data = np.random.default_rng(13).standard_normal((g.nx, g.ny))
+        for ix, (dx, dy) in zip(g.mirror_gathers, ((1, 0), (-1, 0), (0, 1), (0, -1))):
+            assert np.array_equal(data.take(ix), mirror_reference(data, g.active, dx, dy))
+
+    def test_cached_read_only(self, disk64):
+        assert disk64.active is disk64.active
+        assert disk64.mirror_gathers is disk64.mirror_gathers
+        for arr in (disk64.active, disk64.interior) + disk64.mirror_gathers:
+            assert not arr.flags.writeable
 
 
 class TestGradient:
@@ -183,7 +217,58 @@ class TestStreamFunction:
         assert np.abs(vel.v[~disk64.fluid_face_y]).max() == 0.0
 
 
+def probe_reference(s, geom, depths=(2.0, 3.5, 5.0)):
+    """normal_derivative_of_gradsq with every probe located and sampled per call."""
+    gx, gy = gradient_neumann(s)
+    q = gx.data ** 2 + gy.data ** 2
+    h = geom.h
+    n = geom.seg_mid.shape[0]
+    dq, qn, valid = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+
+    def probe(d, mask):
+        px = geom.seg_mid[mask, 0] - d * geom.seg_normal[mask, 0]
+        py = geom.seg_mid[mask, 1] - d * geom.seg_normal[mask, 1]
+        return bilinear_sample(geom, q, px, py)
+
+    for extra in (0.0, 0.75, 1.5):
+        todo = ~valid
+        if not np.any(todo):
+            break
+        d1, d2, d3 = ((d + extra) * h for d in depths)
+        (q1, ok1), (q2, ok2), (q3, ok3) = probe(d1, todo), probe(d2, todo), probe(d3, todo)
+        two = ok1 & ok2
+        est_a = np.where(two, (q1 - q2) / (d2 - d1), 0.0)
+        est_b = np.where(ok2 & ok3, (q2 - q3) / (d3 - d2), 0.0)
+        m_a, m_b = 0.5 * (d1 + d2), 0.5 * (d2 + d3)
+        wall = est_a + (est_a - est_b) * m_a / (m_b - m_a)
+        est = np.where(two & ok3, wall, est_a)
+        idx = np.nonzero(todo)[0][two]
+        dq[idx], qn[idx], valid[idx] = est[two], q1[two], True
+    return dq, qn, valid
+
+
+@pytest.fixture(scope="module")
+def thin_annulus32():
+    # segments without room for two probes, and many without a third
+    dom = LevelSetDomain.annulus(0.75, 1.0)
+    return classify_cells(dom, (dom.bbox[1] - dom.bbox[0]) / 32)
+
+
 class TestBoundaryDerivative:
+    @pytest.mark.parametrize("geom_name", ["disk64", "star64", "thin_annulus32"])
+    def test_cached_probes_equal_reference(self, geom_name, request):
+        g = request.getfixturevalue(geom_name)
+        rng = np.random.default_rng(19)
+        s = ScalarField(g, np.where(g.active, rng.standard_normal((g.nx, g.ny)), 0.0))
+        for got, ref in zip(normal_derivative_of_gradsq(s, g), probe_reference(s, g)):
+            assert np.array_equal(got, ref)
+
+    def test_unprobeable_geometry_rejected(self):
+        dom = LevelSetDomain.annulus(0.8, 1.0)
+        g = classify_cells(dom, (dom.bbox[1] - dom.bbox[0]) / 32)
+        with pytest.raises(ResolutionError):
+            normal_derivative_of_gradsq(ScalarField.full(g, 1.0), g)
+
     def test_constant_gives_zero(self, disk64):
         dq, qn, valid = normal_derivative_of_gradsq(ScalarField.full(disk64, 1.0), disk64)
         assert valid.all()
