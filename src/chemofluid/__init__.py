@@ -28,7 +28,7 @@ from chemofluid.model import (
     linear_model,
     saturating_model,
 )
-from chemofluid.solver import SimState, SolverConfig, step, cfl_dt, solve_spd
+from chemofluid.solver import SimState, SolverConfig, step, cfl_dt
 
 __version__ = "0.1.0"
 
@@ -55,5 +55,4 @@ __all__ = [
     "SolverConfig",
     "step",
     "cfl_dt",
-    "solve_spd",
 ]

@@ -22,14 +22,6 @@ class ConfigError(ValueError):
     """Unknown key, malformed value, or inconsistent combination."""
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes", "on"):
-        return True
-    if s.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _parse_floats(s: str):
     return tuple(float(v) for v in s.replace(",", " ").split())
 
@@ -71,9 +63,6 @@ SCHEMA = {
     "solver.dt_max": (float, 0.02, "cap on the time step"),
     "solver.cfl_safety": (float, 0.5, "fraction of the per-cell CFL limit"),
     "solver.end_time": (float, 12.0, "final simulation time"),
-    "solver.tol": (float, 1e-8, "relative tolerance of iterative solves"),
-    "solver.max_iters": (int, 50_000, "iteration cap for CG"),
-    "solver.linear_solver": (str, "direct", "direct (cached LU) | cg"),
     "output.every_time": (float, 0.1, "diagnostics cadence (simulation time)"),
     "output.snapshot_every": (int, 0, "checkpoint every k-th output row (0: off)"),
     "run.seed": (int, 0, "seed for randomized scans"),
@@ -158,13 +147,11 @@ class RunConfig:
             raise ConfigError("need 0 <= init.c0_amp < init.c0_base for positive c0")
         if v["init.n0_base"] <= 0 or v["init.n0_amp"] < 0:
             raise ConfigError("n0 must be positive")
-        for key in ("solver.dt_max", "solver.end_time", "solver.tol", "output.every_time"):
+        for key in ("solver.dt_max", "solver.end_time", "output.every_time"):
             if v[key] <= 0:
                 raise ConfigError(f"{key} must be positive")
         if not 0 < v["solver.cfl_safety"] <= 1:
             raise ConfigError("solver.cfl_safety must be in (0, 1]")
-        if v["solver.linear_solver"] not in ("direct", "cg"):
-            raise ConfigError(f"unknown linear solver {v['solver.linear_solver']!r}")
         if len(v["mms.resolutions"]) < 2:
             raise ConfigError("mms needs at least 2 resolutions")
 
@@ -228,8 +215,7 @@ class RunConfig:
         v = self.values
         return SolverConfig(
             dt_max=v["solver.dt_max"], cfl_safety=v["solver.cfl_safety"],
-            end_time=v["solver.end_time"], tol=v["solver.tol"],
-            max_iters=v["solver.max_iters"], linear_solver=v["solver.linear_solver"])
+            end_time=v["solver.end_time"])
 
     def config_lines(self) -> list[str]:
         out = []

@@ -96,7 +96,7 @@ def run_manufactured(ms: ManufacturedSolution, n_side: int, end_time: float,
     g = classify_cells(dom, side / n_side)
     dt = dt_ratio * g.h
     cfg = SolverConfig(dt_max=dt, end_time=end_time, check_invariants=False)
-    lin = LinearSystems(g, cfg)
+    lin = LinearSystems(g)
     X, Y = g.cell_centers()
     n0 = ScalarField(g, np.where(g.active, ms.n(X, Y, 0.0), 0.0))
     c0 = ScalarField(g, np.where(g.active, ms.c(X, Y, 0.0), 0.0))
@@ -106,11 +106,9 @@ def run_manufactured(ms: ManufacturedSolution, n_side: int, end_time: float,
     Xv, Yv = np.meshgrid(g.xc, g.yn, indexing="ij")
     u0.v[:] = np.where(g.fluid_face_y, ms.v(Xv, Yv, 0.0), 0.0)
     state = SimState(n0, c0, u0, ScalarField.zeros(g), 0.0)
-    clock = StepClock(dt)
-    end_ticks = clock.ticks_of(end_time)
-    while clock.ticks < end_ticks:
-        state = step(state, cfg, ms.model, lin, dt=clock.advance(dt, end_ticks),
-                     sources=ms.sources)
+    clock = StepClock(dt, end_time)
+    while not clock.done:
+        state = step(state, cfg, ms.model, lin, dt=clock.advance(dt), sources=ms.sources)
         state.t = clock.t
     T = state.t
     act = g.active

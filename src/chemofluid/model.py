@@ -318,12 +318,6 @@ class DerivedScalars:
     def rho(self, s):
         return self._rho_l(np.log(self.clamp(s)))
 
-    def psi_prime(self, s):
-        return 1.0 / np.sqrt(self.g(s))
-
-    def rho_prime(self, s):
-        return 1.0 / self.g(s)
-
     def g(self, s):
         return self.model.g(self.clamp(s))
 

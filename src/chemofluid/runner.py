@@ -1,15 +1,16 @@
 """Run orchestration: the time loop with diagnostics, CSV artifacts, summaries.
 
-A run lands exactly on the configured output cadence: time is an integer
-count of solver ticks (StepClock), so every output time is a whole number of
-ticks and is hit without rounding drift. At every output time one
-diagnostics Frame is built over the state, and the row and both per-state
-inequality checks read their shared intermediates from it. The
-entropy-identity residual of a row needs the rows on both sides. So the
-source terms of each state are computed when it is emitted and kept until
-the next row arrives. dE/dt, the dissipation and the boundary term then come
-from the stored rows, and no state is copied or held. Artifacts under the
-output directory:
+The time loop takes the quantized CFL level at each step and leaves the
+schedule to StepClock: time is an integer count of solver ticks, each step
+is clamped to the next output time, and every output time is a whole number
+of ticks hit without rounding drift. The loop emits a row whenever a step
+lands on an output. At every output time one diagnostics Frame is built over
+the state, and the row and both per-state inequality checks read their
+shared intermediates from it. The entropy-identity residual of a row needs
+the rows on both sides. So the source terms of each state are computed when
+it is emitted and kept until the next row arrives. dE/dt, the dissipation
+and the boundary term then come from the stored rows, and no state is copied
+or held. Artifacts under the output directory:
 
     diagnostics.csv    one row per output time (column order in csv_schema.md)
     inequalities.csv   one row per inequality evaluation
@@ -112,7 +113,7 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     derived = build_derived(model, default_c_floor(c0_max), c0_max)
     cfg = rc.solver_config()
     cfg.c_floor = derived.c_floor
-    lin = LinearSystems(geom, cfg)
+    lin = LinearSystems(geom)
     timings["setup"] += time.perf_counter() - t0
 
     state = init.make_state()
@@ -125,7 +126,6 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     record = DiagnosticsRecord(geom, n_inf=n_inf, c0_max=c0_max)
     ineq_rows: list[InequalityReport] = []
     prev_sources = None   # identity source terms of the previous row's state
-    dt_out = rc["output.every_time"]
     snap_every = rc["output.snapshot_every"]
 
     def emit(st, index):
@@ -146,26 +146,18 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
         timings["diagnostics"] += time.perf_counter() - t_diag
 
     emit(state, 0)
-    steps = 0
-    out_index = 1
-    clock = StepClock(cfg.dt_max)
-    out_ticks = max(1, clock.ticks_of(dt_out))
-    end_ticks = clock.ticks_of(cfg.end_time)
-    next_out = min(out_ticks, end_ticks)
+    clock = StepClock(cfg.dt_max, cfg.end_time, rc["output.every_time"])
     try:
-        while clock.ticks < end_ticks:
+        while not clock.done:
             t0 = time.perf_counter()
-            dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max), next_out)
+            dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max))
             state = step(state, cfg, model, lin, dt=dt)
             state.t = clock.t
-            steps += 1
             timings["stepping"] += time.perf_counter() - t0
-            if clock.ticks == next_out:
-                emit(state, out_index)
-                out_index += 1
-                next_out = min(end_ticks, next_out + out_ticks)
+            if clock.output is not None:
+                emit(state, clock.output)
     except SolverAbort as exc:
-        exc.step_index = steps
+        exc.step_index = clock.steps
         _write_atomic(out / "diagnostics.csv", record.csv_text())
         _write_atomic(out / "inequalities.csv", _ineq_csv(ineq_rows))
         raise
@@ -183,7 +175,7 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
 
     summary = RunSummary(
         exit_status="ok",
-        steps=steps,
+        steps=clock.steps,
         final_row=record.rows[-1],
         inequality_verdicts={
             "ms_lemma_all_passed": all(r.passed for r in ineq_rows if r.id == "ms_lemma"),
@@ -226,8 +218,7 @@ def run_inequality_scan(rc: RunConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     geom = rc.build_geometry()
     model = rc.build_model()
-    cfg = rc.solver_config()
-    lin = LinearSystems(geom, cfg)
+    lin = LinearSystems(geom)
     c_base = rc["init.c0_base"]
     derived = build_derived(model, default_c_floor(c_base + rc["scan.amplitude"]),
                             c_base + rc["scan.amplitude"])

@@ -16,14 +16,15 @@ c -> n -> u, so the cell drift always sees the freshest chemoattractant:
 The step size combines a per-cell outflow CFL bound (exactly the positivity
 condition of the upwind fluxes, equal to cfl_safety * h / speed for
 unidirectional flow) with dt_max; diffusion is implicit and imposes no bound.
-Implicit systems are symmetric positive (semi)definite and solved either by
-cached sparse LU factorizations (default) or by conjugate gradients. The LU
-path runs SuperLU in symmetric mode with a multiple-minimum-degree ordering of
-A + A^T and no pivoting, which roughly halves the fill of the unsymmetric
-default. Factorizations are reused because the step size is quantized to
-dt_max / 2^k and time is kept by StepClock as an integer count of ticks
-dt_max / 2^K: a step is exactly one of those levels or the exact remainder to
-an output time, so no rounding drift creates a new step size.
+Implicit systems are symmetric positive (semi)definite and solved by cached
+sparse LU factorizations: SuperLU in symmetric mode with a
+multiple-minimum-degree ordering of A + A^T and no pivoting, which roughly
+halves the fill of the unsymmetric default. Factorizations are reused because
+the step size is quantized to dt_max / 2^k and time is kept by StepClock as an
+integer count of ticks dt_max / 2^K: a step is exactly one of those levels or
+the exact remainder to an output or end time, so no rounding drift creates a
+new step size. StepClock also owns the output schedule, so every time loop is
+the same four lines (see its docstring).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from chemofluid.geometry import GridGeometry
 from chemofluid.model import KineticsModel, buoyancy_force
 
 DT_UNDERFLOW = 1e-12
+PROJECTION_TOL = 1e-8   # relative divergence left by the pressure projection
 
 
 class SolverAbort(RuntimeError):
@@ -66,28 +68,19 @@ class SolverAbort(RuntimeError):
         self.dt = dt
 
 
-class LinearSolverError(RuntimeError):
-    """Iterative solve exceeded its iteration cap."""
-
-
 @dataclass
 class SolverConfig:
     dt_max: float = 0.05
     cfl_safety: float = 0.5
     end_time: float = 1.0
-    tol: float = 1e-8                 # relative residual of iterative solves
-    max_iters: int = 50_000
-    linear_solver: str = "direct"     # "direct" (cached LU) or "cg"
     c_floor: float = 1e-10
     check_invariants: bool = True
 
     def __post_init__(self):
-        if min(self.dt_max, self.cfl_safety, self.end_time, self.tol) <= 0:
+        if min(self.dt_max, self.cfl_safety, self.end_time) <= 0:
             raise ValueError("solver parameters must be positive")
         if self.cfl_safety > 1.0:
             raise ValueError("cfl_safety must be <= 1")
-        if self.linear_solver not in ("direct", "cg"):
-            raise ValueError(f"unknown linear solver '{self.linear_solver}'")
 
 
 @dataclass
@@ -132,54 +125,6 @@ class InitialData:
 
 
 # ---------------------------------------------------------------------------
-# conjugate gradients
-# ---------------------------------------------------------------------------
-
-def solve_spd(operator, rhs: np.ndarray, tol: float = 1e-8, max_iters: int = 50_000,
-              jacobi: np.ndarray | None = None, project=None) -> np.ndarray:
-    """Conjugate gradients for a symmetric positive (semi)definite system.
-
-    operator is a sparse matrix or a callable x -> Ax. For singular Neumann
-    systems pass ``project`` to remove the nullspace component from the rhs
-    and the iterates; the returned solution then has zero nullspace part.
-    Optional ``jacobi`` is the diagonal for preconditioning.
-
-    Raises LinearSolverError when the iteration cap is reached.
-    """
-    apply_a = operator.dot if sp.issparse(operator) else operator
-    b = rhs.astype(float).copy()
-    if project is not None:
-        b = project(b)
-    bnorm = float(np.linalg.norm(b))
-    x = np.zeros_like(b)
-    if bnorm == 0.0:
-        return x
-    r = b.copy()
-    z = r / jacobi if jacobi is not None else r.copy()
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(max_iters):
-        Ap = apply_a(p)
-        denom = float(p @ Ap)
-        if denom <= 0.0:
-            if abs(denom) < 1e-300:
-                return x
-            raise LinearSolverError("operator is not positive definite on the Krylov space")
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * bnorm:
-            if project is not None:
-                x = project(x)
-            return x
-        z = r / jacobi if jacobi is not None else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise LinearSolverError(f"CG did not reach {tol:.1e} in {max_iters} iterations")
-
-
-# ---------------------------------------------------------------------------
 # implicit operators
 # ---------------------------------------------------------------------------
 
@@ -191,14 +136,13 @@ class LinearSystems:
     (V - dt*L) x = V*b with V the wet-volume diagonal. Viscosity acts per
     velocity component on the fluid faces with homogeneous Dirichlet walls.
     The pressure Poisson operator on interior cells is singular (constants
-    per connected component); the direct path pins one cell per component
-    to zero (its row and column become the identity, so the pinned matrix
-    stays symmetric), the CG path projects the nullspace.
+    per connected component); one cell per component is pinned to zero (its
+    row and column become the identity, so the pinned matrix stays
+    symmetric) and the solution is then shifted to mean zero per component.
     """
 
-    def __init__(self, geom: GridGeometry, config: SolverConfig):
+    def __init__(self, geom: GridGeometry):
         self.geom = geom
-        self.config = config
         self._factor_cache: dict = {}
         self._build_scalar()
         self._build_pressure()
@@ -260,9 +204,8 @@ class LinearSystems:
         deg = np.asarray(off.sum(axis=1)).ravel()
         self.L_pressure = (off - sp.diags(deg)).tocsr()
         labels, ncomp = ndimage.label(interior)
-        self.pressure_comp = labels[interior] - 1
-        self.n_comp = int(ncomp)
-        self.comp_cells = [np.nonzero(self.pressure_comp == k)[0] for k in range(self.n_comp)]
+        comp = labels[interior]
+        self.comp_cells = [np.nonzero(comp == k)[0] for k in range(1, ncomp + 1)]
         self.pressure_pins = np.array([cells[0] for cells in self.comp_cells], dtype=int)
 
     def _build_viscous(self):
@@ -308,12 +251,7 @@ class LinearSystems:
         def build():
             return sp.diags(self.vol) - dt * self.L_scalar
 
-        if self.config.linear_solver == "direct":
-            x = self._factorize(("helm", dt), build).solve(b)
-        else:
-            A = build()
-            x = solve_spd(A, b, tol=self.config.tol, max_iters=self.config.max_iters,
-                          jacobi=A.diagonal())
+        x = self._factorize(("helm", dt), build).solve(b)
         out = np.zeros((g.nx, g.ny))
         out[act] = x
         return ScalarField(g, out)
@@ -333,13 +271,7 @@ class LinearSystems:
             def build(nf=nf, adj=adj):
                 return sp.identity(nf) * (1.0 + 4.0 * dt / h2) - (dt / h2) * adj
 
-            if self.config.linear_solver == "direct":
-                x = self._factorize(("visc", comp, dt), build).solve(b)
-            else:
-                A = build()
-                x = solve_spd(A, b, tol=self.config.tol, max_iters=self.config.max_iters,
-                              jacobi=A.diagonal())
-            dest[mask] = x
+            dest[mask] = self._factorize(("visc", comp, dt), build).solve(b)
         return out
 
     def pressure_solve(self, rhs: ScalarField) -> ScalarField:
@@ -358,30 +290,16 @@ class LinearSystems:
                 raise SolverAbort(
                     f"pressure rhs incompatible on component {comp}: residual {resid:.3e}")
             b_cells[cells] -= b_cells[cells].mean()
-        b = b_cells * (g.h * g.h)
 
-        if self.config.linear_solver == "direct":
-            def build():
-                keep = np.ones(self.n_pressure)
-                keep[self.pressure_pins] = 0.0
-                return (sp.diags(keep) @ (-self.L_pressure) @ sp.diags(keep)
-                        + sp.diags(1.0 - keep))
+        def build():
+            keep = np.ones(self.n_pressure)
+            keep[self.pressure_pins] = 0.0
+            return (sp.diags(keep) @ (-self.L_pressure) @ sp.diags(keep)
+                    + sp.diags(1.0 - keep))
 
-            rhs = -b
-            rhs[self.pressure_pins] = 0.0
-            x = self._factorize(("pressure",), build).solve(rhs)
-        else:
-            comp = self.pressure_comp
-
-            def project(v):
-                w = v.copy()
-                for k in range(self.n_comp):
-                    m = comp == k
-                    w[m] -= w[m].mean()
-                return w
-
-            x = solve_spd(-self.L_pressure, -b, tol=self.config.tol,
-                          max_iters=self.config.max_iters, project=project)
+        b = -b_cells * (g.h * g.h)
+        b[self.pressure_pins] = 0.0
+        x = self._factorize(("pressure",), build).solve(b)
         for cells in self.comp_cells:
             x[cells] -= x[cells].mean()
         out = np.zeros((g.nx, g.ny))
@@ -440,20 +358,38 @@ def quantize_dt(dt_raw: float, dt_max: float) -> float:
 
 
 class StepClock:
-    """Exact simulated time: an integer count of ticks of dt_max / 2^K.
+    """Exact simulated time and the output schedule, in integer ticks of dt_max / 2^K.
 
     K is the smallest exponent with tick <= DT_UNDERFLOW, so every level that
     quantize_dt makes of a step bound passing the cfl_dt floor is a whole,
-    nonzero number of ticks. A step is then exactly a level, or the exact
-    remainder to a target when that is shorter, and ``t`` is ``ticks * tick``
-    however many steps were taken: float drift can neither shift an output
-    time nor create a new step size (and with it new LU factorizations).
+    nonzero number of ticks. The targets are the output times j * every,
+    clamped to end_time (without ``every`` the only target is end_time). A
+    step is exactly the level it is given, or the exact remainder to the next
+    target when that is shorter, and ``t`` is ``ticks * tick`` however many
+    steps were taken: float drift can neither shift an output time nor create
+    a new step size (and with it new LU factorizations). Every time loop reads
+
+        while not clock.done:
+            dt = clock.advance(level)
+            state = step(..., dt=dt)
+            state.t = clock.t
+            if clock.output is not None:
+                emit(state, clock.output)
+
+    The loop stays with each caller, which calls step under its own module's
+    name, so a wrapper on runner.step or mms.step sees every step.
     """
 
-    def __init__(self, dt_max: float):
+    def __init__(self, dt_max: float, end_time: float, every: float | None = None):
         exponent = max(0, math.ceil(math.log2(dt_max / DT_UNDERFLOW)))
         self.tick = dt_max / 2.0 ** exponent
         self.ticks = 0
+        self.steps = 0
+        self.end = self.ticks_of(end_time)
+        self.every = self.end if every is None else max(1, self.ticks_of(every))
+        self.target = min(self.every, self.end)
+        self.outputs = 0     # output targets reached so far
+        self.output = None   # index of the output the last step landed on, if any
 
     def ticks_of(self, span: float) -> int:
         """The time span as the nearest whole number of ticks."""
@@ -463,10 +399,20 @@ class StepClock:
     def t(self) -> float:
         return self.ticks * self.tick
 
-    def advance(self, dt: float, target: int) -> float:
-        """Move by the level dt, or to the tick count target if nearer; return the step."""
-        n = min(self.ticks_of(dt), target - self.ticks)
+    @property
+    def done(self) -> bool:
+        return self.ticks >= self.end
+
+    def advance(self, dt: float) -> float:
+        """Move by the level dt, or to the next target if nearer; return the step."""
+        n = min(self.ticks_of(dt), self.target - self.ticks)
         self.ticks += n
+        self.steps += 1
+        self.output = None
+        if self.ticks == self.target:
+            self.outputs += 1
+            self.output = self.outputs
+            self.target = min(self.end, self.target + self.every)
         return n * self.tick
 
 
@@ -591,17 +537,14 @@ def step_u(state: SimState, n_new: ScalarField, dt: float, model: KineticsModel,
 
 
 def step(state: SimState, config: SolverConfig, model: KineticsModel,
-         lin: LinearSystems, dt: float | None = None, sources=None) -> SimState:
+         lin: LinearSystems, dt: float, sources=None) -> SimState:
     """One full IMEX step c -> n -> u; returns the new state at t + dt.
 
-    When dt is not supplied it is the quantized CFL bound. ``sources``, when
-    given, provides manufactured right-hand sides as callables
-    (x, y, t) -> array for keys 'c', 'n', 'u', 'v' (verification runs).
+    ``sources``, when given, provides manufactured right-hand sides as
+    callables (x, y, t) -> array for keys 'c', 'n', 'u', 'v' (verification
+    runs).
     """
     g = state.n.geom
-    if dt is None:
-        dt = quantize_dt(cfl_dt(state, config, model), config.dt_max)
-
     src_c = src_n = src_u = src_v = None
     if sources is not None:
         X, Y = g.cell_centers()
@@ -623,18 +566,18 @@ def step(state: SimState, config: SolverConfig, model: KineticsModel,
 
     new = SimState(n_new, c_new, u_new, p_new, state.t + dt)
     if config.check_invariants:
-        _check_state(new, config, dt)
+        _check_state(new, dt)
     return new
 
 
-def _check_state(state: SimState, config: SolverConfig, dt: float):
+def _check_state(state: SimState, dt: float):
     g = state.n.geom
     state.n.check_finite("n")
     state.c.check_finite("c")
     if not (np.all(np.isfinite(state.u.u)) and np.all(np.isfinite(state.u.v))):
         raise FloatingPointError("velocity contains NaN/Inf")
     div = divergence(state.u)
-    div_tol = 10.0 * config.tol / dt * max(1.0, state.u.max_speed())
+    div_tol = 10.0 * PROJECTION_TOL / dt * max(1.0, state.u.max_speed())
     worst = float(np.abs(div.data).max())
     if worst > max(div_tol, 1e-9):
         raise SolverAbort(f"divergence {worst:.3e} above tolerance after projection",

@@ -2,7 +2,7 @@ import pytest
 
 from chemofluid.geometry import LevelSetDomain, classify_cells
 from chemofluid.model import build_derived, linear_model
-from chemofluid.solver import LinearSystems, SolverConfig
+from chemofluid.solver import LinearSystems
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +37,7 @@ def derived_linear(lin_model):
 
 @pytest.fixture(scope="session")
 def lin64(disk64):
-    return LinearSystems(disk64, SolverConfig())
+    return LinearSystems(disk64)
 
 
 def deep_interior(geom):

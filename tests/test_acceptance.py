@@ -23,7 +23,7 @@ from chemofluid.diagnostics import (
 from chemofluid.fields import ScalarField, VectorField, divergence
 from chemofluid.geometry import volume_integral
 from chemofluid.model import build_derived, default_c_floor
-from chemofluid.solver import LinearSystems, StepClock, cfl_dt, quantize_dt, step
+from chemofluid.solver import PROJECTION_TOL, LinearSystems, StepClock, cfl_dt, quantize_dt, step
 from chemofluid.runner import run_inequality_scan
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -48,7 +48,7 @@ def _setup(rc: RunConfig):
     derived = build_derived(model, default_c_floor(c0_max), c0_max)
     cfg = rc.solver_config()
     cfg.c_floor = derived.c_floor
-    lin = LinearSystems(geom, cfg)
+    lin = LinearSystems(geom)
     return geom, model, derived, cfg, lin, init
 
 
@@ -66,7 +66,6 @@ def instrumented_run(rc: RunConfig):
               "mass": [mass0], "dt": []}
     hess_worst = 0.0
     window = []
-    dt_out = rc["output.every_time"]
 
     def emit(st):
         nonlocal hess_worst
@@ -81,12 +80,9 @@ def instrumented_run(rc: RunConfig):
             window.pop(0)
 
     emit(state)
-    clock = StepClock(cfg.dt_max)
-    out_ticks = max(1, clock.ticks_of(dt_out))
-    end_ticks = clock.ticks_of(cfg.end_time)
-    next_out = min(out_ticks, end_ticks)
-    while clock.ticks < end_ticks:
-        dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max), next_out)
+    clock = StepClock(cfg.dt_max, cfg.end_time, rc["output.every_time"])
+    while not clock.done:
+        dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max))
         state = step(state, cfg, model, lin, dt=dt)
         state.t = clock.t
         probes["dt"].append(dt)
@@ -95,13 +91,12 @@ def instrumented_run(rc: RunConfig):
         probes["n_max"].append(state.n.max_active())
         probes["mass"].append(volume_integral(state.n, geom))
         div = divergence(state.u)
-        probes["div_bound_ratio"].append(float(np.abs(div.data).max()) / (10.0 * cfg.tol / dt))
+        probes["div_bound_ratio"].append(float(np.abs(div.data).max()) / (10.0 * PROJECTION_TOL / dt))
         pmax = float(np.abs(state.p.data[geom.interior]).max())
         pmean = abs(float(state.p.data[geom.interior].mean()))
         probes["p_gauge_ratio"].append(pmean / max(1e-12 * pmax, 1e-300))
-        if clock.ticks == next_out:
+        if clock.output is not None:
             emit(state)
-            next_out = min(end_ticks, next_out + out_ticks)
     for k in probes:
         probes[k] = np.asarray(probes[k])
     energy = check_energy_inequality(record)
@@ -157,7 +152,7 @@ def residual_studies():
             g = classify_cells(dom, side / nside)
             model = linear_model(G=0.5 if coupled else 0.0, kappa_ns=1.0 if coupled else 0.0)
             cfg = SolverConfig(dt_max=dt, end_time=0.2)
-            lin = LinearSystems(g, cfg)
+            lin = LinearSystems(g)
             X, Y = g.cell_centers()
             n0 = ScalarField(g, np.where(
                 g.active, 1.0 + 0.4 * np.exp(-((X - 0.2) ** 2 + (Y - 0.1) ** 2) / 0.08), 0.0))
@@ -167,15 +162,13 @@ def residual_studies():
                   if coupled else VectorField.zeros(g))
             st = InitialData(n0, c0, u0).make_state()
             derived = build_derived(model, default_c_floor(c0.max_active()), c0.max_active())
-            clock = StepClock(dt)
-            cad_ticks = clock.ticks_of(dt_cad)
-            end_ticks = clock.ticks_of(cfg.end_time)
+            clock = StepClock(dt, cfg.end_time, dt_cad)
             snaps = {0: st.copy()}   # by output index: state at t = index * dt_cad
-            while clock.ticks < end_ticks:
-                st = step(st, cfg, model, lin, dt=clock.advance(dt, end_ticks))
+            while not clock.done:
+                st = step(st, cfg, model, lin, dt=clock.advance(dt))
                 st.t = clock.t
-                if clock.ticks % cad_ticks == 0:
-                    snaps[clock.ticks // cad_ticks] = st.copy()
+                if clock.output is not None:
+                    snaps[clock.output] = st.copy()
             mid = round(0.12 / dt_cad)
             win = tuple(snaps[mid + s] for s in (-1, 0, 1))
             _, nres, _ = entropy_identity_residual(win, derived, g)
@@ -199,7 +192,8 @@ class TestCriterion1Mass:
         worst = 0.0
         t_start = time.perf_counter()
         for _ in range(2000):
-            state = step(state, cfg, model, lin)
+            state = step(state, cfg, model, lin,
+                         dt=quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max))
             worst = max(worst, abs(volume_integral(state.n, geom) - mass0) / mass0)
         wall = time.perf_counter() - t_start
         report("1 mass conservation",

@@ -114,7 +114,7 @@ class TestBoundaryTerm:
             assert boundary_term(c, derived_linear, disk64) <= tol
 
     def test_star_values_finite(self, star64, derived_linear):
-        lin = LinearSystems(star64, SolverConfig())
+        lin = LinearSystems(star64)
         rng = np.random.default_rng(32)
         z = random_neumann_field(star64, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
         c = ScalarField(star64, np.where(star64.active, 1.0 + z.data, 0.0))
@@ -143,7 +143,7 @@ class TestMsLemma:
         # there, the magnitude bound (2.2) holds with margin
         from chemofluid.fields import normal_derivative_of_gradsq
         g = classify_cells(LevelSetDomain.annulus(0.5, 1.0), 1 / 96)
-        lin = LinearSystems(g, SolverConfig())
+        lin = LinearSystems(g)
         rng = np.random.default_rng(55)
         worst = -np.inf
         worst_positive_part = -np.inf
@@ -159,7 +159,7 @@ class TestMsLemma:
         assert worst_positive_part > 2.0 * worst
 
     def test_star_randomized_no_violation(self, star64, derived_linear):
-        lin = LinearSystems(star64, SolverConfig())
+        lin = LinearSystems(star64)
         rng = np.random.default_rng(33)
         c_check = 200.0
         for _ in range(20):
@@ -225,7 +225,7 @@ def trajectory(disk64):
     states = [InitialData(n0, ScalarField.from_function(disk64, bump_c), u0).make_state()]
     cfg = SolverConfig(dt_max=0.01)
     model = linear_model(G=0.5, kappa_ns=1.0)
-    lin = LinearSystems(disk64, cfg)
+    lin = LinearSystems(disk64)
     for _ in range(4):
         states.append(step(states[-1], cfg, model, lin, dt=0.01))
     return states

@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 from chemofluid.mms import build_manufactured, convergence_study, run_manufactured
 
@@ -34,3 +37,21 @@ class TestManufactured:
         errs = [run_manufactured(ms, n, end_time=0.2) for n in (48, 96, 192)]
         order = np.log2(errs[0]["n"] / errs[-1]["n"]) / 2
         assert order >= 0.8, [e["n"] for e in errs]
+
+    def test_steps_go_through_mms_step(self, monkeypatch):
+        # every step of a manufactured run is a call of the name mms.step, so
+        # wrapping that name (as a timing probe does) sees the whole run
+        import chemofluid.mms as mms
+        dts = []
+        step = mms.step
+
+        def counting_step(state, *args, **kwargs):
+            dts.append(kwargs["dt"])
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setattr(mms, "step", counting_step)
+        n_side, end_time, dt_ratio = 32, 0.05, 0.1
+        mms.run_manufactured(mms.build_manufactured(), n_side, end_time, dt_ratio)
+        dt = dt_ratio * 2.4 / n_side   # the disk's bounding box has side 2.4
+        assert len(dts) == math.ceil(end_time / dt - 1e-9)
+        assert sum(dts) == pytest.approx(end_time, rel=1e-12)

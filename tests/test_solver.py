@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,6 @@ from chemofluid.model import linear_model
 from chemofluid.solver import (
     DT_UNDERFLOW,
     InitialData,
-    LinearSolverError,
     LinearSystems,
     SimState,
     SolverAbort,
@@ -16,7 +17,6 @@ from chemofluid.solver import (
     StepClock,
     cfl_dt,
     quantize_dt,
-    solve_spd,
     step,
     step_c,
     step_n,
@@ -32,7 +32,7 @@ def grid96():
 
 @pytest.fixture(scope="module")
 def systems96(grid96):
-    return LinearSystems(grid96, SolverConfig())
+    return LinearSystems(grid96)
 
 
 def uniform_state(geom, n=1.0, c=1.0):
@@ -83,10 +83,36 @@ class TestCfl:
         # the finest level a step bound at the underflow floor quantizes to
         # is still a whole, nonzero number of ticks
         for dt_max in (0.0037, 0.02, 0.05, 1.0):
-            clock = StepClock(dt_max)
+            clock = StepClock(dt_max, dt_max)
             level = quantize_dt(DT_UNDERFLOW, dt_max)
             assert clock.ticks_of(level) >= 1
             assert clock.ticks_of(level) * clock.tick == level
+
+    @pytest.mark.parametrize("dt_max, end_time, every, levels", [
+        (0.02, 0.3, 0.5, (0.02,)),                  # every > end_time: one target, the end
+        (0.02, 0.1, 0.03, (0.02,)),                 # every is not a multiple of dt_max
+        (0.1 * 2.4 / 48, 0.25, None, (0.1 * 2.4 / 48,)),   # fixed-dt MMS clock, no every
+        (0.02, 0.3, 0.02, (0.02, 0.005, 0.01)),     # CFL-like levels, one output per level
+    ], ids=["every_beyond_end", "every_off_level", "mms_fixed_dt", "varying_levels"])
+    def test_clock_schedule(self, dt_max, end_time, every, levels):
+        clock = StepClock(dt_max, end_time, every)
+        end = clock.ticks_of(end_time)
+        every_ticks = end if every is None else clock.ticks_of(every)
+        targets = [min(j * every_ticks, end) for j in range(1, math.ceil(end / every_ticks) + 1)]
+        landed = []
+        while not clock.done:
+            level = levels[clock.steps % len(levels)]
+            target = next(x for x in targets if x > clock.ticks)
+            before = clock.ticks
+            dt = clock.advance(level)
+            # a step is the level it was given, or the exact remainder to the next target
+            assert clock.ticks - before == min(clock.ticks_of(level), target - before)
+            assert dt == (clock.ticks - before) * clock.tick
+            if clock.output is not None:
+                landed.append((clock.output, clock.ticks))
+        assert clock.ticks == end and clock.t == pytest.approx(end_time, rel=1e-15)
+        # output indices are consecutive from 1, one per target, the last at end_time
+        assert landed == list(enumerate(targets, start=1))
 
 
 class TestStepC:
@@ -150,7 +176,7 @@ class TestStepN:
         dom = LevelSetDomain.disk(1.0)
         g = classify_cells(dom, 2.4 / 64)
         cfg = SolverConfig(dt_max=0.01, end_time=10.0)
-        lin = LinearSystems(g, cfg)
+        lin = LinearSystems(g)
         model = linear_model(G=0.5, kappa_ns=1.0)
         X, Y = g.cell_centers()
         n0 = ScalarField(g, np.where(g.active, 1 + 0.5 * np.exp(-((X - 0.2) ** 2 + Y ** 2) / 0.05), 0.0))
@@ -207,7 +233,7 @@ class TestStepU:
 class TestFullStep:
     def test_steady_state_is_fixed_point(self, grid96):
         cfg = SolverConfig(dt_max=0.02, end_time=1.0)
-        lin = LinearSystems(grid96, cfg)
+        lin = LinearSystems(grid96)
         model = linear_model(G=0.7)
         st = uniform_state(grid96, n=1.4, c=0.0)
         new = step(st, cfg, model, lin, dt=0.02)
@@ -223,7 +249,7 @@ class TestFullStep:
         u0 = VectorField.from_stream(grid96, lambda x, y: 0.3 * np.exp(-(x * x + y * y) / 0.15))
         base = InitialData(n0, c0, u0).make_state()
 
-        lin = LinearSystems(grid96, cfg)
+        lin = LinearSystems(grid96)
         stokes = step(base.copy(), cfg, linear_model(G=0.5, kappa_ns=0.0), lin, dt=0.01)
         navier = step(base.copy(), cfg, linear_model(G=0.5, kappa_ns=1.0), lin, dt=0.01)
         assert np.abs(stokes.u.u - navier.u.u).max() > 1e-9   # advection path active
@@ -255,43 +281,10 @@ class TestInitialData:
 
 
 class TestSolveSpd:
-    def test_zero_rhs(self):
-        A = sp.identity(10, format="csr")
-        assert np.abs(solve_spd(A, np.zeros(10))).max() == 0.0
-
     def test_neumann_nullspace(self, grid96):
-        # lap p = 0 with the mean-zero gauge gives exactly zero on both paths
-        for linear_solver in ("cg", "direct"):
-            lin = LinearSystems(grid96, SolverConfig(linear_solver=linear_solver))
-            p = lin.pressure_solve(ScalarField.zeros(grid96))
-            assert np.abs(p.data).max() == 0.0, linear_solver
-
-    def test_helmholtz_residual(self, grid96):
-        lin = LinearSystems(grid96, SolverConfig())
-        rng = np.random.default_rng(9)
-        dt = 0.02
-        A = sp.diags(lin.vol) - dt * lin.L_scalar
-        b = rng.standard_normal(lin.n_scalar)
-        x = solve_spd(A, b, tol=1e-8)
-        assert np.linalg.norm(b - A @ x) <= 1e-8 * np.linalg.norm(b)
-
-    def test_iteration_cap(self):
-        A = sp.identity(50, format="csr")
-        d = np.ones(50)
-        d[0] = 1e12
-        A = sp.diags(d).tocsr()
-        with pytest.raises(LinearSolverError):
-            solve_spd(A, np.ones(50), tol=1e-16, max_iters=2)
-
-    def test_cg_and_direct_agree(self, grid96):
-        cfg_cg = SolverConfig(linear_solver="cg", tol=1e-12)
-        cfg_lu = SolverConfig(linear_solver="direct")
-        rng = np.random.default_rng(4)
-        rhs = ScalarField(grid96, np.where(grid96.active,
-                                           rng.standard_normal((grid96.nx, grid96.ny)), 0.0))
-        a = LinearSystems(grid96, cfg_cg).helmholtz_solve(0.02, rhs)
-        b = LinearSystems(grid96, cfg_lu).helmholtz_solve(0.02, rhs)
-        assert np.abs(a.data - b.data).max() < 1e-9
+        # lap p = 0 with the mean-zero gauge gives exactly zero
+        p = LinearSystems(grid96).pressure_solve(ScalarField.zeros(grid96))
+        assert np.abs(p.data).max() == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +332,7 @@ def direct_system(lin, name, dt, rng):
 class TestDirectSolves:
     @pytest.mark.parametrize("system", ["helmholtz", "viscous_u", "viscous_v", "pressure"])
     def test_residual(self, two_disks, system):
-        lin = LinearSystems(two_disks, SolverConfig())
+        lin = LinearSystems(two_disks)
         A, b, x = direct_system(lin, system, 0.02, np.random.default_rng(9))
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
         if system == "pressure":
