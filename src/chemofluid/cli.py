@@ -104,9 +104,9 @@ def cmd_mms(args) -> int:
                             end_time=rc["mms.end_time"],
                             kappa_ns=rc["model.kappa_ns"],
                             dt_ratio=rc["mms.dt_ratio"])
-    print("level   h        err_n        err_c        err_u")
+    print("level   h        steps  err_n        err_c        err_u")
     for k, e in enumerate(res["errors"]):
-        print(f"{k:5d}  {e['h']:.5f}  {e['n']:.5e}  {e['c']:.5e}  {e['u']:.5e}")
+        print(f"{k:5d}  {e['h']:.5f}  {e['steps']:5d}  {e['n']:.5e}  {e['c']:.5e}  {e['u']:.5e}")
     ok = True
     for var in ("n", "c", "u"):
         orders = res["orders"][var]

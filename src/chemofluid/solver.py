@@ -540,29 +540,19 @@ def step(state: SimState, config: SolverConfig, model: KineticsModel,
          lin: LinearSystems, dt: float, sources=None) -> SimState:
     """One full IMEX step c -> n -> u; returns the new state at t + dt.
 
-    ``sources``, when given, provides manufactured right-hand sides as
-    callables (x, y, t) -> array for keys 'c', 'n', 'u', 'v' (verification
-    runs).
+    ``sources``, when given, adds manufactured right-hand sides (verification
+    runs): a dict with any of the keys 'c', 'n' (on cell centres), 'u' (on
+    x-faces) and 'v' (on y-faces), each a callable t -> array already on
+    those points. They are evaluated at the step's start time ``state.t``,
+    explicitly and to first order, like the advection terms.
     """
-    g = state.n.geom
-    src_c = src_n = src_u = src_v = None
-    if sources is not None:
-        X, Y = g.cell_centers()
-        t_mid = state.t
-        if "c" in sources:
-            src_c = np.where(g.active, sources["c"](X, Y, t_mid), 0.0)
-        if "n" in sources:
-            src_n = np.where(g.active, sources["n"](X, Y, t_mid), 0.0)
-        if "u" in sources:
-            Xf, Yf = np.meshgrid(g.xn, g.yc, indexing="ij")
-            src_u = sources["u"](Xf, Yf, t_mid)
-        if "v" in sources:
-            Xf, Yf = np.meshgrid(g.xc, g.yn, indexing="ij")
-            src_v = sources["v"](Xf, Yf, t_mid)
+    t_start = state.t
+    src = {k: f(t_start) for k, f in (sources or {}).items()}
 
-    c_new = step_c(state, dt, model, lin, config.c_floor, source=src_c)
-    n_new = step_n(state, c_new, dt, model, lin, source=src_n)
-    u_new, p_new = step_u(state, n_new, dt, model, lin, source_u=src_u, source_v=src_v)
+    c_new = step_c(state, dt, model, lin, config.c_floor, source=src.get("c"))
+    n_new = step_n(state, c_new, dt, model, lin, source=src.get("n"))
+    u_new, p_new = step_u(state, n_new, dt, model, lin,
+                          source_u=src.get("u"), source_v=src.get("v"))
 
     new = SimState(n_new, c_new, u_new, p_new, state.t + dt)
     if config.check_invariants:

@@ -2,8 +2,73 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sym
 
+from chemofluid.cli import main
 from chemofluid.mms import build_manufactured, convergence_study, run_manufactured
+
+
+def reference_manufactured(radius=1.0, kappa_ns=1.0, grav=0.5, amp_n=0.3, amp_c=0.2,
+                           amp_u=0.25) -> dict:
+    """Fields and sources as sympy expression trees, each (x, y, t) -> array.
+
+    The manufactured solution written out with sympy's own diff and lambdify,
+    independent of the polynomial ring: the oracle for build_manufactured.
+    """
+    x, y, t = sym.symbols("x y t")
+    r2 = x * x + y * y
+    R2 = radius * radius
+    w = r2 * (2 * R2 - r2) / R2 ** 2
+    n_e = 1 + amp_n * sym.cos(sym.pi * t) * w / 2
+    c_e = 1 + amp_c * sym.sin(sym.pi * t / 2 + sym.Rational(1, 3)) * w / 2
+    psi = amp_u * sym.sin(sym.pi * t / 3 + sym.Rational(1, 2)) * (R2 - r2) ** 3 / R2 ** 3
+    u_e = sym.diff(psi, y)
+    v_e = -sym.diff(psi, x)
+    phi = -grav * y
+
+    def lap(f):
+        return sym.diff(f, x, 2) + sym.diff(f, y, 2)
+
+    chem_x = n_e * sym.diff(c_e, x)
+    chem_y = n_e * sym.diff(c_e, y)
+    s_n = (sym.diff(n_e, t) + u_e * sym.diff(n_e, x) + v_e * sym.diff(n_e, y)
+           - lap(n_e) + sym.diff(chem_x, x) + sym.diff(chem_y, y))
+    s_c = (sym.diff(c_e, t) + u_e * sym.diff(c_e, x) + v_e * sym.diff(c_e, y)
+           - lap(c_e) + n_e * c_e)
+    adv_u = u_e * sym.diff(u_e, x) + v_e * sym.diff(u_e, y)
+    adv_v = u_e * sym.diff(v_e, x) + v_e * sym.diff(v_e, y)
+    s_u = sym.diff(u_e, t) - lap(u_e) - kappa_ns * adv_u - n_e * sym.diff(phi, x)
+    s_v = sym.diff(v_e, t) - lap(v_e) - kappa_ns * adv_v - n_e * sym.diff(phi, y)
+
+    def fn(expr):
+        f = sym.lambdify((x, y, t), expr, modules="numpy")
+        return lambda X, Y, T: np.broadcast_to(np.asarray(f(X, Y, T), dtype=float), np.shape(X))
+
+    exprs = {"n": n_e, "c": c_e, "u": u_e, "v": v_e,
+             "s_n": s_n, "s_c": s_c, "s_u": s_u, "s_v": s_v}
+    return {name: fn(expr) for name, expr in exprs.items()}
+
+
+PARAMETER_SETS = {
+    "defaults": {},
+    "pure_heat": {"kappa_ns": 0.0, "grav": 0.0, "amp_u": 0.0, "amp_c": 0.0},
+    "stokes": {"kappa_ns": 0.0},
+}
+
+
+class CountingSources(dict):
+    """ms.sources with each entry wrapped in a call-counting pass-through."""
+
+    def __init__(self, sources):
+        self.calls = dict.fromkeys(sources, 0)
+
+        def counted(key, f):
+            def wrapper(*args, **kwargs):
+                self.calls[key] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        super().__init__({k: counted(k, f) for k, f in sources.items()})
 
 
 class TestManufactured:
@@ -55,3 +120,45 @@ class TestManufactured:
         dt = dt_ratio * 2.4 / n_side   # the disk's bounding box has side 2.4
         assert len(dts) == math.ceil(end_time / dt - 1e-9)
         assert sum(dts) == pytest.approx(end_time, rel=1e-12)
+
+    @pytest.mark.parametrize("params", list(PARAMETER_SETS))
+    def test_polynomials_match_sympy_reference(self, params):
+        kwargs = PARAMETER_SETS[params]
+        ms = build_manufactured(**kwargs)
+        ref = reference_manufactured(**kwargs)
+        rng = np.random.default_rng(7)
+        X, Y = rng.uniform(-1.2, 1.2, size=(2, 200))   # the disk's bounding box
+        times = (0.0, 0.1234, 0.25, 1.7)
+        for name in ("n", "c", "u", "v"):
+            for got_fn, ref_fn in ((getattr(ms, name), ref[name]),
+                                   (lambda X, Y, t: ms.sources[name](X, Y)(t), ref["s_" + name])):
+                got = np.array([got_fn(X, Y, t) for t in times])
+                want = np.array([ref_fn(X, Y, t) for t in times])
+                # the pure-heat velocity and its sources are all-zero polynomials:
+                # they must bind to zeros of the points' shape, not a scalar
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("end_time", [0.05, 0.1])
+    def test_each_source_bound_once_per_grid(self, end_time):
+        # a benchmark's tracer replaces each entry with a pass-through wrapper,
+        # the same as here; every step must reuse the one binding per grid
+        plain = run_manufactured(build_manufactured(), 32, end_time)
+        ms = build_manufactured()
+        ms.sources = counting = CountingSources(ms.sources)
+        wrapped = run_manufactured(ms, 32, end_time)
+        assert counting.calls == {"n": 1, "c": 1, "u": 1, "v": 1}
+        assert wrapped == plain
+
+    def test_level_reports_steps(self, tmp_path, capsys):
+        n_side, end_time, dt_ratio = 32, 0.1, 0.1
+        dt = dt_ratio * 2.4 / n_side
+        errs = run_manufactured(build_manufactured(), n_side, end_time, dt_ratio)
+        assert errs["steps"] == math.ceil(end_time / dt)
+        cfg = tmp_path / "mms.cfg"
+        cfg.write_text(f"mms.resolutions = 32, 40\nmms.end_time = {end_time}\n")
+        main(["mms", "--config", str(cfg)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[2] == "steps"
+        assert [int(line.split()[2]) for line in lines[1:3]] == [
+            math.ceil(end_time / (dt_ratio * 2.4 / n)) for n in (32, 40)]
