@@ -154,6 +154,12 @@ class RunConfig:
             raise ConfigError("solver.cfl_safety must be in (0, 1]")
         if len(v["mms.resolutions"]) < 2:
             raise ConfigError("mms needs at least 2 resolutions")
+        for key in ("scan.trials", "scan.n_smooth"):
+            if v[key] < 1:
+                raise ConfigError(f"{key} must be at least 1")
+        for key in ("mms.dt_ratio", "mms.end_time"):
+            if v[key] <= 0:
+                raise ConfigError(f"{key} must be positive")
 
     # -- builders --------------------------------------------------------
 

@@ -251,39 +251,36 @@ def bilinear_sample(geom: GridGeometry, data: np.ndarray, x, y):
 
 
 def normal_derivative_of_gradsq(s: ScalarField, geom: GridGeometry,
-                                depths: tuple[float, float, float] = (2.0, 3.5, 5.0),
                                 gradsq: np.ndarray | None = None):
     """Outward normal derivative of |grad s|^2 at the boundary segments.
 
     q = |grad s|^2 is formed at cell centers (or taken from ``gradsq`` when
     the caller already holds it) and probed along the inward normal at
-    depths[i]*h below each segment midpoint. Two one-sided differences
-    (between probes 1-2 and 2-3) are extrapolated linearly to the wall,
-    which removes the O(h) depth bias of a single difference. Segments
-    without room for the deepest probe fall back to the plain two-probe
-    difference; segments without room for two probes are pushed deeper
-    (two retries) and finally skipped. The probe stencils are the
-    geometry's (GridGeometry.boundary_probes), which raises ResolutionError
-    when every segment would be skipped.
+    depths d1 < d2 < d3 below each segment midpoint. Two one-sided
+    differences (between probes 1-2 and 2-3) are extrapolated linearly to
+    the wall, which removes the O(h) depth bias of a single difference.
+    Segments without room for the deepest probe fall back to the plain
+    two-probe difference; segments without room for two probes are skipped.
+    The probe stencils are the geometry's (GridGeometry.boundary_probes),
+    which raises ResolutionError when every segment would be skipped.
 
     Returns (dq_dnu, q_near, valid) arrays over segments.
     """
     if gradsq is None:
         gx, gy = gradient_neumann(s)
         gradsq = gx.data ** 2 + gy.data ** 2
-    levels, valid = geom.boundary_probes(depths)
+    (d1, d2, d3), (p1, p2, p3), valid = geom.boundary_probes()
+    q1, q2, q3 = p1.sample(gradsq), p2.sample(gradsq), p3.sample(gradsq)
+    ok3 = p3.valid
+    est_a = (q1 - q2) / (d2 - d1)
+    est_b = np.where(ok3, (q2 - q3) / (d3 - d2), 0.0)
+    m_a = 0.5 * (d1 + d2)
+    m_b = 0.5 * (d2 + d3)
+    wall = est_a + (est_a - est_b) * m_a / (m_b - m_a)
     dq = np.zeros(valid.shape)
     qn = np.zeros(valid.shape)
-    for segs, (d1, d2, d3), (p1, p2, p3) in levels:
-        q1, q2, q3 = p1.sample(gradsq), p2.sample(gradsq), p3.sample(gradsq)
-        ok3 = p3.valid
-        est_a = (q1 - q2) / (d2 - d1)
-        est_b = np.where(ok3, (q2 - q3) / (d3 - d2), 0.0)
-        m_a = 0.5 * (d1 + d2)
-        m_b = 0.5 * (d2 + d3)
-        wall = est_a + (est_a - est_b) * m_a / (m_b - m_a)
-        dq[segs] = np.where(ok3, wall, est_a)
-        qn[segs] = q1
+    dq[valid] = np.where(ok3, wall, est_a)
+    qn[valid] = q1
     return dq, qn, valid
 
 

@@ -59,6 +59,9 @@ TIE_EPS = 1e-12
 # kappa_max safety padding over the sampled curvature magnitude.
 KAPPA_PAD = 1.1
 
+# Depths, in cells, of the three boundary probes below each segment midpoint.
+PROBE_DEPTHS = (2.0, 3.5, 5.0)
+
 
 class DomainError(ValueError):
     """Degenerate or ill-posed domain (empty interior, missing margin, ...)."""
@@ -343,36 +346,28 @@ class GridGeometry:
         k00 = i0 * self.ny + j0
         return BilinearStencil((k00, k00 + self.ny, k00 + 1, k00 + self.ny + 1), tx, ty, valid)
 
-    def boundary_probes(self, depths: tuple[float, float, float]):
+    def boundary_probes(self):
         """Probe stencils along the inward normal of every boundary segment.
 
-        Probe k of a segment sits (depths[k] + extra) * h below its midpoint.
-        A segment is resolved at the first extra in (0, 0.75, 1.5) where its
-        two shallower probes have full stencils. Returns (levels, valid):
-        levels holds (segments, (d1, d2, d3), three BilinearStencils) per
-        extra, valid marks the resolved segments. Which probes are valid
-        depends on the geometry alone, so a grid where no segment resolves
-        is rejected here, before any field is probed.
+        Probe k of a segment sits PROBE_DEPTHS[k] * h below its midpoint, and
+        the segment is resolved when its two shallower probes have full
+        stencils. Returns (depths, stencils, valid): the three probe depths,
+        their three BilinearStencils at the resolved segments, and valid
+        marking those segments. Which probes are valid depends on the
+        geometry alone, so a grid where no segment resolves is rejected here,
+        before any field is probed.
         """
         def probe(d, segs):
             return self.bilinear_stencil(self.seg_mid[segs, 0] - d * self.seg_normal[segs, 0],
                                          self.seg_mid[segs, 1] - d * self.seg_normal[segs, 1])
 
         def build():
-            valid = np.zeros(len(self.seg_weight), dtype=bool)
-            levels = []
-            for extra in (0.0, 0.75, 1.5):
-                todo = np.nonzero(~valid)[0]
-                if not len(todo):
-                    break
-                ds = tuple((d + extra) * self.h for d in depths)
-                done = todo[probe(ds[0], todo).valid & probe(ds[1], todo).valid]
-                levels.append((done, ds, tuple(probe(d, done) for d in ds)))
-                valid[done] = True
+            ds = tuple(d * self.h for d in PROBE_DEPTHS)
+            valid = probe(ds[0], slice(None)).valid & probe(ds[1], slice(None)).valid
             if not valid.any():
                 raise ResolutionError("no boundary segment has room for two probes; refine the grid")
-            return tuple(levels), _read_only(valid)
-        return self._cached(("boundary_probes", tuple(depths)), build)
+            return ds, tuple(probe(d, valid) for d in ds), _read_only(valid)
+        return self._cached("boundary_probes", build)
 
 
 def _phi_derivatives(domain: LevelSetDomain, x, y, step: float):

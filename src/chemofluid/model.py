@@ -1,4 +1,4 @@
-"""Kinetics model: sensitivity chi(c), consumption f(c), gravitational potential.
+"""Kinetics model: sensitivity chi(c), consumption f(c), gravity phi = -G*y.
 
 The transport coupling is stable only for model functions with a specific
 structure; ``validate_assumptions`` checks it on [0, c_max] before any run:
@@ -11,17 +11,18 @@ From g = f/chi the diagnostics use two integral transforms anchored at 1,
 
     psi(s) = int_1^s dsigma / sqrt(g(sigma)),   rho(s) = int_1^s dsigma / g(sigma),
 
-tabulated once by adaptive Simpson quadrature and evaluated through monotone
-cubic interpolation. Since g(0) = 0 both transforms blow up as s -> 0+, the
-regime the decaying chemoattractant enters at late times, so all evaluations
-clamp their argument at a configurable floor c_floor > 0.
+tabulated once by an 8-node Gauss-Legendre rule on every knot interval and
+evaluated through monotone cubic interpolation. Since g(0) = 0 both
+transforms blow up as s -> 0+, the regime the decaying chemoattractant enters
+at late times, so all evaluations clamp their argument at a configurable
+floor c_floor > 0.
 
 Models and derived tables are immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,24 +31,23 @@ from chemofluid.fields import ScalarField, VectorField
 from chemofluid.geometry import GridGeometry
 
 DEFAULT_C_FLOOR_REL = 1e-10
+# knots of the psi and rho tables, and the Gauss-Legendre rule on [-1, 1]
+# that integrates each knot interval
+N_KNOTS = 1600
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 class ModelError(ValueError):
     """Model functions violate the structural assumptions."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge while tabulating a transform."""
-
-
 @dataclass(frozen=True)
 class KineticsModel:
-    """chi, f with two derivatives each, gravitational potential, fluid regime.
+    """chi, f with two derivatives each, gravity strength, fluid regime.
 
     kappa_ns = 0 selects the Stokes fluid, any other value the Navier-Stokes
-    advection with that prefactor. The potential defaults to phi = -G*y
-    (gravity pointing down for G > 0) but arbitrary smooth potentials can be
-    supplied as (phi_pot, grad_phi_pot) callables.
+    advection with that prefactor. The potential is phi = -G*y (gravity
+    pointing down for G > 0), so grad phi is the constant (0, -G).
     """
 
     chi: Callable
@@ -58,20 +58,7 @@ class KineticsModel:
     f_pp: Callable
     kappa_ns: float = 0.0
     grav: float = 1.0
-    phi_pot: Callable | None = None
-    grad_phi_pot: Callable | None = None
     name: str = "custom"
-
-    def potential(self, x, y):
-        if self.phi_pot is not None:
-            return self.phi_pot(x, y)
-        return -self.grav * np.asarray(y, dtype=float)
-
-    def potential_gradient(self, x, y):
-        if self.grad_phi_pot is not None:
-            return self.grad_phi_pot(x, y)
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x), np.full_like(x, -self.grav)
 
     # g = f / chi and its derivatives, straight from the user callables
     def g(self, s):
@@ -200,30 +187,6 @@ def validate_assumptions(model: KineticsModel, c_max: float, n_samples: int = 10
 # derived transforms
 # ---------------------------------------------------------------------------
 
-def _adaptive_simpson(fn, a, b, rel_tol, max_depth=40):
-    """Adaptive Simpson quadrature of fn on [a, b], relative tolerance rel_tol."""
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    scale = max(abs(whole), 1e-300)
-
-    def recurse(a, b, fa, fm, fb, whole, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth > max_depth:
-            raise QuadratureError(f"adaptive Simpson did not converge on [{a}, {b}]")
-        if abs(left + right - whole) <= 15.0 * rel_tol * scale:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, depth + 1))
-
-    if a == b:
-        return 0.0
-    return recurse(a, b, fa, fm, fb, whole, 0)
-
-
 class DerivedScalars:
     """Tabulated transforms psi, rho of the model on [c_floor, max(1, c_max)].
 
@@ -233,50 +196,39 @@ class DerivedScalars:
     directly from the model with the same argument clamp.
     """
 
-    def __init__(self, model: KineticsModel, c_floor: float, c_max: float,
-                 rel_tol: float = 1e-9, n_knots: int = 1600):
-        if not 0.0 < c_floor < c_max:
-            raise ValueError("need 0 < c_floor < c_max")
+    def __init__(self, model: KineticsModel, c_floor: float, c_max: float):
+        if not 0.0 < c_floor < min(1.0, c_max):
+            raise ValueError("need 0 < c_floor < min(1, c_max): the anchor 1 must lie in the table")
         top = max(1.0, c_max) * (1.0 + 1e-12)
         g_at_floor = float(model.g(np.asarray(c_floor)))
         if not np.isfinite(g_at_floor) or g_at_floor <= 0.0:
-            raise QuadratureError(f"g({c_floor}) = {g_at_floor}; transforms undefined")
+            raise ModelError(f"g({c_floor}) = {g_at_floor}; transforms undefined")
 
         # psi is tabulated against t = sqrt(s) and rho against l = log(s);
         # in these variables both transforms stay smooth down to c_floor when
         # g vanishes linearly at 0 (psi ~ sqrt, rho ~ log), so a cubic Hermite
         # interpolant with exact analytic knot derivatives is accurate and
         # monotone on a moderate uniform knot grid.
-        def knots(lo_v, hi_v, anchor):
-            k = np.unique(np.concatenate([np.linspace(lo_v, hi_v, n_knots), [anchor]]))
-            return k[(k >= lo_v) & (k <= hi_v)]
-
-        t = knots(np.sqrt(c_floor), np.sqrt(top), 1.0)
-        ell = knots(np.log(c_floor), np.log(top), 0.0)
+        t = np.unique(np.append(np.linspace(np.sqrt(c_floor), np.sqrt(top), N_KNOTS), 1.0))
+        ell = np.unique(np.append(np.linspace(np.log(c_floor), np.log(top), N_KNOTS), 0.0))
 
         def dpsi_dt(tv):
-            return 2.0 * tv / np.sqrt(float(model.g(np.asarray(tv * tv))))
+            return 2.0 * tv / np.sqrt(model.g(tv * tv))
 
         def drho_dl(lv):
             sv = np.exp(lv)
-            return sv / float(model.g(np.asarray(sv)))
+            return sv / model.g(sv)
 
         def cumulative(x, fn):
-            inc = np.zeros(len(x))
-            for k in range(1, len(x)):
-                inc[k] = _adaptive_simpson(fn, x[k - 1], x[k], rel_tol)
-            return np.cumsum(inc)
+            half = 0.5 * np.diff(x)
+            nodes = (0.5 * (x[1:] + x[:-1]))[:, None] + half[:, None] * _GL_NODES
+            inc = half * (fn(nodes) * _GL_WEIGHTS).sum(axis=1)
+            return np.concatenate([[0.0], np.cumsum(inc)])
 
         psi_tab = cumulative(t, dpsi_dt)
+        psi_tab -= psi_tab[t == 1.0]
         rho_tab = cumulative(ell, drho_dl)
-        k1 = int(np.argmin(np.abs(t - 1.0)))
-        if abs(t[k1] - 1.0) > 1e-13:
-            raise QuadratureError("anchor point 1 missing from the psi table")
-        psi_tab -= psi_tab[k1]
-        k1 = int(np.argmin(np.abs(ell)))
-        if abs(ell[k1]) > 1e-13:
-            raise QuadratureError("anchor point 1 missing from the rho table")
-        rho_tab -= rho_tab[k1]
+        rho_tab -= rho_tab[ell == 0.0]
 
         s_check = np.exp(np.linspace(np.log(c_floor), np.log(top), 4000))
         gp = model.g_prime(s_check)
@@ -291,8 +243,8 @@ class DerivedScalars:
         self.c_floor = float(c_floor)
         self.c_max = float(c_max)
         self.top = float(top)
-        self._psi_t = CubicHermiteSpline(t, psi_tab, np.array([dpsi_dt(tv) for tv in t]))
-        self._rho_l = CubicHermiteSpline(ell, rho_tab, np.array([drho_dl(lv) for lv in ell]))
+        self._psi_t = CubicHermiteSpline(t, psi_tab, dpsi_dt(t))
+        self._rho_l = CubicHermiteSpline(ell, rho_tab, drho_dl(ell))
         self._t_knots = t
         self._l_knots = ell
         self._psi_tab = psi_tab
@@ -334,7 +286,10 @@ class DerivedScalars:
 
 
 def build_derived(model: KineticsModel, c_floor: float, c_max: float) -> DerivedScalars:
-    """Tabulate psi, rho for a validated model (adaptive Simpson, rel tol 1e-9)."""
+    """Tabulate psi, rho for a validated model (8-node Gauss-Legendre per knot interval).
+
+    Needs 0 < c_floor < min(1, c_max), so that the anchor 1 is a knot.
+    """
     return DerivedScalars(model, c_floor, c_max)
 
 
@@ -347,19 +302,10 @@ def default_c_floor(c_max: float) -> float:
 # ---------------------------------------------------------------------------
 
 def buoyancy_force(n: ScalarField, model: KineticsModel) -> VectorField:
-    """Face-staggered force n * grad(phi_pot), zero off the fluid faces."""
+    """Face-staggered force n * grad(phi) = (0, -G n), zero off the fluid y-faces."""
     g: GridGeometry = n.geom
     d = n.data
-    fx = np.zeros((g.nx + 1, g.ny))
     fy = np.zeros((g.nx, g.ny + 1))
-
-    Xfx, Yfx = np.meshgrid(g.xn[1:-1], g.yc, indexing="ij")
-    gpx, _ = model.potential_gradient(Xfx, Yfx)
-    nbar_x = 0.5 * (d[1:, :] + d[:-1, :])
-    fx[1:-1, :] = np.where(g.fluid_face_x[1:-1, :], nbar_x * gpx, 0.0)
-
-    Xfy, Yfy = np.meshgrid(g.xc, g.yn[1:-1], indexing="ij")
-    _, gpy = model.potential_gradient(Xfy, Yfy)
     nbar_y = 0.5 * (d[:, 1:] + d[:, :-1])
-    fy[:, 1:-1] = np.where(g.fluid_face_y[:, 1:-1], nbar_y * gpy, 0.0)
-    return VectorField(g, fx, fy)
+    fy[:, 1:-1] = np.where(g.fluid_face_y[:, 1:-1], nbar_y * -model.grav, 0.0)
+    return VectorField(g, np.zeros((g.nx + 1, g.ny)), fy)

@@ -523,9 +523,7 @@ def step_u(state: SimState, n_new: ScalarField, dt: float, model: KineticsModel,
     # buoyancy joins after the viscous solve: a pure-gradient force (the
     # hydrostatic balance with uniform n) is then removed exactly by the
     # projection instead of leaking through the no-slip viscous operator
-    force = buoyancy_force(n_new, model)
-    u_star.u += dt * force.u
-    u_star.v += dt * force.v
+    u_star.v += dt * buoyancy_force(n_new, model).v
     div = divergence(u_star)
     p = lin.pressure_solve(ScalarField(g, div.data / dt))
     u_new = u_star.copy()

@@ -55,6 +55,10 @@ class TestConfigParsing:
             RunConfig({"domain.shape": "pentagon"})
         with pytest.raises(ConfigError):
             RunConfig({"mms.resolutions": (64,)})
+        for bad in ({"scan.trials": 0}, {"scan.n_smooth": 0}, {"mms.dt_ratio": 0.0},
+                    {"mms.dt_ratio": -0.1}, {"mms.end_time": -1.0}):
+            with pytest.raises(ConfigError):
+                RunConfig(bad)
 
     def test_schema_description_lists_all_keys(self):
         text = schema_description()
@@ -114,9 +118,14 @@ class TestCliExitCodes:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         assert "refine the grid" in capsys.readouterr().err
 
-    def test_mms_requires_two_resolutions(self, tmp_path):
-        cfg = write_cfg(tmp_path, "mms.resolutions = 32\n")
-        assert main(["mms", "--config", cfg]) == 4
+    @pytest.mark.parametrize("command, line", [("mms", "mms.resolutions = 32"),
+                                               ("mms", "mms.dt_ratio = 0"),
+                                               ("scan-inequalities", "scan.n_smooth = 0")],
+                             ids=["mms-resolutions", "mms-dt_ratio", "scan-n_smooth"])
+    def test_study_value_out_of_range(self, tmp_path, monkeypatch, command, line):
+        monkeypatch.chdir(tmp_path)   # scan-inequalities writes to ./out by default
+        cfg = write_cfg(tmp_path, line + "\n")
+        assert main([command, "--config", cfg]) == 4
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +7,7 @@ from scipy.integrate import quad
 from chemofluid.fields import ScalarField, gradient_neumann, laplacian_neumann
 from chemofluid.model import (
     KineticsModel,
+    ModelError,
     build_derived,
     buoyancy_force,
     linear_model,
@@ -55,10 +58,30 @@ class TestValidator:
 
 
 class TestDerivedScalars:
-    def test_closed_forms_linear_model(self, derived_linear):
-        s = np.geomspace(1e-9, 2.0, 2000)
-        assert np.abs(derived_linear.psi(s) - 2 * (np.sqrt(s) - 1)).max() < 1e-8
-        assert np.abs(derived_linear.rho(s) - np.log(s)).max() < 1e-8
+    @pytest.mark.parametrize("model, c_max, psi, rho", [
+        (linear_model(), 2.0, lambda s: 2 * (np.sqrt(s) - 1), np.log),
+        # g = s (1 - s/4): a non-constant integrand in both table variables
+        (polynomial_model([1.0], [0.0, 1.0, -0.25]), 1.5,
+         lambda s: 2 * (np.arccos(1 - s / 2) - np.pi / 3),
+         lambda s: np.log(s) - np.log(1 - s / 4) + np.log(3 / 4)),
+    ], ids=["linear", "quadratic"])
+    def test_closed_forms(self, model, c_max, psi, rho):
+        der = build_derived(model, 1e-10, c_max)
+        s = np.geomspace(1e-9, c_max, 2000)
+        assert np.abs(der.psi(s) - psi(s)).max() < 1e-8
+        assert np.abs(der.rho(s) - rho(s)).max() < 1e-8
+
+    def test_model_calls_independent_of_knot_count(self):
+        # the tables evaluate the model once per array, never per knot
+        base = polynomial_model([1.0], [0.0, 1.0, -0.25])
+        calls = []
+
+        def f(s):
+            calls.append(1)
+            return base.f(s)
+
+        build_derived(dataclasses.replace(base, f=f), 1e-10, 1.5)
+        assert len(calls) <= 16
 
     def test_anchor(self, derived_linear):
         assert derived_linear.psi(1.0) == 0.0
@@ -99,9 +122,14 @@ class TestDerivedScalars:
         assert np.isfinite(derived_linear.rho(0.0))
 
     def test_invalid_model_rejected(self):
-        from chemofluid.model import ModelError
-        with pytest.raises(ModelError):
-            build_derived(inverse_chi_model(), 1e-10, 1.0)   # g'' = 2 > 0
+        for model in (inverse_chi_model(),                      # g'' = 2 > 0
+                      polynomial_model([1.0], [0.0, -1.0])):    # g(c_floor) < 0
+            with pytest.raises(ModelError):
+                build_derived(model, 1e-10, 1.0)
+
+    def test_anchor_outside_table_rejected(self):
+        with pytest.raises(ValueError):
+            build_derived(linear_model(), 1.5, 2.0)
 
 
 class TestTransformFieldIdentity:
@@ -134,6 +162,17 @@ class TestBuoyancy:
         assert np.abs(f.u).max() == 0.0
         fy = f.v[disk64.fluid_face_y]
         assert np.abs(fy - (-n0 * G)).max() < 1e-13
+
+    def test_nonuniform_density_face_means(self, disk64):
+        G = 0.7
+        X, Y = disk64.cell_centers()
+        n = ScalarField(disk64, np.where(disk64.active, 1.0 + 0.5 * np.sin(3 * X) * np.cos(2 * Y), 0.0))
+        f = buoyancy_force(n, linear_model(G=G))
+        assert not f.u.any()
+        fluid = disk64.fluid_face_y
+        expect = 0.5 * (n.data[:, 1:] + n.data[:, :-1]) * -G
+        assert np.array_equal(f.v[:, 1:-1][fluid[:, 1:-1]], expect[fluid[:, 1:-1]])
+        assert not f.v[~fluid].any()
 
     def test_zero_gravity(self, disk64):
         f = buoyancy_force(ScalarField.full(disk64, 1.0), linear_model(G=0.0))
