@@ -159,6 +159,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from chemofluid.config import ConfigError
     from chemofluid.geometry import DomainError, ResolutionError
+    from chemofluid.gridio import FormatError
     try:
         if args.command == "run":
             return cmd_run(args)
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
             return cmd_mms(args)
         if args.command == "scan-inequalities":
             return cmd_scan(args)
-    except (ConfigError, DomainError, ResolutionError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, ResolutionError, FormatError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command}")

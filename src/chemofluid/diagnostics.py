@@ -16,8 +16,8 @@ discretely here:
 * the entropy production identity relating d/dt E to the dissipation and the
   transport/boundary source terms, evaluated as a residual over three
   consecutive outputs: from three states (``entropy_identity_residual``), or
-  during a run from the stored rows and the middle state's source terms
-  (``DiagnosticsRecord.identity_residual``), which needs no state copies;
+  by ``DiagnosticsRecord`` itself as rows arrive, from the stored rows and
+  the source terms it kept from the middle row's state, with no state copied;
 * empirical-constant fits for the entropy-energy and kinetic-energy
   inequalities, and the long-time convergence monitor toward the flat state
   (n_inf, 0, 0).
@@ -25,10 +25,12 @@ discretely here:
 Per-state intermediates are computed once per state in a ``Frame``: grad c
 and |grad c|^2, psi(c) and its gradient, grad n, the Hessian of rho(c),
 g, g' and g'' of c, and the boundary probes with c at the segments. Every
-single-state function takes a state (or field) or a frame. Passed one frame,
-the row, the curvature-lemma check, the quartic-gradient check and the
-boundary term share these intermediates instead of recomputing them. Each
-formula is still written once, in the function that owns it.
+single-state function takes a frame, and ``Frame(state_or_c, derived)`` is
+the one place that accepts a state or a bare c field; the geometry and the
+transforms of c come from the frame. Passed one frame, the row, the
+curvature-lemma check, the quartic-gradient check and the boundary term
+share these intermediates instead of recomputing them. Each formula is
+still written once, in the function that owns it.
 
 Integrands with 1/g weights are singular as c -> 0; cells below the model's
 c_floor are clamped or masked and their fraction is reported. All checks are
@@ -162,22 +164,17 @@ class Frame:
         return 0.5 * dq / self.derived.g(self.c_seg)
 
 
-def _frame(state_or_frame, derived: DerivedScalars | None = None) -> Frame:
-    return state_or_frame if isinstance(state_or_frame, Frame) else Frame(state_or_frame, derived)
-
-
 # ---------------------------------------------------------------------------
 # pointwise / single-state functionals
 # ---------------------------------------------------------------------------
 
-def entropy_functional(state: SimState, derived: DerivedScalars) -> float:
+def entropy_functional(f: Frame) -> float:
     """int n log n + 1/2 int |grad psi(c)|^2 (n clamped away from 0 in the log)."""
-    ent_n, grad_psi_sq = entropy_parts(state, derived)
+    ent_n, grad_psi_sq = entropy_parts(f)
     return ent_n + 0.5 * grad_psi_sq
 
 
-def entropy_parts(state: SimState, derived: DerivedScalars) -> tuple[float, float]:
-    f = _frame(state, derived)
+def entropy_parts(f: Frame) -> tuple[float, float]:
     g = f.geom
     n = f.state.n.data
     ent_n = volume_integral(np.where(g.active, n * np.log(np.maximum(n, LOG_CLAMP)), 0.0), g)
@@ -186,13 +183,12 @@ def entropy_parts(state: SimState, derived: DerivedScalars) -> tuple[float, floa
     return ent_n, grad_psi_sq
 
 
-def dissipation_terms(state: SimState, derived: DerivedScalars) -> tuple[float, float]:
+def dissipation_terms(f: Frame) -> tuple[float, float]:
     """(Fisher information of n, weighted squared Hessian of rho(c)).
 
     The Hessian quadrature runs over cells with full 3x3 stencils only; see
     GridGeometry.stencil_ok.
     """
-    f = _frame(state, derived)
     g = f.geom
     nx, ny = f.grad_n
     fisher = volume_integral(
@@ -208,22 +204,21 @@ def hessian_pointwise_violation(field: ScalarField) -> float:
     return float(viol[field.geom.active].max(initial=0.0))
 
 
-def boundary_term(state_or_c, derived: DerivedScalars, geom: GridGeometry) -> float:
+def boundary_term(f: Frame) -> float:
     """1/2 oint (1/g(c)) d|grad c|^2/dnu dS over the resolvable segments."""
-    f = _frame(state_or_c, derived)
     _, _, valid = f.boundary_probes
-    return surface_integral(np.where(valid, f.boundary_integrand, 0.0), geom)
+    return surface_integral(np.where(valid, f.boundary_integrand, 0.0), f.geom)
 
 
-def check_ms_lemma(c: ScalarField, geom: GridGeometry, c_check: float = 1.0,
-                   time: float = 0.0) -> InequalityReport:
+def check_ms_lemma(f: Frame, c_check: float = 1.0, time: float = 0.0) -> InequalityReport:
     """Curvature-bound residual d|grad c|^2/dnu - 2 kappa_max |grad c|^2 per segment.
 
     Passes when the worst residual stays below c_check * sqrt(h) (the
     boundary probes are first order on an O(h) baseline, so sqrt(h) is the
     honest certified rate).
     """
-    dq, qn, valid = _frame(c).boundary_probes
+    geom = f.geom
+    dq, qn, valid = f.boundary_probes
     resid = dq - 2.0 * geom.kappa_max * qn
     resid = np.where(valid, resid, -np.inf)
     k = int(np.argmax(resid))
@@ -236,8 +231,7 @@ def check_ms_lemma(c: ScalarField, geom: GridGeometry, c_check: float = 1.0,
         extra={"skipped_segments": int((~valid).sum()), "kappa_max": geom.kappa_max})
 
 
-def check_inequality_33(state_or_c, derived: DerivedScalars, tol_rel: float = 0.1,
-                        time: float = 0.0) -> InequalityReport:
+def check_inequality_33(f: Frame, tol_rel: float = 0.1, time: float = 0.0) -> InequalityReport:
     """int g'/g^3 |grad c|^4 <= (2+sqrt(2))^2 int (g/g') |D^2 rho(c)|^2.
 
     Cells with c below the floor are masked out of both quadratures (the
@@ -245,9 +239,8 @@ def check_inequality_33(state_or_c, derived: DerivedScalars, tol_rel: float = 0.
     domains the inequality is evaluated and reported but a violation is not
     treated as a failure (it rests on a convexity-backed boundary sign).
     """
-    f = _frame(state_or_c, derived)
     g = f.geom
-    mask = g.stencil_ok & (f.c.data >= derived.c_floor)
+    mask = g.stencil_ok & (f.c.data >= f.derived.c_floor)
     gc, gp = f.g, f.g_prime
     lhs = volume_integral(np.where(mask, gp / gc ** 3 * f.grad_c2 ** 2, 0.0), g)
     rhs = HESSIAN_CONST * volume_integral(np.where(mask, gc / gp * f.rho_hessian_sq, 0.0), g)
@@ -304,7 +297,7 @@ def _identity_balance(dEdt: float, fisher: float, hess_rho: float,
 
 
 def entropy_identity_residual(states: tuple[SimState, SimState, SimState],
-                              derived: DerivedScalars, geom: GridGeometry):
+                              derived: DerivedScalars):
     """Residual of the entropy production balance on three consecutive outputs.
 
     dE/dt is the centered difference across the window; dissipation and the
@@ -318,19 +311,19 @@ def entropy_identity_residual(states: tuple[SimState, SimState, SimState],
             + boundary term
 
     Returns (residual, normalized_residual, terms_dict); the normalization is
-    the largest term magnitude. A run evaluates the same balance from its
-    rows instead (DiagnosticsRecord.identity_residual), holding no states.
+    the largest term magnitude. A DiagnosticsRecord evaluates the same
+    balance from its rows instead, holding no states.
     """
     s0, s1, s2 = states
     if not (s0.t < s1.t < s2.t):
         raise ValueError("window states must be time-ordered")
-    e0 = entropy_functional(s0, derived)
-    e2 = entropy_functional(s2, derived)
+    e0 = entropy_functional(Frame(s0, derived))
+    e2 = entropy_functional(Frame(s2, derived))
     dEdt = (e2 - e0) / (s2.t - s0.t)
     mid = Frame(s1, derived)
-    fisher, hess_rho = dissipation_terms(mid, derived)
+    fisher, hess_rho = dissipation_terms(mid)
     return _identity_balance(dEdt, fisher, hess_rho, identity_source_terms(mid),
-                             boundary_term(mid, derived, geom))
+                             boundary_term(mid))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +340,9 @@ COLUMNS = (
 class DiagnosticsRecord:
     """Per-output-time rows of every tracked functional, in a fixed column order.
 
-    ``identity_residual`` is a trajectory quantity (needs the rows on both
-    sides); the runner fills it for interior rows, endpoints stay 0.
+    ``identity_residual`` is a trajectory quantity: the balance of a row
+    needs the rows on both sides. Each append fills it for the row before,
+    when that row is interior; the endpoints stay 0.
     """
 
     def __init__(self, geom: GridGeometry, n_inf: float, c0_max: float):
@@ -356,14 +350,19 @@ class DiagnosticsRecord:
         self.n_inf = n_inf
         self.c0_max = c0_max
         self.rows: list[dict] = []
+        self._sources = None   # identity source terms of the last row's state
 
-    def append_state(self, state: SimState, derived: DerivedScalars) -> dict:
-        """Record the row of a state (or of a Frame over one, sharing its intermediates)."""
+    def append_state(self, f: Frame) -> dict:
+        """Record the row of the frame's state and return it.
+
+        Fills the normalized identity residual of the row before, if it is
+        interior, and keeps the new state's identity source terms for the
+        next call.
+        """
         g = self.geom
-        f = _frame(state, derived)
         st = f.state
-        ent_n, grad_psi_sq = entropy_parts(f, derived)
-        fisher, hess_rho = dissipation_terms(f, derived)
+        ent_n, grad_psi_sq = entropy_parts(f)
+        fisher, hess_rho = dissipation_terms(f)
         grad_c_4 = volume_integral(f.grad_c2 ** 2, g)
         psi_l2 = volume_integral(np.where(g.active, f.psi_c ** 2, 0.0), g)
         n_pos = np.maximum(st.n.data, 0.0)
@@ -381,17 +380,23 @@ class DiagnosticsRecord:
             "grad_u_l2": mac_grad_norm_sq(st.u),
             "psi_l2": psi_l2,
             "n_l65_sq": n_l65,
-            "boundary_term": boundary_term(f, derived, g),
-            "ms_violation": check_ms_lemma(f, g, time=st.t).violation,
+            "boundary_term": boundary_term(f),
+            "ms_violation": check_ms_lemma(f, time=st.t).violation,
             "conv_n": float(np.abs(st.n.data[g.active] - self.n_inf).max()),
             "u_sup": st.u.max_speed(),
             "identity_residual": 0.0,
-            "clamped_frac": derived.clamped_fraction(st.c),
+            "clamped_frac": f.derived.clamped_fraction(st.c),
         }
         self.rows.append(row)
+        index = len(self.rows) - 1
+        if index >= 2:
+            self.rows[index - 1]["identity_residual"] = self._identity_residual(
+                index - 1, self._sources)[1]
+        # row 0 is an endpoint, whose residual stays 0: it needs no sources
+        self._sources = identity_source_terms(f) if index else None
         return row
 
-    def identity_residual(self, index: int, sources: tuple[float, float, float, float]):
+    def _identity_residual(self, index: int, sources: tuple[float, float, float, float]):
         """The entropy-identity balance of interior row ``index`` from the rows around it.
 
         dE/dt is the centered difference of entropy_n + grad_psi_sq/2 over
@@ -407,9 +412,6 @@ class DiagnosticsRecord:
 
     def column(self, name: str) -> np.ndarray:
         return np.array([r[name] for r in self.rows])
-
-    def set_identity_residual(self, index: int, value: float):
-        self.rows[index]["identity_residual"] = value
 
     def csv_text(self) -> str:
         lines = [",".join(COLUMNS)]

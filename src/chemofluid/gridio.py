@@ -52,26 +52,38 @@ def write_grid(path, values: np.ndarray, bbox, binary: bool = False):
 
 
 def read_grid(path):
-    """Returns (values, bbox); values[i, j] indexed x-first."""
+    """Returns (values, bbox); values[i, j] indexed x-first.
+
+    Raises FormatError for a malformed header (dims that are not two positive
+    ints, a bbox that is not four numbers) or a body that is neither nx*ny
+    text values nor 8*nx*ny raw bytes.
+    """
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().strip()
-        if magic != GRID_MAGIC:
-            raise FormatError(f"{path}: not a grid file (header {magic!r})")
-        dims = fh.readline().decode().split()
-        nx, ny = int(dims[0]), int(dims[1])
-        bbox = tuple(float(v) for v in fh.readline().decode().split())
-        if len(bbox) != 4:
-            raise FormatError(f"{path}: bbox must have 4 entries")
+        magic, dims, bbox_text = (fh.readline().decode(errors="replace").strip() for _ in range(3))
         rest = fh.read()
-    rows = None
+    if magic != GRID_MAGIC:
+        raise FormatError(f"{path}: not a grid file (header {magic!r})")
+    try:
+        nx, ny = (int(v) for v in dims.split())
+    except ValueError:
+        nx = ny = 0
+    if min(nx, ny) <= 0:
+        raise FormatError(f"{path}: dims must be two positive integers, found {dims!r}")
+    try:
+        bbox = tuple(float(v) for v in bbox_text.split())
+    except ValueError:
+        bbox = ()
+    if len(bbox) != 4:
+        raise FormatError(f"{path}: bbox must be 4 numbers, found {bbox_text!r}")
     try:
         rows = np.array(rest.decode("ascii").split(), dtype=float)
     except (UnicodeDecodeError, ValueError):
-        pass
+        rows = None
     if rows is None or rows.size != nx * ny:
+        if len(rest) != 8 * nx * ny:
+            raise FormatError(f"{path}: expected {nx * ny} text values or {8 * nx * ny} "
+                              f"binary bytes, found {len(rest)} bytes")
         rows = np.frombuffer(rest, dtype="<f8")
-    if rows.size != nx * ny:
-        raise FormatError(f"{path}: expected {nx * ny} values, found {rows.size}")
     return rows.reshape(ny, nx).T.copy(), bbox
 
 

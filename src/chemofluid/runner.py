@@ -6,11 +6,9 @@ is clamped to the next output time, and every output time is a whole number
 of ticks hit without rounding drift. The loop emits a row whenever a step
 lands on an output. At every output time one diagnostics Frame is built over
 the state, and the row and both per-state inequality checks read their
-shared intermediates from it. The entropy-identity residual of a row needs
-the rows on both sides. So the source terms of each state are computed when
-it is emitted and kept until the next row arrives. dE/dt, the dissipation
-and the boundary term then come from the stored rows, and no state is copied
-or held. Artifacts under the output directory:
+shared intermediates from it. The DiagnosticsRecord fills each interior
+row's entropy-identity residual itself when the next row arrives, so no
+state is copied or held. Artifacts under the output directory:
 
     diagnostics.csv    one row per output time (column order in csv_schema.md)
     inequalities.csv   one row per inequality evaluation
@@ -45,7 +43,6 @@ from chemofluid.diagnostics import (
     check_velocity_energy,
     convergence_monitor,
     hessian_pointwise_violation,
-    identity_source_terms,
     random_neumann_field,
 )
 from chemofluid.fields import ScalarField
@@ -125,21 +122,14 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
 
     record = DiagnosticsRecord(geom, n_inf=n_inf, c0_max=c0_max)
     ineq_rows: list[InequalityReport] = []
-    prev_sources = None   # identity source terms of the previous row's state
     snap_every = rc["output.snapshot_every"]
 
     def emit(st, index):
-        nonlocal prev_sources
         t_diag = time.perf_counter()
         frame = Frame(st, derived)
-        record.append_state(frame, derived)
-        ineq_rows.append(check_ms_lemma(frame, geom, c_check=rc["check.ms_c"], time=st.t))
-        ineq_rows.append(check_inequality_33(frame, derived, time=st.t))
-        if index >= 2:
-            _, nres, _ = record.identity_residual(index - 1, prev_sources)
-            record.set_identity_residual(index - 1, nres)
-        # row 0 is an endpoint, whose residual stays 0: it needs no sources
-        prev_sources = identity_source_terms(frame) if index else None
+        record.append_state(frame)
+        ineq_rows.append(check_ms_lemma(frame, c_check=rc["check.ms_c"], time=st.t))
+        ineq_rows.append(check_inequality_33(frame, time=st.t))
         if snap_every and index % snap_every == 0:
             from chemofluid.gridio import save_state
             save_state(out / f"snap_{index:04d}.txt", st)
@@ -233,11 +223,11 @@ def run_inequality_scan(rc: RunConfig, out_dir) -> dict:
                                  n_smooth=rc["scan.n_smooth"])
         c = ScalarField(geom, np.where(geom.active, c_base + z.data, 0.0))
         frame = Frame(c, derived)
-        ms = check_ms_lemma(frame, geom, c_check=rc["check.ms_c"])
-        bt = boundary_term(frame, derived, geom)
+        ms = check_ms_lemma(frame, c_check=rc["check.ms_c"])
+        bt = boundary_term(frame)
         _, _, ok = frame.boundary_probes
         bt_ptw = float(np.where(ok, frame.boundary_integrand, -np.inf).max())
-        i33 = check_inequality_33(frame, derived)
+        i33 = check_inequality_33(frame)
         hv = hessian_pointwise_violation(c)
         rows.append((trial, ms.violation, ms.tolerance, bt, bt_ptw, i33.lhs, i33.rhs, hv))
         worst_ms = max(worst_ms, ms.violation)

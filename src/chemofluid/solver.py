@@ -128,108 +128,70 @@ class InitialData:
 # implicit operators
 # ---------------------------------------------------------------------------
 
+def _adjacency(mask: np.ndarray, wx=1.0, wy=1.0):
+    """Number the entries of ``mask``; their neighbour graph as (n, COO matrix).
+
+    Each pair of x-neighbours, then each pair of y-neighbours, enters in both
+    orders, weighted by ``wx`` or ``wy``: a scalar, or one value per pair
+    (arrays shaped like mask[1:, :] and mask[:, 1:]).
+    """
+    idx = -np.ones(mask.shape, dtype=int)
+    n = int(mask.sum())
+    idx[mask] = np.arange(n)
+    mx = mask[:-1, :] & mask[1:, :]
+    my = mask[:, :-1] & mask[:, 1:]
+    lo_x, hi_x = idx[:-1, :][mx], idx[1:, :][mx]
+    lo_y, hi_y = idx[:, :-1][my], idx[:, 1:][my]
+    w_x = np.broadcast_to(wx, mx.shape)[mx]
+    w_y = np.broadcast_to(wy, my.shape)[my]
+    rows = np.concatenate([lo_x, hi_x, lo_y, hi_y])
+    cols = np.concatenate([hi_x, lo_x, hi_y, lo_y])
+    vals = np.concatenate([w_x, w_x, w_y, w_y])
+    return n, sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _laplacian(adj) -> sp.csr_matrix:
+    """The graph Laplacian adj - diag(row sums): sum over neighbours w (x_nb - x).
+
+    The row sums are taken over the COO entries of ``_adjacency`` in their
+    order, x-pairs before y-pairs, which fixes their rounding.
+    """
+    return (adj - sp.diags(np.asarray(adj.sum(axis=1)).ravel())).tocsr()
+
+
 class LinearSystems:
     """Sparse operators of the grid plus a factorization cache.
 
-    Scalar diffusion acts on active cells in flux form (aperture-weighted
-    faces over wet volumes), so the Helmholtz system is symmetrized as
-    (V - dt*L) x = V*b with V the wet-volume diagonal. Viscosity acts per
-    velocity component on the fluid faces with homogeneous Dirichlet walls.
-    The pressure Poisson operator on interior cells is singular (constants
-    per connected component); one cell per component is pinned to zero (its
-    row and column become the identity, so the pinned matrix stays
-    symmetric) and the solution is then shifted to mean zero per component.
+    All four operators come from one assembler, the masked neighbour graph
+    of ``_adjacency``. Scalar diffusion acts on active cells in flux form
+    (aperture-weighted faces over wet volumes), so the Helmholtz system is
+    symmetrized as (V - dt*L) x = V*b with V the wet-volume diagonal. Every
+    face between two active cells carries an aperture of at least
+    geometry.APERTURE_FLOOR, so the active mask alone decides the graph.
+    Viscosity acts per velocity component on the fluid faces with
+    homogeneous Dirichlet walls. The pressure Poisson operator on interior
+    cells is singular (constants per connected component); one cell per
+    component is pinned to zero (its row and column become the identity, so
+    the pinned matrix stays symmetric) and the solution is then shifted to
+    mean zero per component.
     """
 
     def __init__(self, geom: GridGeometry):
-        self.geom = geom
+        g = self.geom = geom
         self._factor_cache: dict = {}
-        self._build_scalar()
-        self._build_pressure()
-        self._build_viscous()
-
-    # -- assembly ------------------------------------------------------
-
-    def _build_scalar(self):
-        g = self.geom
-        act = g.active
-        idx = -np.ones((g.nx, g.ny), dtype=int)
-        self.n_scalar = int(act.sum())
-        idx[act] = np.arange(self.n_scalar)
-        self.scalar_idx = idx
-        rows, cols, vals = [], [], []
-        ax = g.aperture_x[1:-1, :]
-        m = (ax > 0) & act[:-1, :] & act[1:, :]
-        r = idx[:-1, :][m]
-        c = idx[1:, :][m]
-        w = ax[m]
-        rows += [r, c]
-        cols += [c, r]
-        vals += [w, w]
-        ay = g.aperture_y[:, 1:-1]
-        m = (ay > 0) & act[:, :-1] & act[:, 1:]
-        r = idx[:, :-1][m]
-        c = idx[:, 1:][m]
-        w = ay[m]
-        rows += [r, c]
-        cols += [c, r]
-        vals += [w, w]
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        off = sp.coo_matrix((vals, (rows, cols)), shape=(self.n_scalar, self.n_scalar))
-        deg = np.asarray(off.sum(axis=1)).ravel()
-        # L x = sum_f a_f (x_nb - x): face flux (a h) * difference / h
-        self.L_scalar = (off - sp.diags(deg)).tocsr()
-        self.vol = g.cell_vol[act]
-
-    def _build_pressure(self):
-        g = self.geom
-        interior = g.interior
-        idx = -np.ones((g.nx, g.ny), dtype=int)
-        self.n_pressure = int(interior.sum())
-        idx[interior] = np.arange(self.n_pressure)
-        self.pressure_idx = idx
-        rows, cols = [], []
-        m = interior[:-1, :] & interior[1:, :]
-        rows += [idx[:-1, :][m], idx[1:, :][m]]
-        cols += [idx[1:, :][m], idx[:-1, :][m]]
-        m = interior[:, :-1] & interior[:, 1:]
-        rows += [idx[:, :-1][m], idx[:, 1:][m]]
-        cols += [idx[:, 1:][m], idx[:, :-1][m]]
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        off = sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
-                            shape=(self.n_pressure, self.n_pressure))
-        deg = np.asarray(off.sum(axis=1)).ravel()
-        self.L_pressure = (off - sp.diags(deg)).tocsr()
-        labels, ncomp = ndimage.label(interior)
-        comp = labels[interior]
+        self.n_scalar, adj = _adjacency(g.active, g.aperture_x[1:-1, :], g.aperture_y[:, 1:-1])
+        self.L_scalar = _laplacian(adj)
+        self.vol = g.cell_vol[g.active]
+        self.n_pressure, adj = _adjacency(g.interior)
+        self.L_pressure = _laplacian(adj)
+        labels, ncomp = ndimage.label(g.interior)
+        comp = labels[g.interior]
         self.comp_cells = [np.nonzero(comp == k)[0] for k in range(1, ncomp + 1)]
         self.pressure_pins = np.array([cells[0] for cells in self.comp_cells], dtype=int)
-
-    def _build_viscous(self):
-        g = self.geom
-        self.u_idx, self.n_u, self.adj_u = self._face_adjacency(g.fluid_face_x)
-        self.v_idx, self.n_v, self.adj_v = self._face_adjacency(g.fluid_face_y)
-
-    @staticmethod
-    def _face_adjacency(mask: np.ndarray):
-        idx = -np.ones(mask.shape, dtype=int)
-        n = int(mask.sum())
-        idx[mask] = np.arange(n)
-        rows, cols = [], []
-        m = mask[:-1, :] & mask[1:, :]
-        rows += [idx[:-1, :][m], idx[1:, :][m]]
-        cols += [idx[1:, :][m], idx[:-1, :][m]]
-        m = mask[:, :-1] & mask[:, 1:]
-        rows += [idx[:, :-1][m], idx[:, 1:][m]]
-        cols += [idx[:, 1:][m], idx[:, :-1][m]]
-        if rows:
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-        adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-        return idx, n, adj
+        self.n_u, adj = _adjacency(g.fluid_face_x)
+        self.adj_u = adj.tocsr()
+        self.n_v, adj = _adjacency(g.fluid_face_y)
+        self.adj_v = adj.tocsr()
 
     # -- solves --------------------------------------------------------
 

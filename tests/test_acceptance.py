@@ -15,6 +15,7 @@ import pytest
 from chemofluid.config import RunConfig
 from chemofluid.diagnostics import (
     DiagnosticsRecord,
+    Frame,
     check_energy_inequality,
     convergence_monitor,
     entropy_identity_residual,
@@ -65,19 +66,13 @@ def instrumented_run(rc: RunConfig):
               "n_max": [state.n.max_active()], "div_bound_ratio": [], "p_gauge_ratio": [],
               "mass": [mass0], "dt": []}
     hess_worst = 0.0
-    window = []
 
     def emit(st):
         nonlocal hess_worst
-        record.append_state(st, derived)
+        record.append_state(Frame(st, derived))
         rho_field = ScalarField(geom, np.where(geom.active, derived.rho(st.c.data), 0.0))
         hess_worst = max(hess_worst, hessian_pointwise_violation(rho_field),
                          hessian_pointwise_violation(st.n))
-        window.append(st.copy())
-        if len(window) == 3:
-            _, nres, _ = entropy_identity_residual(tuple(window), derived, geom)
-            record.set_identity_residual(len(record.rows) - 2, nres)
-            window.pop(0)
 
     emit(state)
     clock = StepClock(cfg.dt_max, cfg.end_time, rc["output.every_time"])
@@ -171,7 +166,7 @@ def residual_studies():
                     snaps[clock.output] = st.copy()
             mid = round(0.12 / dt_cad)
             win = tuple(snaps[mid + s] for s in (-1, 0, 1))
-            _, nres, _ = entropy_identity_residual(win, derived, g)
+            _, nres, _ = entropy_identity_residual(win, derived)
             normalized.append(nres)
         orders = [float(np.log2(normalized[i] / normalized[i + 1])) for i in range(2)]
         out[label] = {"normalized": normalized, "orders": orders}

@@ -111,6 +111,17 @@ class TestCliExitCodes:
         assert main(["check-geometry", "--config", cfg]) == 0
         assert "kappa_max" in capsys.readouterr().out
 
+    def test_malformed_sampled_domain_is_config_error(self, tmp_path, capsys):
+        bodies = ("# chemofluid grid 1\n4 4\n-1 1 -1 1\n1 2 3\n",
+                  "hello\n",
+                  "# chemofluid grid 1\n2\n-1 1 -1 1\n1 2 3 4\n")
+        for k, body in enumerate(bodies):
+            grid = tmp_path / f"phi{k}.txt"
+            grid.write_text(body)
+            cfg = write_cfg(tmp_path, f"domain.shape = sampled\ndomain.path = {grid}\n")
+            assert main(["check-geometry", "--config", cfg]) == 4
+            assert "configuration error" in capsys.readouterr().err
+
     def test_unprobeable_boundary_is_config_error(self, tmp_path, capsys):
         # a thin annulus at 32^2: no boundary segment has room for two probes,
         # so every boundary diagnostic would be undefined

@@ -16,7 +16,6 @@ from chemofluid.diagnostics import (
     entropy_identity_residual,
     entropy_parts,
     hessian_pointwise_violation,
-    identity_source_terms,
     random_neumann_field,
 )
 from chemofluid.fields import ScalarField, VectorField, gradient_neumann, mac_grad_norm_sq, mac_norm_sq
@@ -42,12 +41,12 @@ class TestEntropyFunctional:
     def test_flat_positive_state(self, disk64, derived_linear):
         n_inf = 1.7
         st = make_state(disk64, n_inf, 0.0)
-        val = entropy_functional(st, derived_linear)
+        val = entropy_functional(Frame(st, derived_linear))
         assert val == pytest.approx(np.pi * n_inf * np.log(n_inf), rel=0.01)
 
     def test_unit_density_gives_zero(self, disk64, derived_linear):
         st = make_state(disk64, 1.0, 1.0)
-        assert entropy_functional(st, derived_linear) == pytest.approx(0.0, abs=1e-12)
+        assert entropy_functional(Frame(st, derived_linear)) == pytest.approx(0.0, abs=1e-12)
 
     def test_jensen_lower_bound(self, disk64, derived_linear):
         rng = np.random.default_rng(21)
@@ -56,7 +55,7 @@ class TestEntropyFunctional:
                                              rng.uniform(0.2, 3.0, (disk64.nx, disk64.ny)), 0.0))
             st = make_state(disk64, 1.0, 1.0)
             st.n = n
-            ent_n, _ = entropy_parts(st, derived_linear)
+            ent_n, _ = entropy_parts(Frame(st, derived_linear))
             mass = volume_integral(n, disk64)
             area = disk64.area
             assert ent_n >= mass * np.log(mass / area) - 1e-12 * abs(ent_n)
@@ -65,7 +64,7 @@ class TestEntropyFunctional:
 class TestDissipation:
     def test_uniform_state_zero(self, disk64, derived_linear):
         st = make_state(disk64, 2.0, 1.3)
-        fisher, hess = dissipation_terms(st, derived_linear)
+        fisher, hess = dissipation_terms(Frame(st, derived_linear))
         assert fisher == pytest.approx(0.0, abs=1e-20)
         assert hess == pytest.approx(0.0, abs=1e-20)
 
@@ -73,7 +72,7 @@ class TestDissipation:
         # n = 1 + 0.1 cos(pi x): integrate |grad n|^2 / n over the unit disk
         st = make_state(disk64, 1.0, 1.0)
         st.n = ScalarField.from_function(disk64, lambda x, y: 1.0 + 0.1 * np.cos(np.pi * x))
-        fisher, _ = dissipation_terms(st, derived_linear)
+        fisher, _ = dissipation_terms(Frame(st, derived_linear))
 
         def integrand(x):
             gx = -0.1 * np.pi * np.sin(np.pi * x)
@@ -86,7 +85,7 @@ class TestDissipation:
         # c(r) = 1 + 0.25 r^2(2-r^2), zeta = log(c): |D^2 zeta|^2 = zeta'' ^2 + (zeta'/r)^2
         st = make_state(disk64, 1.0, 1.0)
         st.c = ScalarField.from_function(disk64, bump_c)
-        _, hess = dissipation_terms(st, derived_linear)
+        _, hess = dissipation_terms(Frame(st, derived_linear))
 
         def integrand(r):
             c = 1.0 + 0.25 * r * r * (2.0 - r * r)
@@ -103,7 +102,7 @@ class TestDissipation:
 class TestBoundaryTerm:
     def test_constant_field(self, disk64, derived_linear):
         st = make_state(disk64, 1.0, 1.2)
-        assert boundary_term(st, derived_linear, disk64) == 0.0
+        assert boundary_term(Frame(st, derived_linear)) == 0.0
 
     def test_disk_nonpositive_for_smooth_fields(self, disk64, derived_linear, lin64):
         rng = np.random.default_rng(31)
@@ -111,19 +110,19 @@ class TestBoundaryTerm:
         for _ in range(10):
             z = random_neumann_field(disk64, lin64, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
             c = ScalarField(disk64, np.where(disk64.active, 1.0 + z.data, 0.0))
-            assert boundary_term(c, derived_linear, disk64) <= tol
+            assert boundary_term(Frame(c, derived_linear)) <= tol
 
     def test_star_values_finite(self, star64, derived_linear):
         lin = LinearSystems(star64)
         rng = np.random.default_rng(32)
         z = random_neumann_field(star64, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
         c = ScalarField(star64, np.where(star64.active, 1.0 + z.data, 0.0))
-        assert np.isfinite(boundary_term(c, derived_linear, star64))
+        assert np.isfinite(boundary_term(Frame(c, derived_linear)))
 
 
 class TestMsLemma:
     def test_constant_field_zero_residual(self, disk64):
-        rep = check_ms_lemma(ScalarField.full(disk64, 2.0), disk64)
+        rep = check_ms_lemma(Frame(ScalarField.full(disk64, 2.0)))
         assert rep.violation == 0.0
         assert rep.passed
 
@@ -134,7 +133,7 @@ class TestMsLemma:
         for h in (1 / 48, 1 / 96, 1 / 192):
             g = classify_cells(disk_domain, h)
             w = ScalarField.from_function(g, lambda x, y: (x * x + y * y) * (2 - x * x - y * y))
-            worst.append(abs(check_ms_lemma(w, g).violation))
+            worst.append(abs(check_ms_lemma(Frame(w)).violation))
         assert worst[0] > worst[1] > worst[2]
 
     def test_annulus_validates_curvature_magnitude_bound(self):
@@ -150,7 +149,7 @@ class TestMsLemma:
         for _ in range(20):
             z = random_neumann_field(g, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
             c = ScalarField(g, np.where(g.active, 1.0 + z.data, 0.0))
-            rep = check_ms_lemma(c, g, c_check=200.0)
+            rep = check_ms_lemma(Frame(c), c_check=200.0)
             assert rep.passed
             worst = max(worst, rep.violation)
             dq, qn, ok = normal_derivative_of_gradsq(c, g)
@@ -165,13 +164,13 @@ class TestMsLemma:
         for _ in range(20):
             z = random_neumann_field(star64, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
             c = ScalarField(star64, np.where(star64.active, 1.0 + z.data, 0.0))
-            rep = check_ms_lemma(c, star64, c_check=c_check)
+            rep = check_ms_lemma(Frame(c), c_check=c_check)
             assert rep.passed, rep.violation
 
 
 class TestInequality33:
     def test_constant_field(self, disk64, derived_linear):
-        rep = check_inequality_33(make_state(disk64, 1.0, 1.1), derived_linear)
+        rep = check_inequality_33(Frame(make_state(disk64, 1.0, 1.1), derived_linear))
         assert rep.lhs == pytest.approx(0.0, abs=1e-18)
         assert rep.passed
 
@@ -179,7 +178,7 @@ class TestInequality33:
         # linear model: lhs = int |grad c|^4 / c^3, rhs = (2+sqrt2)^2 int c |D^2 log c|^2
         st = make_state(disk64, 1.0, 1.0)
         st.c = ScalarField.from_function(disk64, bump_c)
-        rep = check_inequality_33(st, derived_linear)
+        rep = check_inequality_33(Frame(st, derived_linear))
 
         def lhs_int(r):
             c = 1.0 + 0.25 * r * r * (2.0 - r * r)
@@ -205,12 +204,12 @@ class TestInequality33:
         for _ in range(20):
             z = random_neumann_field(disk64, lin64, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
             c = ScalarField(disk64, np.where(disk64.active, 1.0 + z.data, 0.0))
-            rep = check_inequality_33(c, derived_linear)
+            rep = check_inequality_33(Frame(c, derived_linear))
             assert rep.lhs <= rep.rhs + rep.tolerance
 
     def test_star_reported_not_failed(self, star64, derived_linear):
         c = ScalarField.from_function(star64, lambda x, y: 1.0 + 0.2 * np.cos(2 * x))
-        rep = check_inequality_33(c, derived_linear)
+        rep = check_inequality_33(Frame(c, derived_linear))
         assert rep.passed  # non-convex domains report, never fail
         assert rep.extra["convex"] is False
 
@@ -232,9 +231,9 @@ def trajectory(disk64):
 
 
 def standalone_row(st, derived, geom, n_inf):
-    """Every diagnostics column from the public single-state functions, each on its own."""
-    ent_n, grad_psi_sq = entropy_parts(st, derived)
-    fisher, hess_rho = dissipation_terms(st, derived)
+    """Every diagnostics column from the public single-state functions, each on a fresh frame."""
+    ent_n, grad_psi_sq = entropy_parts(Frame(st, derived))
+    fisher, hess_rho = dissipation_terms(Frame(st, derived))
     cx, cy = gradient_neumann(st.c)
     n_pos = np.maximum(st.n.data, 0.0)
     return {
@@ -244,8 +243,8 @@ def standalone_row(st, derived, geom, n_inf):
         "u_l2": mac_norm_sq(st.u), "grad_u_l2": mac_grad_norm_sq(st.u),
         "psi_l2": volume_integral(np.where(geom.active, derived.psi(st.c.data) ** 2, 0.0), geom),
         "n_l65_sq": volume_integral(np.where(geom.active, n_pos ** 1.2, 0.0), geom) ** (5.0 / 3.0),
-        "boundary_term": boundary_term(st.c, derived, geom),
-        "ms_violation": check_ms_lemma(st.c, geom).violation,
+        "boundary_term": boundary_term(Frame(st.c, derived)),
+        "ms_violation": check_ms_lemma(Frame(st.c)).violation,
         "conv_n": float(np.abs(st.n.data[geom.active] - n_inf).max()),
         "u_sup": st.u.max_speed(),
         "identity_residual": 0.0,
@@ -260,37 +259,38 @@ class TestIdentityResidual:
             st = make_state(disk64, 1.5, 0.0)
             st.t = t
             states.append(st)
-        res, _, terms = entropy_identity_residual(tuple(states), derived_linear, disk64)
+        res, _, terms = entropy_identity_residual(tuple(states), derived_linear)
         assert res < 1e-12
         assert abs(terms["dEdt"]) < 1e-12
 
     def test_shared_frame_matches_standalone(self, disk64, derived_linear, trajectory):
         # one frame per state, as a run uses them, against every standalone
-        # function on the bare state: same floats, bit for bit
+        # function on a fresh frame: same floats, bit for bit; the record
+        # fills each interior row's identity residual as the next row arrives
         rec = DiagnosticsRecord(disk64, n_inf=1.0, c0_max=1.25)
-        sources = []
         for st in trajectory:
             frame = Frame(st, derived_linear)
-            row = rec.append_state(frame, derived_linear)
+            row = rec.append_state(frame)
             assert row == standalone_row(st, derived_linear, disk64, 1.0)
-            for shared, alone in ((check_ms_lemma(frame, disk64, c_check=3.0, time=st.t),
-                                   check_ms_lemma(st.c, disk64, c_check=3.0, time=st.t)),
-                                  (check_inequality_33(frame, derived_linear, time=st.t),
-                                   check_inequality_33(st, derived_linear, time=st.t))):
+            for shared, alone in ((check_ms_lemma(frame, c_check=3.0, time=st.t),
+                                   check_ms_lemma(Frame(st.c), c_check=3.0, time=st.t)),
+                                  (check_inequality_33(frame, time=st.t),
+                                   check_inequality_33(Frame(st, derived_linear), time=st.t))):
                 assert shared.row() == alone.row()
                 assert (shared.location, shared.extra) == (alone.location, alone.extra)
-            sources.append(identity_source_terms(frame))
         assert sorted(row) == sorted(COLUMNS)
-        for k in range(1, len(trajectory) - 1):
-            res, nres, terms = rec.identity_residual(k, sources[k])
+        last = len(trajectory) - 1
+        assert rec.rows[0]["identity_residual"] == rec.rows[last]["identity_residual"] == 0.0
+        for k in range(1, last):
             window = tuple(trajectory[k - 1:k + 2])
-            assert (res, nres, terms) == entropy_identity_residual(window, derived_linear, disk64)
+            _, nres, terms = entropy_identity_residual(window, derived_linear)
+            assert rec.rows[k]["identity_residual"] == nres
             assert terms["transport_grad"] != 0.0 and terms["boundary"] != 0.0
 
     def test_window_must_be_ordered(self, disk64, derived_linear):
         sts = [make_state(disk64, 1.0, 1.0) for _ in range(3)]
         with pytest.raises(ValueError):
-            entropy_identity_residual(tuple(sts), derived_linear, disk64)
+            entropy_identity_residual(tuple(sts), derived_linear)
 
 
 class TestPointwiseHessian:

@@ -32,11 +32,29 @@ def test_grid_bad_magic(tmp_path):
         read_grid(path)
 
 
+MALFORMED_GRIDS = {
+    # "1.0 2.0\n" is 8 bytes, one raw float64, still not 3x3 values
+    "short_text": b"# chemofluid grid 1\n3 3\n0 1 0 1\n1.0 2.0\n",
+    "short_text_odd_bytes": b"# chemofluid grid 1\n4 4\n0 1 0 1\n1 2 3\n",
+    "short_binary": b"# chemofluid grid 1\n2 2\n0 1 0 1\n" + np.zeros(3, "<f8").tobytes(),
+    "no_magic": b"hello\n2 2\n0 1 0 1\n1 2 3 4\n",
+    "one_dim": b"# chemofluid grid 1\n2\n0 1 0 1\n1 2 3 4\n",
+    "three_dims": b"# chemofluid grid 1\n2 2 2\n0 1 0 1\n1 2 3 4\n",
+    "float_dims": b"# chemofluid grid 1\n2.5 2\n0 1 0 1\n1 2 3 4 5\n",
+    "zero_dim": b"# chemofluid grid 1\n0 2\n0 1 0 1\n\n",
+    "negative_dims": b"# chemofluid grid 1\n-2 -2\n0 1 0 1\n1 2 3 4\n",
+    "bbox_text": b"# chemofluid grid 1\n2 2\n0 1 zero 1\n1 2 3 4\n",
+    "bbox_short": b"# chemofluid grid 1\n2 2\n0 1 0\n1 2 3 4\n",
+    "empty": b"",
+}
+
+
 def test_grid_truncated(tmp_path):
-    path = tmp_path / "short.txt"
-    path.write_text("# chemofluid grid 1\n3 3\n0 1 0 1\n1.0 2.0\n")
-    with pytest.raises(FormatError):
-        read_grid(path)
+    for name, body in MALFORMED_GRIDS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(body)
+        with pytest.raises(FormatError):
+            read_grid(path)
 
 
 def test_state_roundtrip(tmp_path, disk64):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chemofluid.fields import ScalarField, VectorField, divergence
+from chemofluid.fields import ScalarField, VectorField, divergence, laplacian_neumann
 from chemofluid.geometry import LevelSetDomain, classify_cells, volume_integral
 from chemofluid.model import linear_model
 from chemofluid.solver import (
@@ -327,6 +327,38 @@ def direct_system(lin, name, dt, rng):
     rhs[g.interior] = b
     x = lin.pressure_solve(ScalarField(g, rhs)).data[g.interior]
     return lin.L_pressure / h2, b, x
+
+
+class TestOperatorConsistency:
+    """The assembled matrices are the explicit stencils the steps use."""
+
+    @pytest.fixture(params=["two_disks", "star"])
+    def lin(self, request):
+        if request.param == "two_disks":
+            return LinearSystems(request.getfixturevalue("two_disks"))
+        return LinearSystems(classify_cells(LevelSetDomain.star(3, 0.4), 1.0 / 64.0))
+
+    def test_helmholtz_operator_is_the_flux_laplacian(self, lin):
+        g = lin.geom
+        s = ScalarField(g, np.where(g.active, np.random.default_rng(3).random((g.nx, g.ny)), 0.0))
+        want = (laplacian_neumann(s).data * g.cell_vol)[g.active]
+        got = lin.L_scalar @ s.data[g.active]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_pressure_operator_is_div_of_the_projection_gradient(self, lin):
+        # the fluid-face gradient exactly as step_u subtracts it
+        g = lin.geom
+        p = np.where(g.interior, np.random.default_rng(4).random((g.nx, g.ny)), 0.0)
+        grad = VectorField.zeros(g)
+        grad.u[1:-1, :] = np.where(g.fluid_face_x[1:-1, :], (p[1:, :] - p[:-1, :]) / g.h, 0.0)
+        grad.v[:, 1:-1] = np.where(g.fluid_face_y[:, 1:-1], (p[:, 1:] - p[:, :-1]) / g.h, 0.0)
+        want = divergence(grad).data[g.interior]
+        got = lin.L_pressure @ p[g.interior] / (g.h * g.h)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_viscous_faces_have_at_most_four_neighbours(self, lin):
+        for adj in (lin.adj_u, lin.adj_v):
+            assert adj.sum(axis=1).max() <= 4
 
 
 class TestDirectSolves:
