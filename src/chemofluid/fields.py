@@ -194,12 +194,13 @@ def advect_conservative(s: ScalarField, vel: VectorField) -> ScalarField:
     g = s.geom
     d = s.data
     h = g.h
-    sWx = np.vstack([d[:1], d])          # west cell of each x-face
-    sEx = np.vstack([d, d[-1:]])
-    fx = g.aperture_x * h * vel.u * np.where(vel.u >= 0.0, sWx, sEx)
-    sSy = np.hstack([d[:, :1], d])
-    sNy = np.hstack([d, d[:, -1:]])
-    fy = g.aperture_y * h * vel.v * np.where(vel.v >= 0.0, sSy, sNy)
+    # the edge faces border the exterior margin (aperture 0) and carry no flux
+    fx = np.zeros((g.nx + 1, g.ny))
+    ux = vel.u[1:-1, :]
+    fx[1:-1, :] = g.aperture_x[1:-1, :] * h * ux * np.where(ux >= 0.0, d[:-1, :], d[1:, :])
+    fy = np.zeros((g.nx, g.ny + 1))
+    vy = vel.v[:, 1:-1]
+    fy[:, 1:-1] = g.aperture_y[:, 1:-1] * h * vy * np.where(vy >= 0.0, d[:, :-1], d[:, 1:])
     net = fx[1:, :] - fx[:-1, :] + fy[:, 1:] - fy[:, :-1]
     out = np.zeros_like(d)
     np.divide(-net, g.cell_vol, out=out, where=g.active)

@@ -51,18 +51,12 @@ def write_grid(path, values: np.ndarray, bbox, binary: bool = False):
                 fh.write(" ".join("%.17e" % v for v in row) + "\n")
 
 
-def read_grid(path):
-    """Returns (values, bbox); values[i, j] indexed x-first.
-
-    Raises FormatError for a malformed header (dims that are not two positive
-    ints, a bbox that is not four numbers) or a body that is neither nx*ny
-    text values nor 8*nx*ny raw bytes.
-    """
-    with open(path, "rb") as fh:
-        magic, dims, bbox_text = (fh.readline().decode(errors="replace").strip() for _ in range(3))
-        rest = fh.read()
-    if magic != GRID_MAGIC:
-        raise FormatError(f"{path}: not a grid file (header {magic!r})")
+def _read_header(fh, path, magic: str):
+    """(nx, ny, bbox) of a binary-mode file: FormatError unless its first line is
+    magic, its dims two positive ints and its bbox four numbers."""
+    first, dims, bbox_text = (fh.readline().decode(errors="replace").strip() for _ in range(3))
+    if first != magic:
+        raise FormatError(f"{path}: expected header {magic!r}, found {first!r}")
     try:
         nx, ny = (int(v) for v in dims.split())
     except ValueError:
@@ -75,10 +69,27 @@ def read_grid(path):
         bbox = ()
     if len(bbox) != 4:
         raise FormatError(f"{path}: bbox must be 4 numbers, found {bbox_text!r}")
+    return nx, ny, bbox
+
+
+def _text_values(raw: bytes):
+    """The whitespace-separated numbers of raw as a float array, or None."""
     try:
-        rows = np.array(rest.decode("ascii").split(), dtype=float)
+        return np.array(raw.decode("ascii").split(), dtype=float)
     except (UnicodeDecodeError, ValueError):
-        rows = None
+        return None
+
+
+def read_grid(path):
+    """Returns (values, bbox); values[i, j] indexed x-first.
+
+    Raises FormatError for a malformed header or a body that is neither nx*ny
+    text values nor 8*nx*ny raw bytes.
+    """
+    with open(path, "rb") as fh:
+        nx, ny, bbox = _read_header(fh, path, GRID_MAGIC)
+        rest = fh.read()
+    rows = _text_values(rest)
     if rows is None or rows.size != nx * ny:
         if len(rest) != 8 * nx * ny:
             raise FormatError(f"{path}: expected {nx * ny} text values or {8 * nx * ny} "
@@ -103,21 +114,22 @@ def save_state(path, state: SimState):
 
 
 def load_state(path, geom: GridGeometry) -> SimState:
-    with open(path) as fh:
-        if fh.readline().strip() != STATE_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file")
-        nx, ny = (int(v) for v in fh.readline().split())
-        if (nx, ny) != (geom.nx, geom.ny):
-            raise FormatError(f"{path}: grid {nx}x{ny} does not match geometry "
-                              f"{geom.nx}x{geom.ny}")
-        bbox = tuple(float(v) for v in fh.readline().split())
-        if any(abs(a - b) > 1e-12 for a, b in zip(bbox, geom.bbox)):
-            raise FormatError(f"{path}: bounding box mismatch")
-        t = float(fh.readline())
-        flat = np.array(fh.read().split(), dtype=float)
+    """The checkpoint at path on geom; FormatError for a malformed or foreign file."""
+    with open(path, "rb") as fh:
+        nx, ny, bbox = _read_header(fh, path, STATE_MAGIC)
+        t_line = fh.readline()
+        flat = _text_values(fh.read())
+    if (nx, ny) != (geom.nx, geom.ny):
+        raise FormatError(f"{path}: grid {nx}x{ny} does not match geometry "
+                          f"{geom.nx}x{geom.ny}")
+    if not all(abs(a - b) <= 1e-12 for a, b in zip(bbox, geom.bbox)):
+        raise FormatError(f"{path}: bounding box mismatch")
+    t = _text_values(t_line)
+    if t is None or t.size != 1:
+        raise FormatError(f"{path}: time must be one number, found {t_line[:40]!r}")
     sizes = [nx * ny, nx * ny, (nx + 1) * ny, nx * (ny + 1), nx * ny]
-    if flat.size != sum(sizes):
-        raise FormatError(f"{path}: expected {sum(sizes)} values, found {flat.size}")
+    if flat is None or flat.size != sum(sizes):
+        raise FormatError(f"{path}: expected {sum(sizes)} numeric values")
     blocks = []
     off = 0
     for size, shape in zip(sizes, [(nx, ny), (nx, ny), (nx + 1, ny), (nx, ny + 1), (nx, ny)]):
@@ -125,4 +137,4 @@ def load_state(path, geom: GridGeometry) -> SimState:
         off += size
     n, c, uu, vv, p = blocks
     return SimState(ScalarField(geom, n), ScalarField(geom, c),
-                    VectorField(geom, uu, vv), ScalarField(geom, p), t)
+                    VectorField(geom, uu, vv), ScalarField(geom, p), float(t[0]))

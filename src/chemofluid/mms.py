@@ -165,7 +165,7 @@ def run_manufactured(ms: ManufacturedSolution, n_side: int, end_time: float,
     side = dom.bbox[1] - dom.bbox[0]
     g = classify_cells(dom, side / n_side)
     dt = dt_ratio * g.h
-    cfg = SolverConfig(dt_max=dt, end_time=end_time, check_invariants=False)
+    cfg = SolverConfig(dt_max=dt, end_time=end_time)
     lin = LinearSystems(g)
     X, Y = g.cell_centers()
     Xu, Yu = np.meshgrid(g.xn, g.yc, indexing="ij")

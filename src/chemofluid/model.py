@@ -241,7 +241,6 @@ class DerivedScalars:
         from scipy.interpolate import CubicHermiteSpline
         self.model = model
         self.c_floor = float(c_floor)
-        self.c_max = float(c_max)
         self.top = float(top)
         self._psi_t = CubicHermiteSpline(t, psi_tab, dpsi_dt(t))
         self._rho_l = CubicHermiteSpline(ell, rho_tab, drho_dl(ell))
@@ -249,11 +248,6 @@ class DerivedScalars:
         self._l_knots = ell
         self._psi_tab = psi_tab
         self._rho_tab = rho_tab
-        # g' bounds on the physically visited range [0, c_max]
-        span = np.linspace(0.0, c_max, 10_000)
-        gps = model.g_prime(span)
-        self.g_prime_min = float(gps.min())
-        self.g_prime_max = float(gps.max())
 
     # -- evaluation helpers (all clamp to the table range) ---------------
 

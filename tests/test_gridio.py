@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chemofluid.fields import ScalarField, VectorField
+from chemofluid.geometry import LevelSetDomain, classify_cells
 from chemofluid.gridio import FormatError, load_state, read_grid, save_state, write_grid
 from chemofluid.solver import SimState
 
@@ -83,3 +84,46 @@ def test_state_grid_mismatch(tmp_path, disk64, star64):
     save_state(path, st)
     with pytest.raises(FormatError):
         load_state(path, star64)
+
+
+# each edits the lines (bytes, no newline) of a valid checkpoint
+MALFORMED_STATES = {
+    "no_magic": lambda ls: [b"# chemofluid grid 1"] + ls[1:],
+    "one_dim": lambda ls: [ls[0], ls[1].split()[0]] + ls[2:],
+    "float_dims": lambda ls: [ls[0], b"32.5 32"] + ls[2:],
+    "text_dims": lambda ls: [ls[0], b"nx ny"] + ls[2:],
+    "negative_dims": lambda ls: [ls[0], b"-32 -32"] + ls[2:],
+    "bbox_three_numbers": lambda ls: ls[:2] + [b" ".join(ls[2].split()[:3])] + ls[3:],
+    "bbox_text": lambda ls: ls[:2] + [b"-1.2 1.2 low 1.2"] + ls[3:],
+    "bbox_nan": lambda ls: ls[:2] + [b"nan nan nan nan"] + ls[3:],
+    "time_text": lambda ls: ls[:3] + [b"soon"] + ls[4:],
+    "time_two_numbers": lambda ls: ls[:3] + [b"0.0 1.0"] + ls[4:],
+    "time_missing": lambda ls: ls[:3],
+    "body_text": lambda ls: ls[:4] + [b"one two"] + ls[5:],
+    "body_short": lambda ls: ls[:-1],
+    "body_binary": lambda ls: ls[:4] + [np.zeros(5 * 32 * 32 + 64, "<f8").tobytes()],
+    "binary_bytes": lambda ls: [bytes(range(256))],
+    "empty": lambda ls: [],
+}
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A 32x32 disk grid and the lines of a valid checkpoint on it."""
+    g = classify_cells(LevelSetDomain.disk(1.0), 2.4 / 32)
+    assert (g.nx, g.ny) == (32, 32)
+    st = SimState(ScalarField.full(g, 1.0), ScalarField.full(g, 0.5),
+                  VectorField.zeros(g), ScalarField.zeros(g), 0.25)
+    path = tmp_path_factory.mktemp("ckpt") / "state.txt"
+    save_state(path, st)
+    assert load_state(path, g).t == 0.25
+    return g, path.read_bytes().split(b"\n")[:-1]
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_STATES))
+def test_state_malformed(tmp_path, small_checkpoint, name):
+    g, lines = small_checkpoint
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(b"\n".join(MALFORMED_STATES[name](lines)) + b"\n")
+    with pytest.raises(FormatError):
+        load_state(path, g)

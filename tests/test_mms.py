@@ -121,6 +121,21 @@ class TestManufactured:
         assert len(dts) == math.ceil(end_time / dt - 1e-9)
         assert sum(dts) == pytest.approx(end_time, rel=1e-12)
 
+    def test_every_step_is_checked(self, monkeypatch):
+        # the runs compared against an exact solution keep the invariant guard
+        import chemofluid.solver as solver
+        checked = []
+        check = solver._check_state
+
+        def counting_check(state, dt):
+            checked.append(dt)
+            check(state, dt)
+
+        monkeypatch.setattr(solver, "_check_state", counting_check)
+        errs = run_manufactured(build_manufactured(), 32, 0.05)
+        assert errs["steps"] > 0
+        assert len(checked) == errs["steps"]
+
     @pytest.mark.parametrize("params", list(PARAMETER_SETS))
     def test_polynomials_match_sympy_reference(self, params):
         kwargs = PARAMETER_SETS[params]

@@ -104,10 +104,6 @@ class TestDerivedScalars:
             rel = np.abs(num - exact(pts)) / np.abs(exact(pts))
             assert rel.max() < 1e-7
 
-    def test_g_prime_bounds_linear(self, derived_linear):
-        assert derived_linear.g_prime_min == pytest.approx(1.0)
-        assert derived_linear.g_prime_max == pytest.approx(1.0)
-
     def test_saturating_against_quadrature(self):
         der = build_derived(saturating_model(), 1e-10, 1.5)
         g = lambda s: s / (1.0 + s)
