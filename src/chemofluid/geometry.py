@@ -438,7 +438,8 @@ def _wet_polygon_area(corners, phis):
 def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
     """Build the embedded-boundary grid geometry at spacing h.
 
-    Raises DomainError for empty interiors or missing bounding-box margin
+    Raises DomainError for a bounding box that does not tile into square
+    cells of side about h, empty interiors or missing bounding-box margin
     (at least 2 exterior cells on every side), ResolutionError when a cut
     cell carries more than two edge crossings, and SingularGradientError
     when |grad phi| degenerates on the boundary band.
@@ -453,7 +454,8 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
         raise ResolutionError(f"need at least 16 cells per side, got {nx} x {ny}")
     hx, hy = w / nx, ht / ny
     if abs(hx - hy) > 1e-12 * max(hx, hy):
-        raise ValueError("bounding box does not tile into square cells at this h")
+        raise DomainError(f"bounding box {domain.bbox} does not tile into square cells "
+                          f"of side {h:.6g}: {w / h:.6g} x {ht / h:.6g} cells")
     h = hx
 
     xn = xlo + np.arange(nx + 1) * h

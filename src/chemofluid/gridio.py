@@ -1,16 +1,18 @@
-"""Flat grid file format and simulation checkpoints.
+"""Flat grid files and simulation checkpoints, written by one binary writer.
 
-A grid file holds one scalar block sampled on a regular grid over a bounding
-box. Text layout:
+Both start with a text header, then hold raw little-endian float64 blocks,
+each in rows of y with x fastest:
 
-    # chemofluid grid 1
-    nx ny
-    xlo xhi ylo yhi
-    <ny rows, each with nx values, x fastest within a row>
+    # chemofluid grid 1              # chemofluid state 2
+    nx ny                            nx ny
+    xlo xhi ylo yhi                  xlo xhi ylo yhi
+    <one block, nx by ny>            t
+                                     <blocks n, c, u, v, p>
 
-The binary variant replaces the value rows with raw little-endian float64 in
-the same order. Checkpoints serialize a full simulation state (grid header,
-time, then blocks n, c, u, v, p).
+A grid file holds one scalar sampled on a regular grid over the bounding box;
+read_grid also accepts a text body of ny rows of nx values, since grid files
+come from outside the program. A checkpoint holds a full simulation state;
+docs/csv_schema.md lists its block shapes. Both writes are atomic.
 """
 
 from __future__ import annotations
@@ -24,31 +26,29 @@ from chemofluid.geometry import GridGeometry
 from chemofluid.solver import SimState
 
 GRID_MAGIC = "# chemofluid grid 1"
-STATE_MAGIC = "# chemofluid state 1"
+STATE_MAGIC = "# chemofluid state 2"
 
 
 class FormatError(ValueError):
     """Malformed grid or checkpoint file."""
 
 
-def _values_to_rows(values: np.ndarray) -> np.ndarray:
-    # values[i, j] with i the x index; file rows iterate y, x fastest
-    return values.T
+def _write(path, magic: str, shape, bbox, blocks, *header_lines):
+    """Atomically write the header (magic, dims, bbox, header_lines), then each
+    block (indexed x-first) as raw little-endian float64, rows of y, x fastest."""
+    nx, ny = shape
+    header = [magic, f"{nx} {ny}", " ".join("%.17g" % b for b in bbox), *header_lines]
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        for block in blocks:
+            fh.write(np.asarray(block, dtype="<f8").T.tobytes())
+    os.replace(tmp, path)
 
 
-def write_grid(path, values: np.ndarray, bbox, binary: bool = False):
+def write_grid(path, values: np.ndarray, bbox):
     values = np.asarray(values, dtype=float)
-    nx, ny = values.shape
-    header = f"{GRID_MAGIC}\n{nx} {ny}\n" + " ".join("%.17g" % b for b in bbox) + "\n"
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(header.encode())
-            fh.write(_values_to_rows(values).astype("<f8").tobytes())
-    else:
-        with open(path, "w") as fh:
-            fh.write(header)
-            for row in _values_to_rows(values):
-                fh.write(" ".join("%.17e" % v for v in row) + "\n")
+    _write(path, GRID_MAGIC, values.shape, bbox, [values])
 
 
 def _read_header(fh, path, magic: str):
@@ -100,17 +100,8 @@ def read_grid(path):
 
 def save_state(path, state: SimState):
     g = state.n.geom
-    lines = [STATE_MAGIC,
-             f"{g.nx} {g.ny}",
-             " ".join("%.17g" % b for b in g.bbox),
-             "%.17e" % state.t]
-    for block in (state.n.data, state.c.data, state.u.u, state.u.v, state.p.data):
-        for row in block.T:
-            lines.append(" ".join("%.17e" % v for v in row))
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    blocks = (state.n.data, state.c.data, state.u.u, state.u.v, state.p.data)
+    _write(path, STATE_MAGIC, (g.nx, g.ny), g.bbox, blocks, "%.17e" % state.t)
 
 
 def load_state(path, geom: GridGeometry) -> SimState:
@@ -118,23 +109,22 @@ def load_state(path, geom: GridGeometry) -> SimState:
     with open(path, "rb") as fh:
         nx, ny, bbox = _read_header(fh, path, STATE_MAGIC)
         t_line = fh.readline()
-        flat = _text_values(fh.read())
+        body = fh.read()
     if (nx, ny) != (geom.nx, geom.ny):
         raise FormatError(f"{path}: grid {nx}x{ny} does not match geometry "
                           f"{geom.nx}x{geom.ny}")
     if not all(abs(a - b) <= 1e-12 for a, b in zip(bbox, geom.bbox)):
         raise FormatError(f"{path}: bounding box mismatch")
     t = _text_values(t_line)
-    if t is None or t.size != 1:
-        raise FormatError(f"{path}: time must be one number, found {t_line[:40]!r}")
-    sizes = [nx * ny, nx * ny, (nx + 1) * ny, nx * (ny + 1), nx * ny]
-    if flat is None or flat.size != sum(sizes):
-        raise FormatError(f"{path}: expected {sum(sizes)} numeric values")
-    blocks = []
-    off = 0
-    for size, shape in zip(sizes, [(nx, ny), (nx, ny), (nx + 1, ny), (nx, ny + 1), (nx, ny)]):
-        blocks.append(flat[off:off + size].reshape(shape[1], shape[0]).T.copy())
-        off += size
-    n, c, uu, vv, p = blocks
+    if t is None or t.size != 1 or not np.isfinite(t[0]) or t[0] < 0.0:
+        raise FormatError(f"{path}: time must be one finite number >= 0, found {t_line[:40]!r}")
+    shapes = [(nx, ny), (nx, ny), (nx + 1, ny), (nx, ny + 1), (nx, ny)]
+    ends = np.cumsum([a * b for a, b in shapes])
+    if len(body) != 8 * ends[-1]:
+        raise FormatError(f"{path}: expected {8 * ends[-1]} bytes of float64 blocks, "
+                          f"found {len(body)}")
+    flat = np.frombuffer(body, dtype="<f8")
+    n, c, uu, vv, p = (flat[end - a * b:end].reshape(b, a).T.copy()
+                       for (a, b), end in zip(shapes, ends))
     return SimState(ScalarField(geom, n), ScalarField(geom, c),
                     VectorField(geom, uu, vv), ScalarField(geom, p), float(t[0]))

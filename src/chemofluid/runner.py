@@ -14,7 +14,8 @@ state is copied or held. Artifacts under the output directory:
     inequalities.csv   one row per inequality evaluation
     summary.json       RunSummary, written atomically at the end
     config.txt         the fully resolved configuration
-    snap_XXXX.txt      optional checkpoints (output.snapshot_every)
+    snap_XXXX.bin      optional binary checkpoints (output.snapshot_every),
+                       readable with gridio.load_state
 
 Randomized inequality scans share the CSV conventions; with a fixed seed all
 artifacts are byte-identical across repeated invocations.
@@ -47,6 +48,7 @@ from chemofluid.diagnostics import (
 )
 from chemofluid.fields import ScalarField
 from chemofluid.geometry import volume_integral
+from chemofluid.gridio import save_state
 from chemofluid.model import build_derived, default_c_floor, validate_assumptions
 from chemofluid.solver import LinearSystems, SolverAbort, StepClock, cfl_dt, quantize_dt, step
 
@@ -131,8 +133,7 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
         ineq_rows.append(check_ms_lemma(frame, c_check=rc["check.ms_c"], time=st.t))
         ineq_rows.append(check_inequality_33(frame, time=st.t))
         if snap_every and index % snap_every == 0:
-            from chemofluid.gridio import save_state
-            save_state(out / f"snap_{index:04d}.txt", st)
+            save_state(out / f"snap_{index:04d}.bin", st)
         timings["diagnostics"] += time.perf_counter() - t_diag
 
     emit(state, 0)

@@ -122,6 +122,17 @@ class TestCliExitCodes:
             assert main(["check-geometry", "--config", cfg]) == 4
             assert "configuration error" in capsys.readouterr().err
 
+    def test_non_tiling_sampled_domain_is_config_error(self, tmp_path, capsys):
+        # 2.4 / 48 = 0.05 across, but the 2.06-high box holds 41.2 such cells
+        from chemofluid.gridio import write_grid
+        X, Y = np.meshgrid(np.linspace(-1.2, 1.2, 49), np.linspace(-1.03, 1.03, 43),
+                           indexing="ij")
+        grid = tmp_path / "phi.bin"
+        write_grid(grid, X * X + Y * Y - 0.64, (-1.2, 1.2, -1.03, 1.03))
+        cfg = write_cfg(tmp_path, f"domain.shape = sampled\ndomain.path = {grid}\ngrid.n = 48\n")
+        assert main(["check-geometry", "--config", cfg]) == 4
+        assert "does not tile into square cells" in capsys.readouterr().err
+
     def test_unprobeable_boundary_is_config_error(self, tmp_path, capsys):
         # a thin annulus at 32^2: no boundary segment has room for two probes,
         # so every boundary diagnostic would be undefined
@@ -190,7 +201,7 @@ output.every_time = 0.5
         from chemofluid.gridio import load_state
         cfg = write_cfg(tmp_path, SMALL_RUN + "output.snapshot_every = 5\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        snaps = sorted((tmp_path / "o").glob("snap_*.txt"))
+        snaps = sorted((tmp_path / "o").glob("snap_*.bin"))
         assert snaps
         rc = RunConfig.from_file(cfg)
         geom = rc.build_geometry()

@@ -465,3 +465,63 @@ class TestTransportStencils:
         got = advect_conservative(s, vel).data[g.active]
         want = reference_advect_conservative(s, vel).data[g.active]
         assert np.array_equal(got, want)
+
+
+class TestTransportDirection:
+    """Each transport term moves its field along u, not against it or not at all."""
+
+    A, S = 0.5, 0.3   # counter-clockwise vortex psi = A exp(-r^2 / S)
+    X0 = 0.4          # the bump sits at (X0, 0), where u = (0, 2 A X0 / S exp(-X0^2 / S))
+
+    def vortex_and_bump(self, g):
+        vortex = VectorField.from_stream(g, lambda x, y: self.A * np.exp(-(x * x + y * y) / self.S))
+        X, Y = g.cell_centers()
+        bump = np.where(g.active, np.exp(-((X - self.X0) ** 2 + Y ** 2) / 0.01), 0.0)
+        return vortex, bump
+
+    def assert_moved_along_u(self, g, before, after, dt):
+        X, Y = g.cell_centers()
+
+        def centroid(f):
+            w = f * g.cell_vol
+            return np.array([(w * X).sum(), (w * Y).sum()]) / w.sum()
+
+        u_bump = np.array([0.0, 2 * self.A * self.X0 / self.S * np.exp(-self.X0 ** 2 / self.S)])
+        moved = float((centroid(after) - centroid(before)) @ u_bump)
+        assert 0.8 < moved / (dt * float(u_bump @ u_bump)) < 1.2
+
+    def test_c_moves_with_u(self, grid96, systems96):
+        vortex, bump = self.vortex_and_bump(grid96)
+        st = SimState(ScalarField.zeros(grid96), ScalarField(grid96, bump), vortex,
+                      ScalarField.zeros(grid96), 0.0)     # n = 0: no consumption
+        c_new = step_c(st, 0.02, linear_model(), systems96, 1e-10)
+        self.assert_moved_along_u(grid96, bump, c_new.data, 0.02)
+
+    def test_n_moves_with_u(self, grid96, systems96):
+        vortex, bump = self.vortex_and_bump(grid96)
+        flat = ScalarField.full(grid96, 1.0)               # flat c: no chemotactic drift
+        st = SimState(ScalarField(grid96, flat.data + bump), flat, vortex,
+                      ScalarField.zeros(grid96), 0.0)
+        n_new = step_n(st, flat, 0.02, linear_model(), systems96)
+        self.assert_moved_along_u(grid96, bump, n_new.data - flat.data, 0.02)
+
+    def test_u_gains_the_mac_advection(self, grid96, systems96):
+        # an elliptic vortex: its (u.grad)u is no pure gradient, so part of it
+        # survives the projection (for a circular vortex almost none does)
+        u0 = VectorField.from_stream(grid96, lambda x, y: 0.5 * np.exp(-(x * x / 0.3 + y * y / 0.1)))
+        dt, flat = 0.01, ScalarField.full(grid96, 1.0)
+        st = SimState(ScalarField.zeros(grid96), flat, u0, ScalarField.zeros(grid96), 0.0)
+        with_adv, _ = step_u(st, st.n, dt, linear_model(G=0.0, kappa_ns=1.0), systems96)
+        without, _ = step_u(st, st.n, dt, linear_model(G=0.0, kappa_ns=0.0), systems96)
+        adv = _mac_advection(u0, 1.0)
+        rest = SimState(st.n, flat, VectorField.zeros(grid96), ScalarField.zeros(grid96), 0.0)
+        pushed, _ = step_u(rest, rest.n, dt, linear_model(G=0.0, kappa_ns=0.0), systems96,
+                           source_u=adv.u, source_v=adv.v)
+        fx, fy = grid96.fluid_face_x, grid96.fluid_face_y
+
+        def inner(a, b):
+            return float((a.u[fx] * b.u[fx]).sum() + (a.v[fy] * b.v[fy]).sum())
+
+        change = VectorField(grid96, with_adv.u - without.u, with_adv.v - without.v)
+        assert inner(pushed, pushed) > 0.01 * dt * dt * inner(adv, adv)
+        assert inner(change, pushed) > 0.5 * inner(pushed, pushed)
