@@ -46,7 +46,6 @@ import numpy as np
 
 from chemofluid.fields import (
     ScalarField,
-    bilinear_sample,
     cell_centered_velocity,
     gradient_neumann,
     hessian,
@@ -61,6 +60,9 @@ from chemofluid.solver import LinearSystems, SimState
 
 LOG_CLAMP = 1e-30
 HESSIAN_CONST = (2.0 + np.sqrt(2.0)) ** 2   # dimension-2 constant of the integral inequality
+I33_TOL_REL = 0.1          # relative tolerance of the quartic-gradient inequality
+ENERGY_TOL_SCALE = 1e-6    # slack of the entropy-energy fit, relative to its term scale
+TAIL_SLACK_REL = 1e-9      # rise a monotone tail may show, relative to the series peak
 
 
 @dataclass
@@ -145,17 +147,15 @@ class Frame:
     @cached_property
     def boundary_probes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d|grad c|^2/dnu, |grad c|^2 near the wall, valid) per segment."""
-        return normal_derivative_of_gradsq(self.c, self.geom, gradsq=self.grad_c2)
+        return normal_derivative_of_gradsq(self.c, gradsq=self.grad_c2)
 
     @cached_property
     def c_seg(self) -> np.ndarray:
         """Chemoattractant sampled just inside each segment (fallback: host cell)."""
         geom = self.geom
-        px = geom.seg_mid[:, 0] - 1.5 * geom.h * geom.seg_normal[:, 0]
-        py = geom.seg_mid[:, 1] - 1.5 * geom.h * geom.seg_normal[:, 1]
-        vals, ok = bilinear_sample(geom, self.c.data, px, py)
+        stencil = geom.seg_sample
         host = self.c.data[geom.seg_cell[:, 0], geom.seg_cell[:, 1]]
-        return np.where(ok, vals, host)
+        return np.where(stencil.valid, stencil.sample(self.c.data), host)
 
     @cached_property
     def boundary_integrand(self) -> np.ndarray:
@@ -231,7 +231,7 @@ def check_ms_lemma(f: Frame, c_check: float = 1.0, time: float = 0.0) -> Inequal
         extra={"skipped_segments": int((~valid).sum()), "kappa_max": geom.kappa_max})
 
 
-def check_inequality_33(f: Frame, tol_rel: float = 0.1, time: float = 0.0) -> InequalityReport:
+def check_inequality_33(f: Frame, time: float = 0.0) -> InequalityReport:
     """int g'/g^3 |grad c|^4 <= (2+sqrt(2))^2 int (g/g') |D^2 rho(c)|^2.
 
     Cells with c below the floor are masked out of both quadratures (the
@@ -244,7 +244,7 @@ def check_inequality_33(f: Frame, tol_rel: float = 0.1, time: float = 0.0) -> In
     gc, gp = f.g, f.g_prime
     lhs = volume_integral(np.where(mask, gp / gc ** 3 * f.grad_c2 ** 2, 0.0), g)
     rhs = HESSIAN_CONST * volume_integral(np.where(mask, gc / gp * f.rho_hessian_sq, 0.0), g)
-    tol = tol_rel * rhs + 1e-12
+    tol = I33_TOL_REL * rhs + 1e-12
     violation = lhs - rhs
     passed = (lhs <= rhs + tol) or (not g.is_convex)
     masked_frac = 1.0 - float(mask.sum()) / float(g.active.sum())
@@ -429,7 +429,7 @@ def _centered_dt(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (ys[2:] - ys[:-2]) / (ts[2:] - ts[:-2])
 
 
-def check_energy_inequality(record: DiagnosticsRecord, tol_scale: float = 1e-6) -> InequalityReport:
+def check_energy_inequality(record: DiagnosticsRecord) -> InequalityReport:
     """Fit the smallest C >= 0 with dE/dt + fisher + hess_rho/2 <= C (||grad u||^2 + ||psi(c)||^2).
 
     The fit is the max over interior output times of LHS+/RHS; the remaining
@@ -448,13 +448,13 @@ def check_energy_inequality(record: DiagnosticsRecord, tol_scale: float = 1e-6) 
     ratios = np.where(usable, np.maximum(lhs, 0.0) / np.maximum(rhs, 1e-300), 0.0)
     C = float(ratios.max(initial=0.0))
     slack = float(np.maximum(lhs - C * rhs, 0.0).max(initial=0.0))
-    stranded = np.any(~usable & (lhs > tol_scale * scale))
-    passed = (not stranded) and np.isfinite(C) and slack <= tol_scale * scale
-    k = int(np.argmax(ratios)) if len(ratios) else 0
+    stranded = np.any(~usable & (lhs > ENERGY_TOL_SCALE * scale))
+    passed = (not stranded) and np.isfinite(C) and slack <= ENERGY_TOL_SCALE * scale
+    k = int(np.argmax(ratios))
     return InequalityReport(
-        id="entropy_energy", time=float(ts[1:-1][k]) if len(ts) > 2 else 0.0,
+        id="entropy_energy", time=float(ts[1:-1][k]),
         lhs=float(lhs[k]), rhs=float(rhs[k]), violation=slack,
-        tolerance=tol_scale * scale, passed=bool(passed),
+        tolerance=ENERGY_TOL_SCALE * scale, passed=bool(passed),
         extra={"C": C})
 
 
@@ -475,10 +475,10 @@ def check_velocity_energy(record: DiagnosticsRecord, grad_phi_inf: float) -> Ine
     grad_u_time_integral = float(np.trapezoid(record.column("grad_u_l2"), ts))
     scale = float(np.abs(lhs).max(initial=0.0)) + 1e-300
     stranded = np.any(~usable & (lhs > 1e-9 * scale))
-    k = int(np.argmax(ratios)) if len(ratios) else 0
+    k = int(np.argmax(ratios))
     return InequalityReport(
-        id="velocity_energy", time=float(ts[1:-1][k]) if len(ts) > 2 else 0.0,
-        lhs=float(lhs[k]), rhs=float(C * denom[k]) if len(ratios) else 0.0,
+        id="velocity_energy", time=float(ts[1:-1][k]),
+        lhs=float(lhs[k]), rhs=float(C * denom[k]),
         violation=0.0, tolerance=0.0, passed=bool(np.isfinite(C) and not stranded),
         extra={"C": C, "grad_u_time_integral": grad_u_time_integral,
                "u_l2_final": float(K[-1])})
@@ -502,11 +502,11 @@ class ConvergenceVerdict:
                 f"c_max monotone: {self.c_max_monotone}")
 
 
-def _tail_monotone(series: np.ndarray, rel_slack: float = 1e-9) -> bool:
+def _tail_monotone(series: np.ndarray) -> bool:
     tail = series[len(series) // 2:]
     if len(tail) < 2:
         return True
-    slack = rel_slack * float(np.abs(series).max(initial=0.0)) + 1e-300
+    slack = TAIL_SLACK_REL * float(np.abs(series).max(initial=0.0)) + 1e-300
     return bool(np.all(np.diff(tail) <= slack))
 
 

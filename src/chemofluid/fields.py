@@ -219,7 +219,8 @@ def chemotactic_face_velocity(c: ScalarField, chi: Callable) -> VectorField:
     """Drift velocity chi(c) * grad(c) at faces, zero through the boundary.
 
     The face gradient is the two-cell difference; chi is evaluated at the
-    face-averaged concentration. Only open (aperture > 0) faces carry drift.
+    face-averaged concentration. Only open faces (GridGeometry.open_face_x/y)
+    carry drift.
     """
     g = c.geom
     d = c.data
@@ -227,13 +228,11 @@ def chemotactic_face_velocity(c: ScalarField, chi: Callable) -> VectorField:
     wx = np.zeros((g.nx + 1, g.ny))
     dcx = (d[1:, :] - d[:-1, :]) / h
     cbx = 0.5 * (d[1:, :] + d[:-1, :])
-    openx = g.aperture_x[1:-1, :] > 0.0
-    wx[1:-1, :] = np.where(openx, chi(cbx) * dcx, 0.0)
+    wx[1:-1, :] = np.where(g.open_face_x[1:-1, :], chi(cbx) * dcx, 0.0)
     wy = np.zeros((g.nx, g.ny + 1))
     dcy = (d[:, 1:] - d[:, :-1]) / h
     cby = 0.5 * (d[:, 1:] + d[:, :-1])
-    openy = g.aperture_y[:, 1:-1] > 0.0
-    wy[:, 1:-1] = np.where(openy, chi(cby) * dcy, 0.0)
+    wy[:, 1:-1] = np.where(g.open_face_y[:, 1:-1], chi(cby) * dcy, 0.0)
     return VectorField(g, wx, wy)
 
 
@@ -251,8 +250,7 @@ def bilinear_sample(geom: GridGeometry, data: np.ndarray, x, y):
     return stencil.sample(data), stencil.valid
 
 
-def normal_derivative_of_gradsq(s: ScalarField, geom: GridGeometry,
-                                gradsq: np.ndarray | None = None):
+def normal_derivative_of_gradsq(s: ScalarField, gradsq: np.ndarray | None = None):
     """Outward normal derivative of |grad s|^2 at the boundary segments.
 
     q = |grad s|^2 is formed at cell centers (or taken from ``gradsq`` when
@@ -270,7 +268,7 @@ def normal_derivative_of_gradsq(s: ScalarField, geom: GridGeometry,
     if gradsq is None:
         gx, gy = gradient_neumann(s)
         gradsq = gx.data ** 2 + gy.data ** 2
-    (d1, d2, d3), (p1, p2, p3), valid = geom.boundary_probes()
+    (d1, d2, d3), (p1, p2, p3), valid = s.geom.boundary_probes
     q1, q2, q3 = p1.sample(gradsq), p2.sample(gradsq), p3.sample(gradsq)
     ok3 = p3.valid
     est_a = (q1 - q2) / (d2 - d1)

@@ -19,19 +19,20 @@ weight, and a curvature sample. Quadrature weights:
     surface : segment length per boundary segment
 
 Face apertures (wet fraction of each cell edge) are precomputed for the
-conservative flux operators in :mod:`chemofluid.fields`. Faces adjacent to
-exterior cells always have zero aperture, which makes zero-flux boundary
-conditions automatic in flux form.
+conservative flux operators in :mod:`chemofluid.fields`. Only open faces,
+those between two active cells (``open_face_x/y``), have nonzero aperture,
+which makes zero-flux boundary conditions automatic in flux form.
 
-Geometry objects are immutable after construction. What depends on the grid
-alone (the cell masks, the mirror-neighbour gathers of the derivative
-stencils, the boundary-probe stencils) is computed on first use and cached
-on the object.
+Geometry objects are immutable after construction. Every other fact that
+depends on the grid alone (cell masks, fluid faces, interior components,
+kappa_max, mirror gathers, the stencils below the boundary segments) is a
+read-only ``cached_property`` of ``GridGeometry``, computed only there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -59,8 +60,10 @@ TIE_EPS = 1e-12
 # kappa_max safety padding over the sampled curvature magnitude.
 KAPPA_PAD = 1.1
 
-# Depths, in cells, of the three boundary probes below each segment midpoint.
+# Depths, in cells, below each segment midpoint: of the three boundary probes,
+# and of the sample that gives a field's value at the segment.
 PROBE_DEPTHS = (2.0, 3.5, 5.0)
+SEG_SAMPLE_DEPTH = 1.5
 
 
 class DomainError(ValueError):
@@ -88,15 +91,14 @@ class LevelSetDomain:
     tag: str = "custom"
 
     @staticmethod
-    def disk(radius: float = 1.0, center=(0.0, 0.0), margin: float = 0.2) -> "LevelSetDomain":
-        cx, cy = center
+    def disk(radius: float = 1.0, margin: float = 0.2) -> "LevelSetDomain":
         r2 = radius * radius
 
         def phi(x, y):
-            return (x - cx) ** 2 + (y - cy) ** 2 - r2
+            return x ** 2 + y ** 2 - r2
 
         half = radius * (1.0 + margin)
-        return LevelSetDomain(phi, (cx - half, cx + half, cy - half, cy + half), tag="disk")
+        return LevelSetDomain(phi, (-half, half, -half, half), tag="disk")
 
     @staticmethod
     def annulus(r_inner: float = 0.5, r_outer: float = 1.0, margin: float = 0.2) -> "LevelSetDomain":
@@ -168,18 +170,29 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _face_mask(cells: np.ndarray, axis: int) -> np.ndarray:
+    """Faces normal to ``axis`` with both neighbour cells in ``cells``; edge faces are False."""
+    pair = cells[:-1, :] & cells[1:, :] if axis == 0 else cells[:, :-1] & cells[:, 1:]
+    return _read_only(np.pad(pair, [(1 - axis,) * 2, (axis,) * 2]))
+
+
 @dataclass(frozen=True)
 class BilinearStencil:
     """Bilinear interpolation stencils at sample points.
 
     corners holds the flat indices of cells (i0, j0), (i0+1, j0), (i0, j0+1)
     and (i0+1, j0+1); a sample is valid only when all four cells are active.
+    The arrays are read-only.
     """
 
     corners: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     tx: np.ndarray
     ty: np.ndarray
     valid: np.ndarray
+
+    def __post_init__(self):
+        for arr in (*self.corners, self.tx, self.ty, self.valid):
+            arr.setflags(write=False)
 
     def sample(self, data: np.ndarray) -> np.ndarray:
         """Interpolated values of cell-centered data (nx, ny) at the points."""
@@ -203,34 +216,27 @@ class GridGeometry:
     cell_vol: np.ndarray            # (nx, ny) floored volume, 0 on exterior
     aperture_x: np.ndarray          # (nx+1, ny) wet fraction of x-faces
     aperture_y: np.ndarray          # (nx, ny+1) wet fraction of y-faces
+    open_face_x: np.ndarray         # (nx+1, ny) x-faces between two active cells
+    open_face_y: np.ndarray         # (nx, ny+1) y-faces between two active cells
     seg_mid: np.ndarray             # (nseg, 2) segment midpoints
     seg_normal: np.ndarray          # (nseg, 2) outward unit normals
     seg_weight: np.ndarray          # (nseg,) arc-length weights
     seg_curvature: np.ndarray       # (nseg,) level-set curvature samples
     seg_cell: np.ndarray            # (nseg, 2) host cell indices
-    kappa_max: float
-    _extras: dict = field(default_factory=dict, repr=False)
 
     # ---- derived masks and coordinates -------------------------------
 
-    def _cached(self, key, build):
-        """build() evaluated once per geometry; the geometry never changes."""
-        value = self._extras.get(key)
-        if value is None:
-            value = self._extras[key] = build()
-        return value
-
-    @property
+    @cached_property
     def interior(self) -> np.ndarray:
-        return self._cached("interior", lambda: _read_only(self.cell_class == INTERIOR))
+        return _read_only(self.cell_class == INTERIOR)
 
-    @property
+    @cached_property
     def band(self) -> np.ndarray:
-        return self.cell_class == BAND
+        return _read_only(self.cell_class == BAND)
 
-    @property
+    @cached_property
     def active(self) -> np.ndarray:
-        return self._cached("active", lambda: _read_only(self.cell_class != EXTERIOR))
+        return _read_only(self.cell_class != EXTERIOR)
 
     @property
     def xc(self) -> np.ndarray:
@@ -260,31 +266,44 @@ class GridGeometry:
     def perimeter(self) -> float:
         return float(self.seg_weight.sum())
 
-    @property
+    @cached_property
     def diameter(self) -> float:
-        return self._extras["diameter"]
+        """Diagonal of the bounding box of the segment midpoints."""
+        dx = self.seg_mid[:, 0].max() - self.seg_mid[:, 0].min()
+        dy = self.seg_mid[:, 1].max() - self.seg_mid[:, 1].min()
+        return float(np.hypot(dx, dy))
 
-    @property
+    @cached_property
+    def kappa_max(self) -> float:
+        return curvature_bound(self)
+
+    @cached_property
     def is_convex(self) -> bool:
         """All curvature samples nonnegative (up to discretization noise)."""
         tol = 1e-6 + 0.02 * float(np.max(np.abs(self.seg_curvature), initial=0.0))
         return bool(np.all(self.seg_curvature >= -tol))
 
-    @property
+    @cached_property
     def fluid_face_x(self) -> np.ndarray:
         """x-faces whose both neighbor cells are interior (velocity dofs)."""
-        return self._extras["fluid_face_x"]
+        return _face_mask(self.interior, 0)
 
-    @property
+    @cached_property
     def fluid_face_y(self) -> np.ndarray:
-        return self._extras["fluid_face_y"]
+        return _face_mask(self.interior, 1)
+
+    @cached_property
+    def components(self) -> tuple[np.ndarray, ...]:
+        """Connected parts of the interior (4-connectivity): cell positions in data[interior]."""
+        labels, ncomp = ndimage.label(self.interior)
+        comp = labels[self.interior]
+        return tuple(_read_only(np.nonzero(comp == k)[0]) for k in range(1, ncomp + 1))
 
     @property
     def n_components(self) -> int:
-        """Connected components of the interior cell set (4-connectivity)."""
-        return self._extras["n_components"]
+        return len(self.components)
 
-    @property
+    @cached_property
     def stencil_ok(self) -> np.ndarray:
         """Cells whose full 3x3 neighborhood is active.
 
@@ -293,21 +312,19 @@ class GridGeometry:
         difference stencils amplify to O(1/h), while dropping the collar is
         a first-order quadrature error consistent with the scheme.
         """
-        def build():
-            act = self.active
-            ok = act.copy()
-            ok[1:, :] &= act[:-1, :]
-            ok[:-1, :] &= act[1:, :]
-            ok[:, 1:] &= act[:, :-1]
-            ok[:, :-1] &= act[:, 1:]
-            ok[1:, 1:] &= act[:-1, :-1]
-            ok[:-1, :-1] &= act[1:, 1:]
-            ok[1:, :-1] &= act[:-1, 1:]
-            ok[:-1, 1:] &= act[1:, :-1]
-            return _read_only(ok)
-        return self._cached("stencil_ok", build)
+        act = self.active
+        ok = act.copy()
+        ok[1:, :] &= act[:-1, :]
+        ok[:-1, :] &= act[1:, :]
+        ok[:, 1:] &= act[:, :-1]
+        ok[:, :-1] &= act[:, 1:]
+        ok[1:, 1:] &= act[:-1, :-1]
+        ok[:-1, :-1] &= act[1:, 1:]
+        ok[1:, :-1] &= act[:-1, 1:]
+        ok[:-1, 1:] &= act[1:, :-1]
+        return _read_only(ok)
 
-    @property
+    @cached_property
     def mirror_gathers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Flat gather indices of the east, west, north and south mirror neighbours.
 
@@ -317,18 +334,16 @@ class GridGeometry:
         as inactive; the 2-cell exterior margin keeps them out of every
         active-cell stencil.
         """
-        def build():
-            act = self.active
-            own = np.arange(self.nx * self.ny).reshape(self.nx, self.ny)
-            gathers = []
-            for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-                ok = np.roll(act, -shift, axis=axis)
-                edge = [slice(None), slice(None)]
-                edge[axis] = -1 if shift == 1 else 0
-                ok[tuple(edge)] = False
-                gathers.append(_read_only(np.where(ok, np.roll(own, -shift, axis=axis), own)))
-            return tuple(gathers)
-        return self._cached("mirror_gathers", build)
+        act = self.active
+        own = np.arange(self.nx * self.ny).reshape(self.nx, self.ny)
+        gathers = []
+        for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
+            ok = np.roll(act, -shift, axis=axis)
+            edge = [slice(None), slice(None)]
+            edge[axis] = -1 if shift == 1 else 0
+            ok[tuple(edge)] = False
+            gathers.append(_read_only(np.where(ok, np.roll(own, -shift, axis=axis), own)))
+        return tuple(gathers)
 
     def bilinear_stencil(self, x, y) -> BilinearStencil:
         """Four-cell interpolation stencils of cell-centered data at points (x, y)."""
@@ -346,28 +361,33 @@ class GridGeometry:
         k00 = i0 * self.ny + j0
         return BilinearStencil((k00, k00 + self.ny, k00 + 1, k00 + self.ny + 1), tx, ty, valid)
 
+    def _stencil_below(self, depth: float, segs=slice(None)) -> BilinearStencil:
+        """Stencils at ``depth`` along the inward normal below the midpoints of ``segs``."""
+        return self.bilinear_stencil(self.seg_mid[segs, 0] - depth * self.seg_normal[segs, 0],
+                                     self.seg_mid[segs, 1] - depth * self.seg_normal[segs, 1])
+
+    @cached_property
+    def seg_sample(self) -> BilinearStencil:
+        """Stencils SEG_SAMPLE_DEPTH * h below every segment midpoint."""
+        return self._stencil_below(SEG_SAMPLE_DEPTH * self.h)
+
+    @cached_property
     def boundary_probes(self):
         """Probe stencils along the inward normal of every boundary segment.
 
         Probe k of a segment sits PROBE_DEPTHS[k] * h below its midpoint, and
         the segment is resolved when its two shallower probes have full
-        stencils. Returns (depths, stencils, valid): the three probe depths,
+        stencils. Holds (depths, stencils, valid): the three probe depths,
         their three BilinearStencils at the resolved segments, and valid
         marking those segments. Which probes are valid depends on the
-        geometry alone, so a grid where no segment resolves is rejected here,
-        before any field is probed.
+        geometry alone, so a grid where no segment resolves raises
+        ResolutionError here, before any field is probed.
         """
-        def probe(d, segs):
-            return self.bilinear_stencil(self.seg_mid[segs, 0] - d * self.seg_normal[segs, 0],
-                                         self.seg_mid[segs, 1] - d * self.seg_normal[segs, 1])
-
-        def build():
-            ds = tuple(d * self.h for d in PROBE_DEPTHS)
-            valid = probe(ds[0], slice(None)).valid & probe(ds[1], slice(None)).valid
-            if not valid.any():
-                raise ResolutionError("no boundary segment has room for two probes; refine the grid")
-            return ds, tuple(probe(d, valid) for d in ds), _read_only(valid)
-        return self._cached("boundary_probes", build)
+        ds = tuple(d * self.h for d in PROBE_DEPTHS)
+        valid = self._stencil_below(ds[0]).valid & self._stencil_below(ds[1]).valid
+        if not valid.any():
+            raise ResolutionError("no boundary segment has room for two probes; refine the grid")
+        return ds, tuple(self._stencil_below(d, valid) for d in ds), _read_only(valid)
 
 
 def _phi_derivatives(domain: LevelSetDomain, x, y, step: float):
@@ -475,7 +495,8 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
     cell_class[all_in] = INTERIOR
     cell_class[cut | tie_cell] = BAND
 
-    if not np.any(cell_class == INTERIOR):
+    interior = cell_class == INTERIOR
+    if not interior.any():
         raise DomainError("domain has no interior cells at this resolution")
 
     active = cell_class != EXTERIOR
@@ -498,23 +519,19 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
     aperture_x = edge_wet(node_phi[:, :-1], node_phi[:, 1:])    # (nx+1, ny)
     aperture_y = edge_wet(node_phi[:-1, :], node_phi[1:, :])    # (nx, ny+1)
 
-    active_mask = cell_class != EXTERIOR
-    both_x = np.zeros_like(aperture_x, dtype=bool)
-    both_x[1:-1, :] = active_mask[:-1, :] & active_mask[1:, :]
-    aperture_x = np.where(both_x, np.maximum(aperture_x, APERTURE_FLOOR), aperture_x)
-    both_y = np.zeros_like(aperture_y, dtype=bool)
-    both_y[:, 1:-1] = active_mask[:, :-1] & active_mask[:, 1:]
-    aperture_y = np.where(both_y, np.maximum(aperture_y, APERTURE_FLOOR), aperture_y)
+    open_x, open_y = _face_mask(active, 0), _face_mask(active, 1)
+    aperture_x = np.where(open_x, np.maximum(aperture_x, APERTURE_FLOOR), aperture_x)
+    aperture_y = np.where(open_y, np.maximum(aperture_y, APERTURE_FLOOR), aperture_y)
 
     # Wet volume fractions.
     vol_frac = np.zeros((nx, ny))
-    vol_frac[cell_class == INTERIOR] = 1.0
+    vol_frac[interior] = 1.0
     xc = xlo + (np.arange(nx) + 0.5) * h
     yc = ylo + (np.arange(ny) + 0.5) * h
 
-    band_idx = np.argwhere(cell_class == BAND)
+    band = cell_class == BAND
     seg_p0, seg_p1, seg_cells = [], [], []
-    for i, j in band_idx:
+    for i, j in np.argwhere(band):
         corners = [(xn[i], yn[j]), (xn[i + 1], yn[j]), (xn[i + 1], yn[j + 1]), (xn[i], yn[j + 1])]
         phis = [node_phi[i, j], node_phi[i + 1, j], node_phi[i + 1, j + 1], node_phi[i, j + 1]]
         crossings = []
@@ -551,38 +568,19 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
     seg_normal = np.stack([gx / gnorm, gy / gnorm], axis=1)
     seg_curvature = (gxx * gy * gy - 2.0 * gxy * gx * gy + gyy * gx * gx) / gnorm ** 3
 
-    cell_vol = np.where(cell_class == BAND,
-                        np.maximum(vol_frac, VOL_FRAC_FLOOR),
-                        vol_frac) * (h * h)
+    cell_vol = np.where(band, np.maximum(vol_frac, VOL_FRAC_FLOOR), vol_frac) * (h * h)
 
-    # Fluid velocity dofs: faces strictly between interior cells.
-    interior = cell_class == INTERIOR
-    ffx = np.zeros((nx + 1, ny), dtype=bool)
-    ffx[1:-1, :] = interior[:-1, :] & interior[1:, :]
-    ffy = np.zeros((nx, ny + 1), dtype=bool)
-    ffy[:, 1:-1] = interior[:, :-1] & interior[:, 1:]
-
-    _, ncomp = ndimage.label(interior)
-
-    dx = seg_mid[:, 0].max() - seg_mid[:, 0].min()
-    dy = seg_mid[:, 1].max() - seg_mid[:, 1].min()
-    diameter = float(np.hypot(dx, dy))
-
-    geom = GridGeometry(
+    seg_cell = np.asarray(seg_cells, dtype=int)
+    for arr in (cell_class, vol_frac, cell_vol, aperture_x, aperture_y,
+                seg_mid, seg_normal, seg_weight, seg_curvature, seg_cell):
+        arr.setflags(write=False)
+    return GridGeometry(
         domain=domain, h=h, nx=nx, ny=ny, bbox=domain.bbox,
         cell_class=cell_class, vol_frac=vol_frac, cell_vol=cell_vol,
-        aperture_x=aperture_x, aperture_y=aperture_y,
+        aperture_x=aperture_x, aperture_y=aperture_y, open_face_x=open_x, open_face_y=open_y,
         seg_mid=seg_mid, seg_normal=seg_normal, seg_weight=seg_weight,
-        seg_curvature=seg_curvature, seg_cell=np.asarray(seg_cells, dtype=int),
-        kappa_max=0.0,
-        _extras={"fluid_face_x": ffx, "fluid_face_y": ffy,
-                 "n_components": int(ncomp), "diameter": diameter},
+        seg_curvature=seg_curvature, seg_cell=seg_cell,
     )
-    object.__setattr__(geom, "kappa_max", curvature_bound(geom))
-    for arr in (cell_class, vol_frac, cell_vol, aperture_x, aperture_y,
-                seg_mid, seg_normal, seg_weight, seg_curvature, ffx, ffy):
-        arr.setflags(write=False)
-    return geom
 
 
 def curvature_bound(geom: GridGeometry) -> float:

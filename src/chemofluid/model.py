@@ -58,7 +58,6 @@ class KineticsModel:
     f_pp: Callable
     kappa_ns: float = 0.0
     grav: float = 1.0
-    name: str = "custom"
 
     # g = f / chi and its derivatives, straight from the user callables
     def g(self, s):
@@ -86,7 +85,7 @@ def linear_model(G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
     return KineticsModel(
         chi=lambda s: one(as_arr(s)), chi_p=lambda s: zero(as_arr(s)), chi_pp=lambda s: zero(as_arr(s)),
         f=lambda s: as_arr(s), f_p=lambda s: one(as_arr(s)), f_pp=lambda s: zero(as_arr(s)),
-        kappa_ns=kappa_ns, grav=G, name="linear")
+        kappa_ns=kappa_ns, grav=G)
 
 
 def saturating_model(G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
@@ -102,7 +101,7 @@ def saturating_model(G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
         f=lambda s: as_arr(s) / (1.0 + as_arr(s)),
         f_p=lambda s: 1.0 / (1.0 + as_arr(s)) ** 2,
         f_pp=lambda s: -2.0 / (1.0 + as_arr(s)) ** 3,
-        kappa_ns=kappa_ns, grav=G, name="saturating")
+        kappa_ns=kappa_ns, grav=G)
 
 
 def polynomial_model(chi_coeffs, f_coeffs, G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
@@ -112,7 +111,7 @@ def polynomial_model(chi_coeffs, f_coeffs, G: float = 1.0, kappa_ns: float = 0.0
     return KineticsModel(
         chi=chi, chi_p=chi.deriv(1), chi_pp=chi.deriv(2),
         f=f, f_p=f.deriv(1), f_pp=f.deriv(2),
-        kappa_ns=kappa_ns, grav=G, name="poly")
+        kappa_ns=kappa_ns, grav=G)
 
 
 # ---------------------------------------------------------------------------

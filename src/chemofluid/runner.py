@@ -247,8 +247,8 @@ def run_inequality_scan(rc: RunConfig, out_dir) -> dict:
         "convex": geom.is_convex,
         "kappa_max": geom.kappa_max,
         "ms_worst": worst_ms,
-        "ms_tolerance": rc["check.ms_c"] * float(np.sqrt(geom.h)),
-        "ms_passed": worst_ms <= rc["check.ms_c"] * float(np.sqrt(geom.h)),
+        "ms_tolerance": ms.tolerance,
+        "ms_passed": bool(worst_ms <= ms.tolerance),
         "bt_integral_max": bt_int_max,
         "bt_integrand_max": bt_pointwise_max,
         "i33_violations": i33_violations,

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy import ndimage
 
 from chemofluid.fields import (
     ScalarField,
@@ -186,9 +185,7 @@ class LinearSystems:
         self.vol = g.cell_vol[g.active]
         self.n_pressure, adj = _adjacency(g.interior)
         self.L_pressure = _laplacian(adj)
-        labels, ncomp = ndimage.label(g.interior)
-        comp = labels[g.interior]
-        self.comp_cells = [np.nonzero(comp == k)[0] for k in range(1, ncomp + 1)]
+        self.comp_cells = g.components
         self.pressure_pins = np.array([cells[0] for cells in self.comp_cells], dtype=int)
         self.n_u, adj = _adjacency(g.fluid_face_x)
         self.adj_u = adj.tocsr()

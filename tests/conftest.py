@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chemofluid.geometry import LevelSetDomain, classify_cells
@@ -23,6 +24,17 @@ def star_domain():
 @pytest.fixture(scope="session")
 def star64(star_domain):
     return classify_cells(star_domain, 1.0 / 64.0)
+
+
+@pytest.fixture(scope="session")
+def two_disks():
+    """Two disjoint disks: the pressure operator has one constant mode per disk."""
+    def phi(x, y):
+        return np.minimum((x + 0.5) ** 2, (x - 0.5) ** 2) + y ** 2 - 0.35 ** 2
+
+    g = classify_cells(LevelSetDomain(phi, (-1.0, 1.0, -0.5, 0.5)), 1.0 / 48.0)
+    assert g.n_components == 2
+    return g
 
 
 @pytest.fixture(scope="session")

@@ -152,7 +152,7 @@ class TestMsLemma:
             rep = check_ms_lemma(Frame(c), c_check=200.0)
             assert rep.passed
             worst = max(worst, rep.violation)
-            dq, qn, ok = normal_derivative_of_gradsq(c, g)
+            dq, qn, ok = normal_derivative_of_gradsq(c)
             worst_positive_part = max(worst_positive_part,
                                       float(np.where(ok, dq - 2 * 1.1 * qn, -np.inf).max()))
         assert worst_positive_part > 2.0 * worst

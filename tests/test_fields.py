@@ -260,17 +260,17 @@ class TestBoundaryDerivative:
         g = request.getfixturevalue(geom_name)
         rng = np.random.default_rng(19)
         s = ScalarField(g, np.where(g.active, rng.standard_normal((g.nx, g.ny)), 0.0))
-        for got, ref in zip(normal_derivative_of_gradsq(s, g), probe_reference(s, g)):
+        for got, ref in zip(normal_derivative_of_gradsq(s), probe_reference(s, g)):
             assert np.array_equal(got, ref)
 
     def test_unprobeable_geometry_rejected(self):
         dom = LevelSetDomain.annulus(0.8, 1.0)
         g = classify_cells(dom, (dom.bbox[1] - dom.bbox[0]) / 32)
         with pytest.raises(ResolutionError):
-            normal_derivative_of_gradsq(ScalarField.full(g, 1.0), g)
+            normal_derivative_of_gradsq(ScalarField.full(g, 1.0))
 
     def test_constant_gives_zero(self, disk64):
-        dq, qn, valid = normal_derivative_of_gradsq(ScalarField.full(disk64, 1.0), disk64)
+        dq, qn, valid = normal_derivative_of_gradsq(ScalarField.full(disk64, 1.0))
         assert valid.all()
         assert np.abs(dq).max() == 0.0
         assert np.abs(qn).max() == 0.0
@@ -281,7 +281,7 @@ class TestBoundaryDerivative:
         for h in (1 / 48, 1 / 96, 1 / 192):
             g = classify_cells(disk_domain, h)
             w = ScalarField.from_function(g, radial_neumann)
-            dq, qn, valid = normal_derivative_of_gradsq(w, g)
+            dq, qn, valid = normal_derivative_of_gradsq(w)
             worst.append(np.abs(dq[valid]).max())
         assert worst[0] > worst[1] > worst[2]
         assert np.log2(worst[0] / worst[-1]) / 2 >= 0.8
@@ -290,7 +290,7 @@ class TestBoundaryDerivative:
         rng = np.random.default_rng(17)
         s = ScalarField(star64, np.where(star64.active,
                                          rng.standard_normal((star64.nx, star64.ny)), 0.0))
-        dq, qn, valid = normal_derivative_of_gradsq(s, star64)
+        dq, qn, valid = normal_derivative_of_gradsq(s)
         assert valid.any()
         assert np.all(np.isfinite(dq[valid]))
 

@@ -1,12 +1,18 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.integrate import quad
 
+from chemofluid.fields import bilinear_sample
 from chemofluid.geometry import (
     BAND,
     EXTERIOR,
     INTERIOR,
+    BilinearStencil,
     DomainError,
+    GridGeometry,
     LevelSetDomain,
     ResolutionError,
     boundary_curvature,
@@ -109,6 +115,54 @@ class TestCurvature:
         assert np.all(disk64.seg_curvature > 0.0)
         assert not star64.is_convex
         assert star64.seg_curvature.min() < 0.0
+
+
+CACHED = [name for name, attr in vars(GridGeometry).items() if isinstance(attr, cached_property)]
+
+
+def arrays_in(value):
+    """The arrays held by a cached value, through tuples and stencils."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, BilinearStencil):
+        value = (*value.corners, value.tx, value.ty, value.valid)
+    if isinstance(value, tuple):
+        return [arr for v in value for arr in arrays_in(v)]
+    return []
+
+
+@pytest.mark.parametrize("geom_name", ["disk64", "star64", "two_disks"])
+class TestGridCache:
+    def test_cached_once_and_read_only(self, geom_name, request):
+        g = request.getfixturevalue(geom_name)
+        assert {"active", "components", "kappa_max", "seg_sample", "boundary_probes"} <= set(CACHED)
+        for name in CACHED:
+            value = getattr(g, name)
+            assert getattr(g, name) is value, name
+            for arr in arrays_in(value):
+                assert not arr.flags.writeable, name
+        assert not g.open_face_x.flags.writeable and not g.open_face_y.flags.writeable
+
+    def test_open_faces_are_positive_apertures(self, geom_name, request):
+        g = request.getfixturevalue(geom_name)
+        assert np.array_equal(g.open_face_x, g.aperture_x > 0.0)
+        assert np.array_equal(g.open_face_y, g.aperture_y > 0.0)
+
+    def test_components_match_a_fresh_labelling(self, geom_name, request):
+        g = request.getfixturevalue(geom_name)
+        labels, ncomp = ndimage.label(g.interior)
+        assert g.n_components == len(g.components) == ncomp
+        for k, cells in enumerate(g.components, start=1):
+            assert np.array_equal(cells, np.nonzero(labels[g.interior] == k)[0])
+
+    def test_segment_sample_is_bilinear_sample(self, geom_name, request):
+        g = request.getfixturevalue(geom_name)
+        data = np.random.default_rng(29).standard_normal((g.nx, g.ny))
+        px = g.seg_mid[:, 0] - 1.5 * g.h * g.seg_normal[:, 0]
+        py = g.seg_mid[:, 1] - 1.5 * g.h * g.seg_normal[:, 1]
+        vals, ok = bilinear_sample(g, data, px, py)
+        assert np.array_equal(g.seg_sample.sample(data), vals)
+        assert np.array_equal(g.seg_sample.valid, ok)
 
 
 class TestQuadrature:

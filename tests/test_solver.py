@@ -294,17 +294,6 @@ class TestSolveSpd:
         assert np.abs(p.data).max() == 0.0
 
 
-@pytest.fixture(scope="module")
-def two_disks():
-    """Two disjoint disks: the pressure operator has one constant mode per disk."""
-    def phi(x, y):
-        return np.minimum((x + 0.5) ** 2, (x - 0.5) ** 2) + y ** 2 - 0.35 ** 2
-
-    g = classify_cells(LevelSetDomain(phi, (-1.0, 1.0, -0.5, 0.5)), 1.0 / 48.0)
-    assert g.n_components == 2
-    return g
-
-
 def direct_system(lin, name, dt, rng):
     """Matrix A, right-hand side b and the cached-LU solution x of A x = b."""
     g = lin.geom
