@@ -12,7 +12,7 @@ From g = f/chi the diagnostics use two integral transforms anchored at 1,
     psi(s) = int_1^s dsigma / sqrt(g(sigma)),   rho(s) = int_1^s dsigma / g(sigma),
 
 tabulated once by an 8-node Gauss-Legendre rule on every knot interval and
-evaluated through monotone cubic interpolation. Since g(0) = 0 both
+evaluated through cubic Hermite interpolation. Since g(0) = 0 both
 transforms blow up as s -> 0+, the regime the decaying chemoattractant enters
 at late times, so all evaluations clamp their argument at a configurable
 floor c_floor > 0.
@@ -186,6 +186,54 @@ def validate_assumptions(model: KineticsModel, c_max: float, n_samples: int = 10
 # derived transforms
 # ---------------------------------------------------------------------------
 
+def _cubic_hermite(x, y, dydx):
+    """The piecewise cubic through (x, y) with slopes dydx at the knots, as a callable.
+
+    Its coefficients, intervals and summation order are those of
+    scipy.interpolate.CubicHermiteSpline, so the values are bit-identical to
+    it; outside [x[0], x[-1]] the end cubics extend. The interval of a point
+    is found without a binary search: ``start`` holds, for each of 4 buckets
+    per knot interval, a lower bound on the interval of any point in it
+    (robust to the rounding of the bucket index by one), and ``steps``
+    comparisons with the upper knots lift it to the interval itself.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]
+    last = len(x) - 2
+    buckets = 4 * last
+    scale = buckets / (x[-1] - x[0])
+    edges = x[0] + np.arange(-1, buckets + 2) / scale
+    lower = np.clip(np.searchsorted(x, edges, "right") - 1, 0, last)
+    start, steps = lower[:-3], int((lower[3:] - lower[:-3]).max())
+    upper = np.append(x[1:-1], np.inf)
+
+    def evaluate(xv):
+        k = xv - x[0]
+        k *= scale
+        i = start.take(k.astype(np.intp), mode="clip")
+        for _ in range(steps):
+            i += xv >= upper.take(i)
+        # c3 + c2 s + c1 s^2 + c0 s^3 summed left to right, s^3 = (s s) s; in
+        # place, as a fresh grid-sized temporary costs as much as the operation
+        s = xv - x.take(i)
+        s_pow = s * s
+        out = c2.take(i)
+        out *= s
+        out += c3.take(i)
+        term = c1.take(i)
+        term *= s_pow
+        out += term
+        s_pow *= s
+        term = c0.take(i)
+        term *= s_pow
+        out += term
+        return out
+
+    return evaluate
+
+
 class DerivedScalars:
     """Tabulated transforms psi, rho of the model on [c_floor, max(1, c_max)].
 
@@ -237,12 +285,11 @@ class DerivedScalars:
         if np.any(gpp > 1e-10):
             raise ModelError("g'' must stay nonpositive on the tabulated range")
 
-        from scipy.interpolate import CubicHermiteSpline
         self.model = model
         self.c_floor = float(c_floor)
         self.top = float(top)
-        self._psi_t = CubicHermiteSpline(t, psi_tab, dpsi_dt(t))
-        self._rho_l = CubicHermiteSpline(ell, rho_tab, drho_dl(ell))
+        self._psi_t = _cubic_hermite(t, psi_tab, dpsi_dt(t))
+        self._rho_l = _cubic_hermite(ell, rho_tab, drho_dl(ell))
         self._t_knots = t
         self._l_knots = ell
         self._psi_tab = psi_tab

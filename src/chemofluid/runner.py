@@ -12,7 +12,9 @@ state is copied or held. Artifacts under the output directory:
 
     diagnostics.csv    one row per output time (column order in csv_schema.md)
     inequalities.csv   one row per inequality evaluation
-    summary.json       RunSummary, written atomically at the end
+    summary.json       RunSummary, written atomically at the end; its solver
+                       block counts LU factorizations and factor evictions
+                       and gives the process's peak resident memory in MB
     config.txt         the fully resolved configuration
     snap_XXXX.bin      optional binary checkpoints (output.snapshot_every),
                        readable with gridio.load_state
@@ -26,6 +28,7 @@ from __future__ import annotations
 import collections
 import json
 import os
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,6 +71,7 @@ class RunSummary:
     convergence: dict
     wall_time: float
     timings: dict
+    solver: dict
     outputs: list = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -183,6 +187,8 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
                      "amplitudes": list(amplitudes)},
         wall_time=time.perf_counter() - t_wall,
         timings=dict(timings),
+        solver={"lu_factorizations": lin.factorizations, "factor_evictions": lin.evictions,
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0},
         outputs=[str(out / "diagnostics.csv"), str(out / "inequalities.csv")],
     )
     _write_atomic(out / "summary.json", summary.to_json())

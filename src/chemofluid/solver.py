@@ -26,6 +26,12 @@ the exact remainder to an output or end time, so no rounding drift creates a
 new step size. StepClock also owns the output schedule, so every time loop is
 the same four lines (see its docstring).
 
+Memory is bounded by design: the Helmholtz system and each viscous component
+keep the factors of at most FACTOR_LEVELS step sizes, least recently used
+evicted first, and the single pressure factor is built once and kept.
+LinearSystems counts its factorizations and evictions (``factorizations``,
+``evictions``); a run reports them in the ``solver`` block of summary.json.
+
 Every step, manufactured-solution runs included, ends with the invariant check
 (finite fields, discrete divergence, pressure gauge), or SolverAbort.
 """
@@ -51,6 +57,11 @@ from chemofluid.model import KineticsModel, buoyancy_force
 
 DT_UNDERFLOW = 1e-12
 PROJECTION_TOL = 1e-8   # relative divergence left by the pressure projection
+# Step sizes whose factors each step-dependent system keeps. Levels change one
+# at a time, and an output remainder sits between two visits of the same
+# level, so two levels keep every reuse a run makes; with one, star_ns_step
+# re-factors 0.02 after its 0.009375 remainder (22 factorizations, not 19).
+FACTOR_LEVELS = 2
 
 
 class SolverAbort(RuntimeError):
@@ -161,7 +172,7 @@ def _laplacian(adj) -> sp.csr_matrix:
 
 
 class LinearSystems:
-    """Sparse operators of the grid plus a factorization cache.
+    """Sparse operators of the grid plus a bounded factorization cache.
 
     All four operators come from one assembler, the masked neighbour graph
     of ``_adjacency``. Scalar diffusion acts on active cells in flux form
@@ -175,11 +186,19 @@ class LinearSystems:
     component is pinned to zero (its row and column become the identity, so
     the pinned matrix stays symmetric) and the solution is then shifted to
     mean zero per component.
+
+    The factors of the step-dependent systems ("helm", "visc_u", "visc_v")
+    live in one insertion-ordered dict per system, least recently used
+    first, holding at most FACTOR_LEVELS step sizes; the pressure factor
+    does not depend on the step and is kept for the object's lifetime.
     """
 
     def __init__(self, geom: GridGeometry):
         g = self.geom = geom
-        self._factor_cache: dict = {}
+        self._factors = {"helm": {}, "visc_u": {}, "visc_v": {}}
+        self._pressure_lu = None
+        self.factorizations = 0
+        self.evictions = 0
         self.n_scalar, adj = _adjacency(g.active, g.aperture_x[1:-1, :], g.aperture_y[:, 1:-1])
         self.L_scalar = _laplacian(adj)
         self.vol = g.cell_vol[g.active]
@@ -194,14 +213,28 @@ class LinearSystems:
 
     # -- solves --------------------------------------------------------
 
-    def _factorize(self, key, build):
-        """Cached LU of the symmetric positive definite matrix build()."""
-        f = self._factor_cache.get(key)
-        if f is None:
-            f = spla.splu(build().tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                          options={"SymmetricMode": True})
-            self._factor_cache[key] = f
-        return f
+    def _splu(self, matrix):
+        """LU of the symmetric positive definite matrix, counted."""
+        self.factorizations += 1
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+
+    def _factor(self, system: str, dt: float, build):
+        """The system's LU at step dt, from its cache of FACTOR_LEVELS step sizes.
+
+        A hit moves dt to the most recent end. A miss evicts the least recent
+        factors before factoring build(), so the bound also holds while the
+        new factor is being built.
+        """
+        levels = self._factors[system]
+        lu = levels.pop(dt, None)
+        if lu is None:
+            if len(levels) == FACTOR_LEVELS:
+                del levels[next(iter(levels))]
+                self.evictions += 1
+            lu = self._splu(build())
+        levels[dt] = lu
+        return lu
 
     def helmholtz_solve(self, dt: float, rhs: ScalarField) -> ScalarField:
         """(V - dt L) x = V b: backward-Euler diffusion of a scalar."""
@@ -212,7 +245,7 @@ class LinearSystems:
         def build():
             return sp.diags(self.vol) - dt * self.L_scalar
 
-        x = self._factorize(("helm", dt), build).solve(b)
+        x = self._factor("helm", dt, build).solve(b)
         out = np.zeros((g.nx, g.ny))
         out[act] = x
         return ScalarField(g, out)
@@ -232,7 +265,7 @@ class LinearSystems:
             def build(nf=nf, adj=adj):
                 return sp.identity(nf) * (1.0 + 4.0 * dt / h2) - (dt / h2) * adj
 
-            dest[mask] = self._factorize(("visc", comp, dt), build).solve(b)
+            dest[mask] = self._factor("visc_" + comp, dt, build).solve(b)
         return out
 
     def pressure_solve(self, rhs: ScalarField) -> ScalarField:
@@ -260,7 +293,9 @@ class LinearSystems:
 
         b = -b_cells * (g.h * g.h)
         b[self.pressure_pins] = 0.0
-        x = self._factorize(("pressure",), build).solve(b)
+        if self._pressure_lu is None:
+            self._pressure_lu = self._splu(build())
+        x = self._pressure_lu.solve(b)
         for cells in self.comp_cells:
             x[cells] -= x[cells].mean()
         out = np.zeros((g.nx, g.ny))

@@ -175,6 +175,10 @@ class TestRunArtifacts:
         assert s["exit_status"] == "ok"
         assert "entropy_energy" in s["inequality_verdicts"]
         assert s["steps"] > 0
+        assert set(s["solver"]) == {"lu_factorizations", "factor_evictions", "peak_rss_mb"}
+        assert s["solver"]["lu_factorizations"] >= 4
+        assert s["solver"]["factor_evictions"] >= 0
+        assert s["solver"]["peak_rss_mb"] > 0
 
     def test_inequality_csv_schema(self, run_dir):
         first = (run_dir / "inequalities.csv").read_text().split("\n", 1)[0]

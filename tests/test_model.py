@@ -1,13 +1,20 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import chemofluid
 from chemofluid.fields import ScalarField, gradient_neumann, laplacian_neumann
 from chemofluid.model import (
     KineticsModel,
     ModelError,
+    _cubic_hermite,
     build_derived,
     buoyancy_force,
     linear_model,
@@ -126,6 +133,66 @@ class TestDerivedScalars:
     def test_anchor_outside_table_rejected(self):
         with pytest.raises(ValueError):
             build_derived(linear_model(), 1.5, 2.0)
+
+
+class TestCubicHermite:
+    """The NumPy evaluator is bit-identical to scipy's CubicHermiteSpline."""
+
+    @staticmethod
+    def assert_matches_scipy(x, y, dydx, rng):
+        from scipy.interpolate import CubicHermiteSpline
+        oracle = CubicHermiteSpline(x, y, dydx)
+        mine = _cubic_hermite(x, y, dydx)
+        width = x[-1] - x[0]
+        points = np.concatenate([
+            x,                                                   # knots
+            0.5 * (x[1:] + x[:-1]),                              # midpoints
+            np.nextafter(x, -np.inf), np.nextafter(x, np.inf),   # either side of each knot
+            rng.uniform(x[0], x[-1], 200_000),
+            x[0] - width * rng.random(100), x[-1] + width * rng.random(100),  # off the table
+        ])
+        assert np.array_equal(mine(points), oracle(points))
+        grid = points[:4096].reshape(64, 64)
+        assert np.array_equal(mine(grid), oracle(grid))
+
+    @pytest.mark.parametrize("model", [linear_model(), saturating_model()],
+                             ids=["linear", "saturating"])
+    @pytest.mark.parametrize("c_max", [0.5, 1.0, 2.0])
+    def test_tables(self, model, c_max):
+        der = build_derived(model, 1e-10, c_max)
+        s_psi, psi_tab, s_rho, rho_tab = der.table
+        t, ell = np.sqrt(s_psi), np.log(s_rho)
+        rng = np.random.default_rng(5)
+        self.assert_matches_scipy(t, psi_tab, 2.0 * t / np.sqrt(model.g(t * t)), rng)
+        self.assert_matches_scipy(ell, rho_tab, s_rho / model.g(s_rho), rng)
+
+    def test_clustered_knots(self):
+        # uneven spacing down to one ulp apart
+        rng = np.random.default_rng(6)
+        x = np.unique(np.concatenate([rng.random(300) ** 3, [0.5, np.nextafter(0.5, 1.0)]]))
+        y, dydx = np.cumsum(rng.random(x.size)), rng.standard_normal(x.size)
+        self.assert_matches_scipy(x, y, dydx, rng)
+
+    def test_no_scipy_interpolate_in_a_run(self, tmp_path):
+        code = textwrap.dedent("""
+            import sys
+            from chemofluid.config import RunConfig
+            from chemofluid.model import build_derived, linear_model
+            from chemofluid.runner import run_simulation
+            build_derived(linear_model(), 1e-10, 2.0)
+            rc = RunConfig()
+            rc.override("grid.n", 32)
+            rc.override("solver.end_time", 0.2)
+            rc.override("output.every_time", 0.05)
+            run_simulation(rc, sys.argv[1])
+            assert "scipy.interpolate" not in sys.modules
+        """)
+        src = str(Path(chemofluid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "summary.json").exists()
 
 
 class TestTransformFieldIdentity:

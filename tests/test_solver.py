@@ -1,8 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from chemofluid import solver
 
 from chemofluid.fields import (
     ScalarField,
@@ -15,6 +19,7 @@ from chemofluid.geometry import LevelSetDomain, classify_cells, volume_integral
 from chemofluid.model import linear_model
 from chemofluid.solver import (
     DT_UNDERFLOW,
+    FACTOR_LEVELS,
     InitialData,
     LinearSystems,
     SimState,
@@ -323,6 +328,55 @@ def direct_system(lin, name, dt, rng):
     rhs[g.interior] = b
     x = lin.pressure_solve(ScalarField(g, rhs)).data[g.interior]
     return lin.L_pressure / h2, b, x
+
+
+class TestFactorCache:
+    """The factor cache holds FACTOR_LEVELS step sizes per system and changes no solve."""
+
+    # four levels, a hit on the first, and back to the first after its eviction;
+    # after each level: the cached step sizes of every step-dependent system
+    # (least recent first) and the factorization and eviction counters
+    LEVELS = (
+        (0.02, (0.02,), 1 + 3, 0),
+        (0.01, (0.02, 0.01), 1 + 6, 0),
+        (0.02, (0.01, 0.02), 1 + 6, 0),
+        (0.005, (0.02, 0.005), 1 + 9, 3),
+        (0.0025, (0.005, 0.0025), 1 + 12, 6),
+        (0.02, (0.0025, 0.02), 1 + 15, 9),
+    )
+
+    def test_bound_counters_and_solves(self, grid96, monkeypatch):
+        assert FACTOR_LEVELS == 2
+        lin = LinearSystems(grid96)
+        held_at_factoring = []
+
+        def splu(*args, **kwargs):
+            held_at_factoring.append(sum(map(len, lin._factors.values())))
+            return spla.splu(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
+        pressure_lu = None
+        solved = []
+        for k, (dt, cached, factorizations, evictions) in enumerate(self.LEVELS):
+            solves = {name: direct_system(lin, name, dt, np.random.default_rng(k))[2]
+                      for name in ("helmholtz", "viscous_u", "viscous_v", "pressure")}
+            assert set(lin._factors) == {"helm", "visc_u", "visc_v"}
+            for system, levels in lin._factors.items():
+                assert tuple(levels) == cached, system
+            if pressure_lu is None:
+                pressure_lu = lin._pressure_lu
+            assert lin._pressure_lu is pressure_lu
+            assert (lin.factorizations, lin.evictions) == (factorizations, evictions)
+            solved.append(solves)
+        # evicted before factoring: the new factor never exceeds the bound either
+        assert len(held_at_factoring) == lin.factorizations
+        assert max(held_at_factoring) + 1 <= 3 * FACTOR_LEVELS
+        monkeypatch.undo()
+        for k, ((dt, *_), solves) in enumerate(zip(self.LEVELS, solved)):
+            fresh = LinearSystems(grid96)
+            for name, x in solves.items():
+                want = direct_system(fresh, name, dt, np.random.default_rng(k))[2]
+                assert np.array_equal(x, want), (dt, name)
 
 
 class TestOperatorConsistency:
