@@ -26,7 +26,6 @@ from chemofluid.model import (
     build_derived,
     buoyancy_force,
     linear_model,
-    saturating_model,
 )
 from chemofluid.solver import SimState, SolverConfig, step, cfl_dt
 
@@ -50,7 +49,6 @@ __all__ = [
     "build_derived",
     "buoyancy_force",
     "linear_model",
-    "saturating_model",
     "SimState",
     "SolverConfig",
     "step",

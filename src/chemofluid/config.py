@@ -14,7 +14,7 @@ import numpy as np
 
 from chemofluid.fields import ScalarField, VectorField
 from chemofluid.geometry import GridGeometry, LevelSetDomain, classify_cells
-from chemofluid.model import KineticsModel, linear_model, polynomial_model, saturating_model
+from chemofluid.model import KineticsModel, polynomial_model
 from chemofluid.solver import InitialData, SolverConfig
 
 
@@ -42,10 +42,8 @@ SCHEMA = {
     "domain.margin": (float, 0.2, "relative bounding-box margin"),
     "domain.path": (str, "", "sampled level-set grid file (shape=sampled)"),
     "grid.n": (int, 96, "cells per bounding-box side"),
-    "model.chi": (str, "one", "sensitivity: one | poly"),
-    "model.chi_coeffs": (_parse_floats, (1.0,), "ascending coefficients for chi (poly)"),
-    "model.f": (str, "linear", "consumption: linear | saturating | poly"),
-    "model.f_coeffs": (_parse_floats, (0.0, 1.0), "ascending coefficients for f (poly)"),
+    "model.chi_coeffs": (_parse_floats, (1.0,), "sensitivity chi, ascending polynomial coefficients"),
+    "model.f_coeffs": (_parse_floats, (0.0, 1.0), "consumption f, ascending polynomial coefficients"),
     "model.G": (float, 0.5, "gravity strength, potential = -G*y"),
     "model.kappa_ns": (float, 0.0, "0: Stokes fluid, otherwise Navier-Stokes prefactor"),
     "init.n0_base": (float, 1.0, "background cell density"),
@@ -137,10 +135,8 @@ class RunConfig:
             raise ConfigError("domain.path required for sampled domains")
         if v["grid.n"] < 16:
             raise ConfigError("grid.n must be at least 16")
-        if v["model.chi"] not in ("one", "poly"):
-            raise ConfigError(f"unknown chi builtin {v['model.chi']!r}")
-        if v["model.f"] not in ("linear", "saturating", "poly"):
-            raise ConfigError(f"unknown f builtin {v['model.f']!r}")
+        if not (v["model.chi_coeffs"] and v["model.f_coeffs"]):
+            raise ConfigError("model.chi_coeffs and model.f_coeffs need a coefficient each")
         if v["init.u0"] not in ("zero", "vortex"):
             raise ConfigError(f"unknown u0 builtin {v['init.u0']!r}")
         if not 0.0 <= v["init.c0_amp"] < v["init.c0_base"]:
@@ -186,19 +182,8 @@ class RunConfig:
 
     def build_model(self) -> KineticsModel:
         v = self.values
-        G, kappa = v["model.G"], v["model.kappa_ns"]
-        if v["model.chi"] == "one" and v["model.f"] == "linear":
-            return linear_model(G=G, kappa_ns=kappa)
-        if v["model.chi"] == "one" and v["model.f"] == "saturating":
-            return saturating_model(G=G, kappa_ns=kappa)
-        chi_coeffs = v["model.chi_coeffs"] if v["model.chi"] == "poly" else (1.0,)
-        if v["model.f"] == "poly":
-            f_coeffs = v["model.f_coeffs"]
-        elif v["model.f"] == "linear":
-            f_coeffs = (0.0, 1.0)
-        else:
-            raise ConfigError("saturating f is only available with chi = one")
-        return polynomial_model(chi_coeffs, f_coeffs, G=G, kappa_ns=kappa)
+        return polynomial_model(v["model.chi_coeffs"], v["model.f_coeffs"],
+                                G=v["model.G"], kappa_ns=v["model.kappa_ns"])
 
     def build_initial(self, geom: GridGeometry) -> InitialData:
         v = self.values

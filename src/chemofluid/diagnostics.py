@@ -15,9 +15,9 @@ discretely here:
   int (g/g') |D^2 rho(c)|^2  and the pointwise bound |tr H|^2 <= 2 |H|^2;
 * the entropy production identity relating d/dt E to the dissipation and the
   transport/boundary source terms, evaluated as a residual over three
-  consecutive outputs: from three states (``entropy_identity_residual``), or
-  by ``DiagnosticsRecord`` itself as rows arrive, from the stored rows and
-  the source terms it kept from the middle row's state, with no state copied;
+  consecutive outputs by ``DiagnosticsRecord`` itself as rows arrive, from
+  the stored rows and the source terms it kept from the middle row's state,
+  with no state copied;
 * empirical-constant fits for the entropy-energy and kinetic-energy
   inequalities, and the long-time convergence monitor toward the flat state
   (n_inf, 0, 0).
@@ -112,14 +112,21 @@ class Frame:
         cx, cy = self.grad_c
         return cx.data ** 2 + cy.data ** 2
 
+    def _on_active(self, transform) -> np.ndarray:
+        """transform(c) on the active cells, 0 elsewhere."""
+        g = self.geom
+        out = np.zeros((g.nx, g.ny))
+        out[g.active] = transform(self.c.data[g.active])
+        return out
+
     @cached_property
     def psi_c(self) -> np.ndarray:
-        return self.derived.psi(self.c.data)
+        """psi(c) on the active cells, 0 elsewhere."""
+        return self._on_active(self.derived.psi)
 
     @cached_property
     def grad_psi(self) -> tuple[ScalarField, ScalarField]:
-        g = self.geom
-        return gradient_neumann(ScalarField(g, np.where(g.active, self.psi_c, 0.0)))
+        return gradient_neumann(ScalarField(self.geom, self.psi_c))
 
     @cached_property
     def grad_n(self) -> tuple[ScalarField, ScalarField]:
@@ -128,9 +135,7 @@ class Frame:
     @cached_property
     def rho_hessian_sq(self) -> np.ndarray:
         """|D^2 rho(c)|^2 per cell."""
-        g = self.geom
-        rho_c = ScalarField(g, np.where(g.active, self.derived.rho(self.c.data), 0.0))
-        return hessian(rho_c).frobenius_sq()
+        return hessian(ScalarField(self.geom, self._on_active(self.derived.rho))).frobenius_sq()
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -262,7 +267,7 @@ def identity_source_terms(f: Frame) -> tuple[float, float, float, float]:
     """Transport, consumption and concavity sources of the entropy identity at one state.
 
     (transport_grad, transport_lap, consumption, concavity), the first four
-    right-hand terms of the balance in ``entropy_identity_residual``.
+    right-hand terms of the balance in ``DiagnosticsRecord._identity_residual``.
     """
     g = f.geom
     st = f.state
@@ -282,48 +287,6 @@ def identity_source_terms(f: Frame) -> tuple[float, float, float, float]:
         np.where(g.active, st.n.data * (f_val * gp / (2.0 * gc ** 2) - fp_val / gc) * grad_c2, 0.0), g)
     t4 = 0.5 * volume_integral(np.where(g.active, gpp / gc ** 2 * grad_c2 ** 2, 0.0), g)
     return t1, t2, t3, t4
-
-
-def _identity_balance(dEdt: float, fisher: float, hess_rho: float,
-                      sources: tuple[float, float, float, float], boundary: float):
-    t1, t2, t3, t4 = sources
-    rhs = t1 + t2 + t3 + t4 + boundary
-    residual = abs(dEdt + fisher + hess_rho - rhs)
-    terms = {"dEdt": dEdt, "fisher": fisher, "hess_rho": hess_rho,
-             "transport_grad": t1, "transport_lap": t2, "consumption": t3,
-             "concavity": t4, "boundary": boundary}
-    scale = max(max(abs(v) for v in terms.values()), 1e-30)
-    return residual, residual / scale, terms
-
-
-def entropy_identity_residual(states: tuple[SimState, SimState, SimState],
-                              derived: DerivedScalars):
-    """Residual of the entropy production balance on three consecutive outputs.
-
-    dE/dt is the centered difference across the window; dissipation and the
-    transport/boundary source terms are evaluated at the middle state:
-
-        dE/dt + fisher + hess_rho =
-            -1/2 int g'/g^2 |grad c|^2 (u . grad c)
-            + int (1/g) lap c (u . grad c)
-            + int n (f g'/(2 g^2) - f'/g) |grad c|^2
-            + 1/2 int (g''/g^2) |grad c|^4
-            + boundary term
-
-    Returns (residual, normalized_residual, terms_dict); the normalization is
-    the largest term magnitude. A DiagnosticsRecord evaluates the same
-    balance from its rows instead, holding no states.
-    """
-    s0, s1, s2 = states
-    if not (s0.t < s1.t < s2.t):
-        raise ValueError("window states must be time-ordered")
-    e0 = entropy_functional(Frame(s0, derived))
-    e2 = entropy_functional(Frame(s2, derived))
-    dEdt = (e2 - e0) / (s2.t - s0.t)
-    mid = Frame(s1, derived)
-    fisher, hess_rho = dissipation_terms(mid)
-    return _identity_balance(dEdt, fisher, hess_rho, identity_source_terms(mid),
-                             boundary_term(mid))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +327,7 @@ class DiagnosticsRecord:
         ent_n, grad_psi_sq = entropy_parts(f)
         fisher, hess_rho = dissipation_terms(f)
         grad_c_4 = volume_integral(f.grad_c2 ** 2, g)
-        psi_l2 = volume_integral(np.where(g.active, f.psi_c ** 2, 0.0), g)
+        psi_l2 = volume_integral(f.psi_c ** 2, g)
         n_pos = np.maximum(st.n.data, 0.0)
         n_l65 = volume_integral(np.where(g.active, n_pos ** 1.2, 0.0), g) ** (5.0 / 3.0)
         row = {
@@ -391,24 +354,38 @@ class DiagnosticsRecord:
         index = len(self.rows) - 1
         if index >= 2:
             self.rows[index - 1]["identity_residual"] = self._identity_residual(
-                index - 1, self._sources)[1]
+                index - 1, self._sources)
         # row 0 is an endpoint, whose residual stays 0: it needs no sources
         self._sources = identity_source_terms(f) if index else None
         return row
 
-    def _identity_residual(self, index: int, sources: tuple[float, float, float, float]):
-        """The entropy-identity balance of interior row ``index`` from the rows around it.
+    def _identity_residual(self, index: int, sources: tuple[float, float, float, float]) -> float:
+        """The normalized entropy-identity residual of interior row ``index``.
 
         dE/dt is the centered difference of entropy_n + grad_psi_sq/2 over
         the neighbouring rows; fisher, hess_rho and the boundary term are the
         row's own; ``sources`` are identity_source_terms of the row's state.
-        Same values as entropy_identity_residual on the three states.
+        The balance, with every term at the middle row,
+
+            dE/dt + fisher + hess_rho =
+                -1/2 int g'/g^2 |grad c|^2 (u . grad c)
+                + int (1/g) lap c (u . grad c)
+                + int n (f g'/(2 g^2) - f'/g) |grad c|^2
+                + 1/2 int (g''/g^2) |grad c|^4
+                + boundary term,
+
+        is normalized by its largest term magnitude.
         """
         r0, r1, r2 = self.rows[index - 1:index + 2]
         e0 = r0["entropy_n"] + 0.5 * r0["grad_psi_sq"]
         e2 = r2["entropy_n"] + 0.5 * r2["grad_psi_sq"]
         dEdt = (e2 - e0) / (r2["t"] - r0["t"])
-        return _identity_balance(dEdt, r1["fisher"], r1["hess_rho"], sources, r1["boundary_term"])
+        t1, t2, t3, t4 = sources
+        boundary = r1["boundary_term"]
+        rhs = t1 + t2 + t3 + t4 + boundary
+        residual = abs(dEdt + r1["fisher"] + r1["hess_rho"] - rhs)
+        terms = (dEdt, r1["fisher"], r1["hess_rho"], t1, t2, t3, t4, boundary)
+        return residual / max(max(abs(v) for v in terms), 1e-30)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([r[name] for r in self.rows])

@@ -240,16 +240,6 @@ def chemotactic_face_velocity(c: ScalarField, chi: Callable) -> VectorField:
 # sampling and boundary derivatives
 # ---------------------------------------------------------------------------
 
-def bilinear_sample(geom: GridGeometry, data: np.ndarray, x, y):
-    """Bilinear interpolation of cell-centered data at points (x, y).
-
-    Returns (values, valid); a sample is valid only when all four stencil
-    cells are active.
-    """
-    stencil = geom.bilinear_stencil(x, y)
-    return stencil.sample(data), stencil.valid
-
-
 def normal_derivative_of_gradsq(s: ScalarField, gradsq: np.ndarray | None = None):
     """Outward normal derivative of |grad s|^2 at the boundary segments.
 

@@ -1,5 +1,10 @@
 """Kinetics model: sensitivity chi(c), consumption f(c), gravity phi = -G*y.
 
+A KineticsModel holds chi and f with two derivatives each as callables.
+``polynomial_model`` builds all six from the ascending coefficients of chi
+and f, each through one Horner closure; the configuration states every model
+this way, and ``linear_model`` (chi = 1, f(s) = s) is its simplest case.
+
 The transport coupling is stable only for model functions with a specific
 structure; ``validate_assumptions`` checks it on [0, c_max] before any run:
 
@@ -74,44 +79,48 @@ class KineticsModel:
         return num / chi ** 3
 
 
-def linear_model(G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
-    """chi = 1, f(s) = s: the simplest model satisfying every assumption strictly."""
-    one = np.ones_like
-    zero = np.zeros_like
+def _horner(coeffs):
+    """The polynomial with ascending coefficients ``coeffs``, as a callable.
 
-    def as_arr(s):
-        return np.asarray(s, dtype=float)
+    Trailing zero coefficients are dropped; a constant fills the shape of its
+    argument. Otherwise Horner's rule runs in the order of NumPy's polyval,
+    skipping every product by exactly 1.0 and every sum of exactly 0.0: both
+    are exact, so f(s) = s returns its float input itself.
+    """
+    c = [float(v) for v in coeffs]
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+    if len(c) == 1:
+        return lambda s: np.full(np.shape(s), c[0])
+    lead, lower = c[-1], c[-2::-1]
 
-    return KineticsModel(
-        chi=lambda s: one(as_arr(s)), chi_p=lambda s: zero(as_arr(s)), chi_pp=lambda s: zero(as_arr(s)),
-        f=lambda s: as_arr(s), f_p=lambda s: one(as_arr(s)), f_pp=lambda s: zero(as_arr(s)),
-        kappa_ns=kappa_ns, grav=G)
+    def evaluate(s):
+        x = np.asarray(s, dtype=float)
+        acc = x if lead == 1.0 else lead * x
+        for k, ck in enumerate(lower):
+            if k:
+                acc = acc * x
+            if ck != 0.0:
+                acc = acc + ck
+        return acc
 
-
-def saturating_model(G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
-    """chi = 1, f(s) = s/(1+s): saturating consumption, concave f/chi."""
-
-    def as_arr(s):
-        return np.asarray(s, dtype=float)
-
-    return KineticsModel(
-        chi=lambda s: np.ones_like(as_arr(s)),
-        chi_p=lambda s: np.zeros_like(as_arr(s)),
-        chi_pp=lambda s: np.zeros_like(as_arr(s)),
-        f=lambda s: as_arr(s) / (1.0 + as_arr(s)),
-        f_p=lambda s: 1.0 / (1.0 + as_arr(s)) ** 2,
-        f_pp=lambda s: -2.0 / (1.0 + as_arr(s)) ** 3,
-        kappa_ns=kappa_ns, grav=G)
+    return evaluate
 
 
 def polynomial_model(chi_coeffs, f_coeffs, G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
-    """Model from polynomial coefficients (ascending order)."""
-    chi = np.polynomial.Polynomial(np.asarray(chi_coeffs, dtype=float))
-    f = np.polynomial.Polynomial(np.asarray(f_coeffs, dtype=float))
+    """Model from the ascending polynomial coefficients of chi and f."""
+    chi = np.asarray(chi_coeffs, dtype=float)
+    f = np.asarray(f_coeffs, dtype=float)
+    der = np.polynomial.polynomial.polyder
     return KineticsModel(
-        chi=chi, chi_p=chi.deriv(1), chi_pp=chi.deriv(2),
-        f=f, f_p=f.deriv(1), f_pp=f.deriv(2),
+        chi=_horner(chi), chi_p=_horner(der(chi)), chi_pp=_horner(der(chi, 2)),
+        f=_horner(f), f_p=_horner(der(f)), f_pp=_horner(der(f, 2)),
         kappa_ns=kappa_ns, grav=G)
+
+
+def linear_model(G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
+    """chi = 1, f(s) = s: the simplest model satisfying every assumption strictly."""
+    return polynomial_model((1.0,), (0.0, 1.0), G=G, kappa_ns=kappa_ns)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ the same four lines (see its docstring).
 
 Memory is bounded by design: the Helmholtz system and each viscous component
 keep the factors of at most FACTOR_LEVELS step sizes, least recently used
-evicted first, and the single pressure factor is built once and kept.
+evicted first, and the single pressure factor is built once and kept. After
+an eviction the freed heap pages go back to the OS (``_trim_heap``), so the
+bound also holds for the resident memory.
 LinearSystems counts its factorizations and evictions (``factorizations``,
 ``evictions``); a run reports them in the ``solver`` block of summary.json.
 
@@ -38,6 +40,7 @@ Every step, manufactured-solution runs included, ends with the invariant check
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -62,6 +65,24 @@ PROJECTION_TOL = 1e-8   # relative divergence left by the pressure projection
 # level, so two levels keep every reuse a run makes; with one, star_ns_step
 # re-factors 0.02 after its 0.009375 remainder (22 factorizations, not 19).
 FACTOR_LEVELS = 2
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+except (AttributeError, OSError, TypeError):   # not glibc
+    _malloc_trim = None
+
+
+def _trim_heap():
+    """Return the pages of freed heap blocks to the OS; a no-op without glibc.
+
+    After its first large free, glibc serves blocks of that size from the
+    heap instead of fresh mappings. When the next factor does not fit the
+    hole an evicted one left, the hole would stay resident, and peak memory
+    would depend on the heap's layout rather than on FACTOR_LEVELS.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 class SolverAbort(RuntimeError):
@@ -232,6 +253,7 @@ class LinearSystems:
             if len(levels) == FACTOR_LEVELS:
                 del levels[next(iter(levels))]
                 self.evictions += 1
+                _trim_heap()
             lu = self._splu(build())
         levels[dt] = lu
         return lu

@@ -18,7 +18,6 @@ from chemofluid.diagnostics import (
     Frame,
     check_energy_inequality,
     convergence_monitor,
-    entropy_identity_residual,
     hessian_pointwise_violation,
 )
 from chemofluid.fields import ScalarField, VectorField, divergence
@@ -158,16 +157,15 @@ def residual_studies():
             st = InitialData(n0, c0, u0).make_state()
             derived = build_derived(model, default_c_floor(c0.max_active()), c0.max_active())
             clock = StepClock(dt, cfg.end_time, dt_cad)
-            snaps = {0: st.copy()}   # by output index: state at t = index * dt_cad
+            # the outputs around t = 0.12; the record fills the middle row's residual
+            mid = round(0.12 / dt_cad)
+            record = DiagnosticsRecord(g, n_inf=1.0, c0_max=c0.max_active())
             while not clock.done:
                 st = step(st, cfg, model, lin, dt=clock.advance(dt))
                 st.t = clock.t
-                if clock.output is not None:
-                    snaps[clock.output] = st.copy()
-            mid = round(0.12 / dt_cad)
-            win = tuple(snaps[mid + s] for s in (-1, 0, 1))
-            _, nres, _ = entropy_identity_residual(win, derived)
-            normalized.append(nres)
+                if clock.output in (mid - 1, mid, mid + 1):
+                    record.append_state(Frame(st, derived))
+            normalized.append(record.rows[1]["identity_residual"])
         orders = [float(np.log2(normalized[i] / normalized[i + 1])) for i in range(2)]
         out[label] = {"normalized": normalized, "orders": orders}
     return out

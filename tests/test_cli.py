@@ -79,6 +79,26 @@ class TestConfigParsing:
         geom = rc.build_geometry()
         assert abs(geom.area - np.pi) / np.pi < 0.02
 
+    def test_model_from_coefficients_alone(self):
+        from chemofluid.model import linear_model, polynomial_model
+        s = np.linspace(0.0, 2.0, 51)
+        for values, want in (({}, linear_model(G=0.5)),
+                             ({"model.chi_coeffs": (1.0, 0.5), "model.f_coeffs": (0.0, 1.0, -0.25)},
+                              polynomial_model((1.0, 0.5), (0.0, 1.0, -0.25), G=0.5))):
+            model = RunConfig(values).build_model()
+            for name in ("chi", "chi_p", "chi_pp", "f", "f_p", "f_pp"):
+                assert np.array_equal(getattr(model, name)(s), getattr(want, name)(s))
+
+    def test_model_selector_keys_rejected(self):
+        for key, value in (("model.chi", "one"), ("model.f", "linear"), ("model.f", "poly")):
+            with pytest.raises(ConfigError):
+                parse_config_text(f"{key} = {value}")
+            with pytest.raises(ConfigError):
+                RunConfig({key: value})
+        for key in ("model.chi_coeffs", "model.f_coeffs"):
+            with pytest.raises(ConfigError):
+                RunConfig({key: ()})
+
     def test_sampled_domain_requires_path(self):
         with pytest.raises(ConfigError):
             RunConfig({"domain.shape": "sampled"})
@@ -90,11 +110,11 @@ class TestCliExitCodes:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
     def test_validate_model_pass(self, tmp_path):
-        cfg = write_cfg(tmp_path, "model.f = linear\n")
+        cfg = write_cfg(tmp_path, "model.f_coeffs = 0,1\n")
         assert main(["validate-model", "--config", cfg]) == 0
 
     def test_validate_model_quadratic_fails(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "model.f = poly\nmodel.f_coeffs = 0,0,1\n")
+        cfg = write_cfg(tmp_path, "model.f_coeffs = 0,0,1\n")
         code = main(["validate-model", "--config", cfg, "--out", str(tmp_path / "v")])
         out = capsys.readouterr().out
         assert code == 2
@@ -102,8 +122,17 @@ class TestCliExitCodes:
         assert (tmp_path / "v" / "assumptions.csv").exists()
 
     def test_run_refuses_invalid_model(self, tmp_path):
-        cfg = write_cfg(tmp_path, SMALL_RUN + "model.f = poly\nmodel.f_coeffs = 0,0,1\n")
+        cfg = write_cfg(tmp_path, SMALL_RUN + "model.f_coeffs = 0,0,1\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate-model"])
+    @pytest.mark.parametrize("line", ["model.chi = one", "model.f = linear", "model.f = poly"],
+                             ids=["chi_one", "f_linear", "f_poly"])
+    def test_model_selector_is_config_error(self, tmp_path, capsys, command, line):
+        cfg = write_cfg(tmp_path, SMALL_RUN + line + "\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "unknown key" in capsys.readouterr().err
         assert not (tmp_path / "o" / "diagnostics.csv").exists()
 
     def test_check_geometry(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ from chemofluid.fields import (
     ScalarField,
     VectorField,
     advect_conservative,
-    bilinear_sample,
     divergence,
     gradient_neumann,
     hessian,
@@ -228,7 +227,8 @@ def probe_reference(s, geom, depths=(2.0, 3.5, 5.0)):
     def probe(d, mask):
         px = geom.seg_mid[mask, 0] - d * geom.seg_normal[mask, 0]
         py = geom.seg_mid[mask, 1] - d * geom.seg_normal[mask, 1]
-        return bilinear_sample(geom, q, px, py)
+        stencil = geom.bilinear_stencil(px, py)
+        return stencil.sample(q), stencil.valid
 
     for extra in (0.0, 0.75, 1.5):
         todo = ~valid
@@ -301,7 +301,8 @@ class TestSamplingAndNorms:
         data = np.where(disk64.active, 2.0 * X - 3.0 * Y + 1.0, 0.0)
         xs = np.array([0.1, -0.2, 0.35])
         ys = np.array([0.05, 0.1, -0.3])
-        vals, ok = bilinear_sample(disk64, data, xs, ys)
+        stencil = disk64.bilinear_stencil(xs, ys)
+        vals, ok = stencil.sample(data), stencil.valid
         assert ok.all()
         assert np.abs(vals - (2 * xs - 3 * ys + 1)).max() < 1e-12
 

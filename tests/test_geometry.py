@@ -5,7 +5,6 @@ import pytest
 from scipy import ndimage
 from scipy.integrate import quad
 
-from chemofluid.fields import bilinear_sample
 from chemofluid.geometry import (
     BAND,
     EXTERIOR,
@@ -160,7 +159,8 @@ class TestGridCache:
         data = np.random.default_rng(29).standard_normal((g.nx, g.ny))
         px = g.seg_mid[:, 0] - 1.5 * g.h * g.seg_normal[:, 0]
         py = g.seg_mid[:, 1] - 1.5 * g.h * g.seg_normal[:, 1]
-        vals, ok = bilinear_sample(g, data, px, py)
+        stencil = g.bilinear_stencil(px, py)
+        vals, ok = stencil.sample(data), stencil.valid
         assert np.array_equal(g.seg_sample.sample(data), vals)
         assert np.array_equal(g.seg_sample.valid, ok)
 

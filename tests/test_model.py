@@ -15,13 +15,15 @@ from chemofluid.model import (
     KineticsModel,
     ModelError,
     _cubic_hermite,
+    _horner,
     build_derived,
     buoyancy_force,
     linear_model,
     polynomial_model,
-    saturating_model,
     validate_assumptions,
 )
+
+MODEL_CALLABLES = ("chi", "chi_p", "chi_pp", "f", "f_p", "f_pp", "g", "g_prime", "g_pp")
 
 
 def inverse_chi_model():
@@ -34,6 +36,76 @@ def inverse_chi_model():
         f=lambda s: arr(s),
         f_p=lambda s: np.ones_like(arr(s)),
         f_pp=lambda s: np.zeros_like(arr(s)))
+
+
+def saturating_model(G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
+    # chi = 1, f(s) = s/(1+s): saturating consumption, concave f/chi
+    arr = lambda s: np.asarray(s, dtype=float)
+    return KineticsModel(
+        chi=lambda s: np.ones_like(arr(s)),
+        chi_p=lambda s: np.zeros_like(arr(s)),
+        chi_pp=lambda s: np.zeros_like(arr(s)),
+        f=lambda s: arr(s) / (1.0 + arr(s)),
+        f_p=lambda s: 1.0 / (1.0 + arr(s)) ** 2,
+        f_pp=lambda s: -2.0 / (1.0 + arr(s)) ** 3,
+        kappa_ns=kappa_ns, grav=G)
+
+
+def lambda_linear_model(G: float = 1.0, kappa_ns: float = 0.0) -> KineticsModel:
+    # chi = 1, f(s) = s written out as lambdas: the reference for linear_model
+    arr = lambda s: np.asarray(s, dtype=float)
+    return KineticsModel(
+        chi=lambda s: np.ones_like(arr(s)), chi_p=lambda s: np.zeros_like(arr(s)),
+        chi_pp=lambda s: np.zeros_like(arr(s)),
+        f=lambda s: arr(s), f_p=lambda s: np.ones_like(arr(s)), f_pp=lambda s: np.zeros_like(arr(s)),
+        kappa_ns=kappa_ns, grav=G)
+
+
+class TestPolynomialEvaluator:
+    """One Horner evaluator builds every model; it must cost nothing in bits."""
+
+    rng = np.random.default_rng(17)
+    INPUTS = {
+        "2d": rng.uniform(0.0, 2.0, (257, 256)),
+        "1d": np.linspace(0.0, 3.0, 101),
+        "0d": np.asarray(0.7),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    def test_linear_model_equals_lambdas(self, kind):
+        s = self.INPUTS[kind]
+        mine, ref = linear_model(G=0.5, kappa_ns=1.0), lambda_linear_model(G=0.5, kappa_ns=1.0)
+        assert (mine.grav, mine.kappa_ns) == (ref.grav, ref.kappa_ns)
+        for name in MODEL_CALLABLES:
+            got, want = getattr(mine, name)(s), getattr(ref, name)(s)
+            assert type(got) is type(want), name
+            assert np.shape(got) == np.shape(want) and got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    def test_identity_returns_its_input(self):
+        s = self.INPUTS["2d"]
+        assert linear_model().f(s) is s
+
+    @pytest.mark.parametrize("coeffs", [
+        (2.5,), (0.0,), (0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0), (0.0, 1.0),
+        (0.5, -2.0, 1.0), (0.0, 1.0, -0.25), (1.0, -0.5, 0.25), (3.0, 0.0, -1.0, 0.125),
+    ], ids=["constant", "zero", "all_zero", "trailing_zeros", "identity",
+            "leading_one", "zero_constant_term", "quadratic", "cubic"])
+    def test_matches_numpy_polynomial(self, coeffs):
+        oracle = np.polynomial.Polynomial(coeffs)
+        for s in (np.random.default_rng(3).uniform(-1.0, 3.0, (64, 48)), np.linspace(-1.0, 3.0, 41)):
+            got = _horner(coeffs)(s)
+            assert got.shape == s.shape and got.dtype == np.float64
+            assert np.array_equal(got, oracle(s))
+
+    def test_model_derivatives_match_numpy_polynomial(self):
+        chi, f = (1.0, -0.5, 0.25), (0.0, 1.0, -0.25)
+        model = polynomial_model(chi, f)
+        s = np.linspace(0.0, 2.0, 201)
+        for coeffs, names in ((chi, ("chi", "chi_p", "chi_pp")), (f, ("f", "f_p", "f_pp"))):
+            for k, name in enumerate(names):
+                oracle = np.polynomial.Polynomial(coeffs).deriv(k)
+                assert np.array_equal(getattr(model, name)(s), oracle(s)), name
 
 
 class TestValidator:

@@ -355,6 +355,8 @@ class TestFactorCache:
             return spla.splu(*args, **kwargs)
 
         monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
+        trims = []
+        monkeypatch.setattr(solver, "_trim_heap", lambda: trims.append(lin.evictions))
         pressure_lu = None
         solved = []
         for k, (dt, cached, factorizations, evictions) in enumerate(self.LEVELS):
@@ -371,6 +373,8 @@ class TestFactorCache:
         # evicted before factoring: the new factor never exceeds the bound either
         assert len(held_at_factoring) == lin.factorizations
         assert max(held_at_factoring) + 1 <= 3 * FACTOR_LEVELS
+        # the heap is trimmed once after every eviction
+        assert trims == list(range(1, lin.evictions + 1))
         monkeypatch.undo()
         for k, ((dt, *_), solves) in enumerate(zip(self.LEVELS, solved)):
             fresh = LinearSystems(grid96)
