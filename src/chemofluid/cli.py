@@ -38,14 +38,11 @@ def _load_config(args):
 
 
 def cmd_run(args) -> int:
-    from chemofluid.runner import ValidationFailure, run_simulation
+    from chemofluid.runner import run_simulation
     from chemofluid.solver import SolverAbort
     rc = _load_config(args)
     try:
         summary = run_simulation(rc, args.out)
-    except ValidationFailure as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -160,6 +157,7 @@ def main(argv=None) -> int:
     from chemofluid.config import ConfigError
     from chemofluid.geometry import DomainError, ResolutionError
     from chemofluid.gridio import FormatError
+    from chemofluid.model import ModelError
     try:
         if args.command == "run":
             return cmd_run(args)
@@ -174,6 +172,9 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, ResolutionError, FormatError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ModelError as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     raise AssertionError(f"unhandled command {args.command}")
 
 

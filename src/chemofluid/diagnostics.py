@@ -23,14 +23,15 @@ discretely here:
   (n_inf, 0, 0).
 
 Per-state intermediates are computed once per state in a ``Frame``: grad c
-and |grad c|^2, psi(c) and its gradient, grad n, the Hessian of rho(c),
-g, g' and g'' of c, and the boundary probes with c at the segments. Every
-single-state function takes a frame, and ``Frame(state_or_c, derived)`` is
-the one place that accepts a state or a bare c field; the geometry and the
-transforms of c come from the frame. Passed one frame, the row, the
-curvature-lemma check, the quartic-gradient check and the boundary term
-share these intermediates instead of recomputing them. Each formula is
-still written once, in the function that owns it.
+and |grad c|^2, psi(c) and its gradient, grad n, the Hessian of rho(c), the
+boundary probes with c at the segments, and c and n on the active cells with
+(g, g', g'') of the clamped c from one model evaluation. Integrands are
+formed on active-cell vectors and scattered into zeros to be integrated.
+Every single-state function takes a frame, and ``Frame(state_or_c,
+derived)`` is the one place that accepts a state or a bare c field. Passed
+one frame, the row, the curvature-lemma check, the quartic-gradient check
+and the boundary term share these intermediates instead of recomputing
+them. Each formula is still written once, in the function that owns it.
 
 Integrands with 1/g weights are singular as c -> 0; cells below the model's
 c_floor are clamped or masked and their fraction is reported. All checks are
@@ -112,17 +113,30 @@ class Frame:
         cx, cy = self.grad_c
         return cx.data ** 2 + cy.data ** 2
 
-    def _on_active(self, transform) -> np.ndarray:
-        """transform(c) on the active cells, 0 elsewhere."""
+    @cached_property
+    def c_active(self) -> np.ndarray:
+        """c gathered on the active cells, in the order of ``geom.active``."""
+        return self.c.data[self.geom.active]
+
+    @cached_property
+    def n_active(self) -> np.ndarray:
+        return self.state.n.data[self.geom.active]
+
+    def _scatter(self, values) -> np.ndarray:
+        """Values given on the active cells as a grid array, 0 elsewhere."""
         g = self.geom
         out = np.zeros((g.nx, g.ny))
-        out[g.active] = transform(self.c.data[g.active])
+        out[g.active] = values
         return out
+
+    def _integral(self, values) -> float:
+        """Volume integral of values given on the active cells."""
+        return volume_integral(self._scatter(values), self.geom)
 
     @cached_property
     def psi_c(self) -> np.ndarray:
         """psi(c) on the active cells, 0 elsewhere."""
-        return self._on_active(self.derived.psi)
+        return self._scatter(self.derived.psi(self.c_active))
 
     @cached_property
     def grad_psi(self) -> tuple[ScalarField, ScalarField]:
@@ -134,20 +148,19 @@ class Frame:
 
     @cached_property
     def rho_hessian_sq(self) -> np.ndarray:
-        """|D^2 rho(c)|^2 per cell."""
-        return hessian(ScalarField(self.geom, self._on_active(self.derived.rho))).frobenius_sq()
+        """|D^2 rho(c)|^2 on the active cells."""
+        rho_c = ScalarField(self.geom, self._scatter(self.derived.rho(self.c_active)))
+        return hessian(rho_c).frobenius_sq()[self.geom.active]
 
     @cached_property
-    def g(self) -> np.ndarray:
-        return self.derived.g(self.c.data)
+    def c_clamped(self) -> np.ndarray:
+        """c on the active cells, clamped to the table range."""
+        return self.derived.clamp(self.c_active)
 
     @cached_property
-    def g_prime(self) -> np.ndarray:
-        return self.derived.g_prime(self.c.data)
-
-    @cached_property
-    def g_pp(self) -> np.ndarray:
-        return self.derived.g_pp(self.c.data)
+    def g_derivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g, g', g'') of the clamped c on the active cells."""
+        return self.derived.model.g_derivatives(self.c_clamped)
 
     @cached_property
     def boundary_probes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,11 +193,10 @@ def entropy_functional(f: Frame) -> float:
 
 
 def entropy_parts(f: Frame) -> tuple[float, float]:
-    g = f.geom
-    n = f.state.n.data
-    ent_n = volume_integral(np.where(g.active, n * np.log(np.maximum(n, LOG_CLAMP)), 0.0), g)
+    n = f.n_active
+    ent_n = f._integral(n * np.log(np.maximum(n, LOG_CLAMP)))
     px, py = f.grad_psi
-    grad_psi_sq = volume_integral(px.data ** 2 + py.data ** 2, g)
+    grad_psi_sq = volume_integral(px.data ** 2 + py.data ** 2, f.geom)
     return ent_n, grad_psi_sq
 
 
@@ -196,9 +208,10 @@ def dissipation_terms(f: Frame) -> tuple[float, float]:
     """
     g = f.geom
     nx, ny = f.grad_n
-    fisher = volume_integral(
-        np.where(g.active, (nx.data ** 2 + ny.data ** 2) / np.maximum(f.state.n.data, LOG_CLAMP), 0.0), g)
-    hess_rho = volume_integral(np.where(g.stencil_ok, f.g * f.rho_hessian_sq, 0.0), g)
+    fisher = f._integral(
+        (nx.data[g.active] ** 2 + ny.data[g.active] ** 2) / np.maximum(f.n_active, LOG_CLAMP))
+    gc, _, _ = f.g_derivatives
+    hess_rho = f._integral(np.where(g.stencil_ok[g.active], gc * f.rho_hessian_sq, 0.0))
     return fisher, hess_rho
 
 
@@ -245,14 +258,14 @@ def check_inequality_33(f: Frame, time: float = 0.0) -> InequalityReport:
     treated as a failure (it rests on a convexity-backed boundary sign).
     """
     g = f.geom
-    mask = g.stencil_ok & (f.c.data >= f.derived.c_floor)
-    gc, gp = f.g, f.g_prime
-    lhs = volume_integral(np.where(mask, gp / gc ** 3 * f.grad_c2 ** 2, 0.0), g)
-    rhs = HESSIAN_CONST * volume_integral(np.where(mask, gc / gp * f.rho_hessian_sq, 0.0), g)
+    mask = g.stencil_ok[g.active] & (f.c_active >= f.derived.c_floor)
+    gc, gp, _ = f.g_derivatives
+    lhs = f._integral(np.where(mask, gp / gc ** 3 * f.grad_c2[g.active] ** 2, 0.0))
+    rhs = HESSIAN_CONST * f._integral(np.where(mask, gc / gp * f.rho_hessian_sq, 0.0))
     tol = I33_TOL_REL * rhs + 1e-12
     violation = lhs - rhs
     passed = (lhs <= rhs + tol) or (not g.is_convex)
-    masked_frac = 1.0 - float(mask.sum()) / float(g.active.sum())
+    masked_frac = 1.0 - float(mask.sum()) / float(mask.size)
     return InequalityReport(
         id="gradient_quartic", time=time, lhs=lhs, rhs=rhs, violation=violation,
         tolerance=tol, passed=passed,
@@ -269,23 +282,20 @@ def identity_source_terms(f: Frame) -> tuple[float, float, float, float]:
     (transport_grad, transport_lap, consumption, concavity), the first four
     right-hand terms of the balance in ``DiagnosticsRecord._identity_residual``.
     """
-    g = f.geom
-    st = f.state
+    act = f.geom.active
     cx, cy = f.grad_c
-    grad_c2 = f.grad_c2
-    uc, vc = cell_centered_velocity(st.u)
-    u_dot_gc = uc * cx.data + vc * cy.data
-    lap_c = laplacian_neumann(f.c)
-    gc, gp, gpp = f.g, f.g_prime, f.g_pp
-    c_cl = f.derived.clamp(f.c.data)
-    f_val = f.derived.model.f(c_cl)
-    fp_val = f.derived.model.f_p(c_cl)
+    grad_c2 = f.grad_c2[act]
+    uc, vc = cell_centered_velocity(f.state.u)
+    u_dot_gc = (uc * cx.data + vc * cy.data)[act]
+    lap_c = laplacian_neumann(f.c).data[act]
+    gc, gp, gpp = f.g_derivatives
+    f_val = f.derived.model.f(f.c_clamped)
+    fp_val = f.derived.model.f_p(f.c_clamped)
 
-    t1 = -0.5 * volume_integral(np.where(g.active, gp / gc ** 2 * grad_c2 * u_dot_gc, 0.0), g)
-    t2 = volume_integral(np.where(g.active, lap_c.data / gc * u_dot_gc, 0.0), g)
-    t3 = volume_integral(
-        np.where(g.active, st.n.data * (f_val * gp / (2.0 * gc ** 2) - fp_val / gc) * grad_c2, 0.0), g)
-    t4 = 0.5 * volume_integral(np.where(g.active, gpp / gc ** 2 * grad_c2 ** 2, 0.0), g)
+    t1 = -0.5 * f._integral(gp / gc ** 2 * grad_c2 * u_dot_gc)
+    t2 = f._integral(lap_c / gc * u_dot_gc)
+    t3 = f._integral(f.n_active * (f_val * gp / (2.0 * gc ** 2) - fp_val / gc) * grad_c2)
+    t4 = 0.5 * f._integral(gpp / gc ** 2 * grad_c2 ** 2)
     return t1, t2, t3, t4
 
 
@@ -328,8 +338,7 @@ class DiagnosticsRecord:
         fisher, hess_rho = dissipation_terms(f)
         grad_c_4 = volume_integral(f.grad_c2 ** 2, g)
         psi_l2 = volume_integral(f.psi_c ** 2, g)
-        n_pos = np.maximum(st.n.data, 0.0)
-        n_l65 = volume_integral(np.where(g.active, n_pos ** 1.2, 0.0), g) ** (5.0 / 3.0)
+        n_l65 = f._integral(np.maximum(f.n_active, 0.0) ** 1.2) ** (5.0 / 3.0)
         row = {
             "t": st.t,
             "mass": volume_integral(st.n, g),
@@ -345,7 +354,7 @@ class DiagnosticsRecord:
             "n_l65_sq": n_l65,
             "boundary_term": boundary_term(f),
             "ms_violation": check_ms_lemma(f, time=st.t).violation,
-            "conv_n": float(np.abs(st.n.data[g.active] - self.n_inf).max()),
+            "conv_n": float(np.abs(f.n_active - self.n_inf).max()),
             "u_sup": st.u.max_speed(),
             "identity_residual": 0.0,
             "clamped_frac": f.derived.clamped_fraction(st.c),

@@ -12,7 +12,10 @@ structure; ``validate_assumptions`` checks it on [0, c_max] before any run:
     f in C^2, f(0) = 0, f > 0 on (0, c_max]
     (f/chi)' > 0,   (f/chi)'' <= 0,   (chi*f)' >= 0
 
-From g = f/chi the diagnostics use two integral transforms anchored at 1,
+``KineticsModel.g_derivatives`` gives g = f/chi, g' and g'' from one call of
+each callable; the validator, the table range check and the per-frame
+diagnostics all use it. From g the diagnostics use two integral transforms
+anchored at 1,
 
     psi(s) = int_1^s dsigma / sqrt(g(sigma)),   rho(s) = int_1^s dsigma / g(sigma),
 
@@ -68,15 +71,13 @@ class KineticsModel:
     def g(self, s):
         return self.f(s) / self.chi(s)
 
-    def g_prime(self, s):
-        chi, f = self.chi(s), self.f(s)
-        return (self.f_p(s) * chi - f * self.chi_p(s)) / chi ** 2
-
-    def g_pp(self, s):
-        chi, f = self.chi(s), self.f(s)
-        chi_p, f_p = self.chi_p(s), self.f_p(s)
-        num = (self.f_pp(s) * chi - f * self.chi_pp(s)) * chi - 2.0 * chi_p * (f_p * chi - f * chi_p)
-        return num / chi ** 3
+    def g_derivatives(self, s):
+        """(g, g', g'') at s by the quotient rule, calling each callable once."""
+        chi, chi_p, chi_pp = self.chi(s), self.chi_p(s), self.chi_pp(s)
+        f, f_p, f_pp = self.f(s), self.f_p(s), self.f_pp(s)
+        num_p = f_p * chi - f * chi_p
+        num_pp = (f_pp * chi - f * chi_pp) * chi - 2.0 * chi_p * num_p
+        return f / chi, num_p / chi ** 2, num_pp / chi ** 3
 
 
 def _horner(coeffs):
@@ -167,10 +168,8 @@ def validate_assumptions(model: KineticsModel, c_max: float, n_samples: int = 10
     if c_max <= 0:
         raise ValueError("c_max must be positive")
     s = np.linspace(0.0, c_max, n_samples)
-    chi = model.chi(s)
-    f = model.f(s)
-    gp = model.g_prime(s)
-    gpp = model.g_pp(s)
+    chi, f = model.chi(s), model.f(s)
+    _, gp, gpp = model.g_derivatives(s)
     chif_p = model.chi_p(s) * f + chi * model.f_p(s)
 
     def cond(name, values, points, low, tol):
@@ -248,8 +247,8 @@ class DerivedScalars:
 
     psi and rho are anchored at 1 (psi(1) = rho(1) = 0 exactly). Evaluations
     outside the table clamp to its ends; ``clamped_fraction`` of a field can
-    be queried by the diagnostics. g and its derivatives are evaluated
-    directly from the model with the same argument clamp.
+    be queried by the diagnostics. g is evaluated directly from the model
+    with the same argument clamp.
     """
 
     def __init__(self, model: KineticsModel, c_floor: float, c_max: float):
@@ -287,8 +286,7 @@ class DerivedScalars:
         rho_tab -= rho_tab[ell == 0.0]
 
         s_check = np.exp(np.linspace(np.log(c_floor), np.log(top), 4000))
-        gp = model.g_prime(s_check)
-        gpp = model.g_pp(s_check)
+        _, gp, gpp = model.g_derivatives(s_check)
         if np.any(gp <= 0.0):
             raise ModelError("g' must stay positive on the tabulated range")
         if np.any(gpp > 1e-10):
@@ -321,12 +319,6 @@ class DerivedScalars:
 
     def g(self, s):
         return self.model.g(self.clamp(s))
-
-    def g_prime(self, s):
-        return self.model.g_prime(self.clamp(s))
-
-    def g_pp(self, s):
-        return self.model.g_pp(self.clamp(s))
 
     @property
     def table(self):

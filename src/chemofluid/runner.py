@@ -52,14 +52,10 @@ from chemofluid.diagnostics import (
 from chemofluid.fields import ScalarField
 from chemofluid.geometry import volume_integral
 from chemofluid.gridio import save_state
-from chemofluid.model import build_derived, default_c_floor, validate_assumptions
+from chemofluid.model import ModelError, build_derived, default_c_floor, validate_assumptions
 from chemofluid.solver import LinearSystems, SolverAbort, StepClock, cfl_dt, quantize_dt, step
 
 INEQ_HEADER = "id,time,lhs,rhs,violation,tolerance,passed"
-
-
-class ValidationFailure(RuntimeError):
-    """The kinetics model violates the structural assumptions."""
 
 
 @dataclass
@@ -95,8 +91,9 @@ def _ineq_csv(reports: list[InequalityReport]) -> str:
 def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     """Execute the full time loop described by the configuration.
 
-    Raises ValidationFailure before the loop when the model is inadmissible
-    and lets SolverAbort propagate with step context attached.
+    Raises ModelError before the loop when the model is inadmissible on
+    [0, c0_max] or on the table range, and lets SolverAbort propagate with
+    step context attached.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -112,7 +109,7 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     report = validate_assumptions(model, c0_max)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures)
-        raise ValidationFailure(f"model assumptions violated: {names}")
+        raise ModelError(f"model assumptions violated: {names}")
     derived = build_derived(model, default_c_floor(c0_max), c0_max)
     cfg = rc.solver_config()
     cfg.c_floor = derived.c_floor

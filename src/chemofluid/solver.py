@@ -371,8 +371,9 @@ def quantize_dt(dt_raw: float, dt_max: float) -> float:
     """Largest dt_max / 2^k not exceeding dt_raw (reuses LU factorizations)."""
     if dt_raw >= dt_max:
         return dt_max
-    k = math.ceil(math.log2(dt_max / dt_raw))
-    return dt_max / (2.0 ** k)
+    # a ratio a few ulps above 2^k can round to log2 = k, giving a level above dt_raw
+    level = dt_max / 2.0 ** math.ceil(math.log2(dt_max / dt_raw))
+    return level / 2.0 if level > dt_raw else level
 
 
 class StepClock:
@@ -399,8 +400,7 @@ class StepClock:
     """
 
     def __init__(self, dt_max: float, end_time: float, every: float | None = None):
-        exponent = max(0, math.ceil(math.log2(dt_max / DT_UNDERFLOW)))
-        self.tick = dt_max / 2.0 ** exponent
+        self.tick = quantize_dt(DT_UNDERFLOW, dt_max)
         self.ticks = 0
         self.steps = 0
         self.end = self.ticks_of(end_time)

@@ -126,6 +126,26 @@ class TestCliExitCodes:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "diagnostics.csv").exists()
 
+    def test_scan_refuses_model_inadmissible_on_table(self, tmp_path, capsys):
+        # g = s^2 is convex: the psi/rho table range check rejects it
+        cfg = write_cfg(tmp_path, "grid.n = 32\nscan.trials = 2\nmodel.f_coeffs = 0,0,1\n")
+        assert main(["scan-inequalities", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure:") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "scan.csv").exists()
+
+    def test_run_refuses_model_inadmissible_beyond_c0_max(self, tmp_path, capsys):
+        # g'' = -0.39 + 0.6 s <= 0 on [0, c0_max = 0.6] but not on the table range [c_floor, 1]
+        text = ("grid.n = 32\nscan.trials = 2\nmodel.f_coeffs = 0,1,-0.195,0.1\n"
+                "init.c0_base = 0.5\ninit.c0_amp = 0.1\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate-model", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure:") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "diagnostics.csv").exists()
+
     @pytest.mark.parametrize("command", ["run", "validate-model"])
     @pytest.mark.parametrize("line", ["model.chi = one", "model.f = linear", "model.f = poly"],
                              ids=["chi_one", "f_linear", "f_poly"])

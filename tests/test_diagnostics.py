@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,7 +22,7 @@ from chemofluid.diagnostics import (
 )
 from chemofluid.fields import ScalarField, VectorField, gradient_neumann, mac_grad_norm_sq, mac_norm_sq
 from chemofluid.geometry import LevelSetDomain, classify_cells, volume_integral
-from chemofluid.model import linear_model
+from chemofluid.model import build_derived, linear_model
 from chemofluid.solver import InitialData, LinearSystems, SimState, SolverConfig, step
 
 
@@ -312,6 +314,32 @@ class TestIdentityResidual:
             _, nres, terms = entropy_identity_residual(window, derived_linear)
             assert rec.rows[k]["identity_residual"] == nres
             assert terms["transport_grad"] != 0.0 and terms["boundary"] != 0.0
+
+    def test_model_evaluated_on_active_cells_once_per_frame(self, disk64, trajectory):
+        # the six callables log the size of every argument; a frame evaluates
+        # the model on the active cells and at the boundary segments only
+        sizes = []
+
+        def logged(fn):
+            def call(s):
+                sizes.append(np.size(s))
+                return fn(s)
+            return call
+
+        base = linear_model(G=0.5, kappa_ns=1.0)
+        model = dataclasses.replace(base, **{name: logged(getattr(base, name)) for name in (
+            "chi", "chi_p", "chi_pp", "f", "f_p", "f_pp")})
+        derived = build_derived(model, 1e-10, 2.0)
+        n_active, n_seg = int(disk64.active.sum()), len(disk64.seg_weight)
+        assert n_active != n_seg
+        rec = DiagnosticsRecord(disk64, n_inf=1.0, c0_max=1.25)
+        for k, st in enumerate(trajectory):
+            sizes.clear()
+            frame = Frame(st, derived)
+            rec.append_state(frame)
+            check_inequality_33(frame, time=st.t)
+            assert set(sizes) == {n_active, n_seg}, k
+            assert sizes.count(n_active) <= 8, k
 
     def test_window_must_be_ordered(self, disk64, derived_linear):
         sts = [make_state(disk64, 1.0, 1.0) for _ in range(3)]

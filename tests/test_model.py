@@ -23,7 +23,17 @@ from chemofluid.model import (
     validate_assumptions,
 )
 
-MODEL_CALLABLES = ("chi", "chi_p", "chi_pp", "f", "f_p", "f_pp", "g", "g_prime", "g_pp")
+MODEL_CALLABLES = ("chi", "chi_p", "chi_pp", "f", "f_p", "f_pp", "g")
+
+
+def quotient_rule(model, s):
+    # g, g', g'' of g = f/chi written out term by term, each callable called afresh
+    g = model.f(s) / model.chi(s)
+    chi, f = model.chi(s), model.f(s)
+    g_prime = (model.f_p(s) * chi - f * model.chi_p(s)) / chi ** 2
+    chi_p, f_p = model.chi_p(s), model.f_p(s)
+    num = (model.f_pp(s) * chi - f * model.chi_pp(s)) * chi - 2.0 * chi_p * (f_p * chi - f * chi_p)
+    return g, g_prime, num / chi ** 3
 
 
 def inverse_chi_model():
@@ -81,6 +91,22 @@ class TestPolynomialEvaluator:
             assert type(got) is type(want), name
             assert np.shape(got) == np.shape(want) and got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
+        for got, want in zip(mine.g_derivatives(s), ref.g_derivatives(s)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    @pytest.mark.parametrize("make", [
+        linear_model, lambda: polynomial_model((1.0, 0.25), (0.0, 1.0, -0.195, 0.1)),
+        saturating_model, inverse_chi_model,
+    ], ids=["linear", "cubic", "saturating", "inverse_chi"])
+    def test_g_derivatives_match_quotient_rule(self, make, kind):
+        s = self.INPUTS[kind]
+        model = make()
+        got, want = model.g_derivatives(s), quotient_rule(model, s)
+        assert len(got) == 3
+        for name, a, b in zip(("g", "g'", "g''"), got, want):
+            assert np.shape(a) == np.shape(b), name
+            assert np.array_equal(a, b), name
 
     def test_identity_returns_its_input(self):
         s = self.INPUTS["2d"]
@@ -277,8 +303,9 @@ class TestTransformFieldIdentity:
         psi_c = ScalarField(disk64, np.where(disk64.active, der.psi(c.data), 0.0))
         cx, cy = gradient_neumann(c)
         grad_c2 = cx.data ** 2 + cy.data ** 2
-        lhs = np.sqrt(der.g(c.data)) * laplacian_neumann(rho_c).data
-        rhs = laplacian_neumann(psi_c).data - 0.5 * der.g_prime(c.data) * grad_c2 / der.g(c.data) ** 1.5
+        g, g_prime, _ = der.model.g_derivatives(der.clamp(c.data))
+        lhs = np.sqrt(g) * laplacian_neumann(rho_c).data
+        rhs = laplacian_neumann(psi_c).data - 0.5 * g_prime * grad_c2 / g ** 1.5
         ok = disk64.stencil_ok
         scale = np.abs(lhs[ok]).max()
         assert np.abs(lhs[ok] - rhs[ok]).max() < 0.02 * scale

@@ -91,6 +91,17 @@ class TestCfl:
         assert quantize_dt(0.013, 0.05) == 0.05 / 4
         assert quantize_dt(1.0, 0.05) == 0.05
 
+    @pytest.mark.parametrize("dt_max", [0.01, 0.02, 0.05, 0.1])
+    def test_quantize_never_exceeds_bound(self, dt_max):
+        # a bound 1-5 ulps below a level dt_max / 2^k gets the level below it
+        for k in range(12):
+            level = dt_max / 2.0 ** k
+            assert quantize_dt(level, dt_max) == level
+            bound = level
+            for _ in range(5):
+                bound = float(np.nextafter(bound, 0.0))
+                assert quantize_dt(bound, dt_max) == level / 2.0, (k, bound)
+
     def test_clock_ticks_cover_every_level(self):
         # the finest level a step bound at the underflow floor quantizes to
         # is still a whole, nonzero number of ticks
