@@ -74,7 +74,8 @@ def cmd_validate_model(args) -> int:
             lines.append(f"{c.name},{int(c.passed)},%.17e,%.17e,%.17e"
                          % (c.worst_value, c.worst_point, c.margin))
         (out / "assumptions.csv").write_text("\n".join(lines) + "\n")
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    report.raise_on_failure()
+    return EXIT_OK
 
 
 def cmd_check_geometry(args) -> int:

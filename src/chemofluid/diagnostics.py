@@ -25,9 +25,9 @@ discretely here:
 Per-state intermediates are computed once per state in a ``Frame``: grad c
 and |grad c|^2, psi(c) and its gradient, grad n, the Hessian of rho(c), the
 boundary probes with c at the segments, and c and n on the active cells with
-(g, g', g'') of the clamped c from one model evaluation. Integrands are
-formed on active-cell vectors and scattered into zeros to be integrated.
-Every single-state function takes a frame, and ``Frame(state_or_c,
+the model values and (g, g', g'') of the clamped c, one call per callable.
+Integrands are formed on active-cell vectors and scattered into zeros to be
+integrated. Every single-state function takes a frame, and ``Frame(state_or_c,
 derived)`` is the one place that accepts a state or a bare c field. Passed
 one frame, the row, the curvature-lemma check, the quartic-gradient check
 and the boundary term share these intermediates instead of recomputing
@@ -153,14 +153,14 @@ class Frame:
         return hessian(rho_c).frobenius_sq()[self.geom.active]
 
     @cached_property
-    def c_clamped(self) -> np.ndarray:
-        """c on the active cells, clamped to the table range."""
-        return self.derived.clamp(self.c_active)
+    def model_values(self) -> tuple[np.ndarray, ...]:
+        """(chi, chi', chi'', f, f', f'') of c on the active cells, clamped to the table range."""
+        return self.derived.model.values(self.derived.clamp(self.c_active))
 
     @cached_property
     def g_derivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(g, g', g'') of the clamped c on the active cells."""
-        return self.derived.model.g_derivatives(self.c_clamped)
+        return self.derived.model.g_derivatives(self.model_values)
 
     @cached_property
     def boundary_probes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,8 +289,7 @@ def identity_source_terms(f: Frame) -> tuple[float, float, float, float]:
     u_dot_gc = (uc * cx.data + vc * cy.data)[act]
     lap_c = laplacian_neumann(f.c).data[act]
     gc, gp, gpp = f.g_derivatives
-    f_val = f.derived.model.f(f.c_clamped)
-    fp_val = f.derived.model.f_p(f.c_clamped)
+    _, _, _, f_val, fp_val, _ = f.model_values
 
     t1 = -0.5 * f._integral(gp / gc ** 2 * grad_c2 * u_dot_gc)
     t2 = f._integral(lap_c / gc * u_dot_gc)
@@ -357,7 +356,7 @@ class DiagnosticsRecord:
             "conv_n": float(np.abs(f.n_active - self.n_inf).max()),
             "u_sup": st.u.max_speed(),
             "identity_residual": 0.0,
-            "clamped_frac": f.derived.clamped_fraction(st.c),
+            "clamped_frac": float(np.mean(f.c_active < f.derived.c_floor)),
         }
         self.rows.append(row)
         index = len(self.rows) - 1

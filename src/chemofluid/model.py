@@ -6,24 +6,24 @@ and f, each through one Horner closure; the configuration states every model
 this way, and ``linear_model`` (chi = 1, f(s) = s) is its simplest case.
 
 The transport coupling is stable only for model functions with a specific
-structure; ``validate_assumptions`` checks it on [0, c_max] before any run:
+structure, which ``validate_assumptions`` samples before any run or scan:
 
     chi in C^2, chi > 0
     f in C^2, f(0) = 0, f > 0 on (0, c_max]
     (f/chi)' > 0,   (f/chi)'' <= 0,   (chi*f)' >= 0
 
-``KineticsModel.g_derivatives`` gives g = f/chi, g' and g'' from one call of
-each callable; the validator, the table range check and the per-frame
-diagnostics all use it. From g the diagnostics use two integral transforms
-anchored at 1,
+on [0, c_max], the two on g = f/chi also on the psi/rho table range below;
+``build_derived`` is the one gate that refuses a model. ``KineticsModel.values``
+calls each callable once, and g, g', g'' are formed from these values. From
+g the diagnostics use two integral transforms anchored at 1,
 
     psi(s) = int_1^s dsigma / sqrt(g(sigma)),   rho(s) = int_1^s dsigma / g(sigma),
 
 tabulated once by an 8-node Gauss-Legendre rule on every knot interval and
 evaluated through cubic Hermite interpolation. Since g(0) = 0 both
 transforms blow up as s -> 0+, the regime the decaying chemoattractant enters
-at late times, so all evaluations clamp their argument at a configurable
-floor c_floor > 0.
+at late times, so all evaluations clamp their argument at the floor
+c_floor = 1e-10 max(1, c_max).
 
 Models and derived tables are immutable after construction.
 """
@@ -38,7 +38,6 @@ import numpy as np
 from chemofluid.fields import ScalarField, VectorField
 from chemofluid.geometry import GridGeometry
 
-DEFAULT_C_FLOOR_REL = 1e-10
 # knots of the psi and rho tables, and the Gauss-Legendre rule on [-1, 1]
 # that integrates each knot interval
 N_KNOTS = 1600
@@ -71,10 +70,14 @@ class KineticsModel:
     def g(self, s):
         return self.f(s) / self.chi(s)
 
-    def g_derivatives(self, s):
-        """(g, g', g'') at s by the quotient rule, calling each callable once."""
-        chi, chi_p, chi_pp = self.chi(s), self.chi_p(s), self.chi_pp(s)
-        f, f_p, f_pp = self.f(s), self.f_p(s), self.f_pp(s)
+    def values(self, s):
+        """(chi, chi', chi'', f, f', f'') at s, calling each callable once."""
+        return tuple(fn(s) for fn in (self.chi, self.chi_p, self.chi_pp, self.f, self.f_p, self.f_pp))
+
+    @staticmethod
+    def g_derivatives(values):
+        """(g, g', g'') by the quotient rule from ``values`` at one s."""
+        chi, chi_p, chi_pp, f, f_p, f_pp = values
         num_p = f_p * chi - f * chi_p
         num_pp = (f_pp * chi - f * chi_pp) * chi - 2.0 * chi_p * num_p
         return f / chi, num_p / chi ** 2, num_pp / chi ** 3
@@ -157,20 +160,37 @@ class AssumptionReport:
             out.append(f"{status:4s}  {c.name:18s} worst {c.worst_value: .6e} at s = {c.worst_point:.6g}")
         return out
 
+    def raise_on_failure(self):
+        """Raise ModelError naming every failed condition, if any failed."""
+        if not self.passed:
+            raise ModelError("model assumptions violated: " + ", ".join(
+                f"{c.name} (worst {c.worst_value:.3e} at s = {c.worst_point:.6g})" for c in self.failures))
+
+
+def _table_range(c_max: float) -> tuple[float, float]:
+    """(c_floor, top): the psi/rho table range, from the floor to just past max(1, c_max)."""
+    span = max(1.0, c_max)
+    return 1e-10 * span, span * (1.0 + 1e-12)
+
 
 def validate_assumptions(model: KineticsModel, c_max: float, n_samples: int = 10_000) -> AssumptionReport:
     """Check the structural assumptions on [0, c_max] by dense sampling.
 
     c_max should be the sup norm of the initial chemoattractant field (its
-    sup norm never grows). Each condition reports its worst sample point and
-    margin; a single failure blocks the simulation.
+    sup norm never grows). The conditions on g are also sampled on the
+    geometric grid of the table range [c_floor, max(1, c_max)]. Each
+    condition reports its worst sample point and margin; a single failure
+    blocks the simulation.
     """
     if c_max <= 0:
         raise ValueError("c_max must be positive")
+    c_floor, top = _table_range(c_max)
     s = np.linspace(0.0, c_max, n_samples)
-    chi, f = model.chi(s), model.f(s)
-    _, gp, gpp = model.g_derivatives(s)
-    chif_p = model.chi_p(s) * f + chi * model.f_p(s)
+    s_g = np.concatenate([s, np.exp(np.linspace(np.log(c_floor), np.log(top), 4000))])
+    values = model.values(s_g)
+    _, gp, gpp = model.g_derivatives(values)
+    chi, chi_p, _, f, f_p, _ = (v[:n_samples] for v in values)
+    chif_p = chi_p * f + chi * f_p
 
     def cond(name, values, points, low, tol):
         """passes when min(values) > low - tol; margin = worst - low."""
@@ -178,13 +198,13 @@ def validate_assumptions(model: KineticsModel, c_max: float, n_samples: int = 10
         worst = float(values[k])
         return ConditionResult(name, worst > low - tol, worst, float(points[k]), worst - low)
 
-    f0 = float(np.asarray(model.f(np.asarray(0.0))))
+    f0 = float(f[0])
     conditions = (
         cond("chi > 0", chi, s, 0.0, 0.0),
         ConditionResult("f(0) = 0", abs(f0) < 1e-12, f0, 0.0, 1e-12 - abs(f0)),
         cond("f > 0 on (0, c_max]", f[1:], s[1:], 0.0, 0.0),
-        cond("(f/chi)' > 0", gp, s, 0.0, 0.0),
-        cond("(f/chi)'' <= 0", -gpp, s, 0.0, 1e-10),
+        cond("(f/chi)' > 0", gp, s_g, 0.0, 0.0),
+        cond("(f/chi)'' <= 0", -gpp, s_g, 0.0, 1e-10),
         cond("(chi f)' >= 0", chif_p, s, 0.0, 1e-10),
     )
     return AssumptionReport(c_max=c_max, conditions=conditions)
@@ -246,15 +266,14 @@ class DerivedScalars:
     """Tabulated transforms psi, rho of the model on [c_floor, max(1, c_max)].
 
     psi and rho are anchored at 1 (psi(1) = rho(1) = 0 exactly). Evaluations
-    outside the table clamp to its ends; ``clamped_fraction`` of a field can
-    be queried by the diagnostics. g is evaluated directly from the model
-    with the same argument clamp.
+    outside the table clamp to its ends. g is evaluated directly from the
+    model with the same argument clamp. ``build_derived`` checks the model first.
     """
 
-    def __init__(self, model: KineticsModel, c_floor: float, c_max: float):
-        if not 0.0 < c_floor < min(1.0, c_max):
-            raise ValueError("need 0 < c_floor < min(1, c_max): the anchor 1 must lie in the table")
-        top = max(1.0, c_max) * (1.0 + 1e-12)
+    def __init__(self, model: KineticsModel, c_max: float):
+        c_floor, top = _table_range(c_max)
+        if not c_floor < min(1.0, c_max):
+            raise ValueError("need c_floor < min(1, c_max): the anchor 1 must lie in the table")
         g_at_floor = float(model.g(np.asarray(c_floor)))
         if not np.isfinite(g_at_floor) or g_at_floor <= 0.0:
             raise ModelError(f"g({c_floor}) = {g_at_floor}; transforms undefined")
@@ -285,13 +304,6 @@ class DerivedScalars:
         rho_tab = cumulative(ell, drho_dl)
         rho_tab -= rho_tab[ell == 0.0]
 
-        s_check = np.exp(np.linspace(np.log(c_floor), np.log(top), 4000))
-        _, gp, gpp = model.g_derivatives(s_check)
-        if np.any(gp <= 0.0):
-            raise ModelError("g' must stay positive on the tabulated range")
-        if np.any(gpp > 1e-10):
-            raise ModelError("g'' must stay nonpositive on the tabulated range")
-
         self.model = model
         self.c_floor = float(c_floor)
         self.top = float(top)
@@ -306,10 +318,6 @@ class DerivedScalars:
 
     def clamp(self, s):
         return np.clip(s, self.c_floor, self.top)
-
-    def clamped_fraction(self, field: ScalarField) -> float:
-        act = field.geom.active
-        return float(np.mean(field.data[act] < self.c_floor))
 
     def psi(self, s):
         return self._psi_t(np.sqrt(self.clamp(s)))
@@ -326,16 +334,13 @@ class DerivedScalars:
         return self._t_knots ** 2, self._psi_tab, np.exp(self._l_knots), self._rho_tab
 
 
-def build_derived(model: KineticsModel, c_floor: float, c_max: float) -> DerivedScalars:
-    """Tabulate psi, rho for a validated model (8-node Gauss-Legendre per knot interval).
+def build_derived(model: KineticsModel, c_max: float) -> DerivedScalars:
+    """The one admissibility gate: validate the model, then tabulate psi and rho.
 
-    Needs 0 < c_floor < min(1, c_max), so that the anchor 1 is a knot.
+    Raises ModelError naming every failed condition before any table is built.
     """
-    return DerivedScalars(model, c_floor, c_max)
-
-
-def default_c_floor(c_max: float) -> float:
-    return DEFAULT_C_FLOOR_REL * max(1.0, c_max)
+    validate_assumptions(model, c_max).raise_on_failure()
+    return DerivedScalars(model, c_max)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from chemofluid.diagnostics import (
 from chemofluid.fields import ScalarField
 from chemofluid.geometry import volume_integral
 from chemofluid.gridio import save_state
-from chemofluid.model import ModelError, build_derived, default_c_floor, validate_assumptions
+from chemofluid.model import build_derived
 from chemofluid.solver import LinearSystems, SolverAbort, StepClock, cfl_dt, quantize_dt, step
 
 INEQ_HEADER = "id,time,lhs,rhs,violation,tolerance,passed"
@@ -91,9 +91,9 @@ def _ineq_csv(reports: list[InequalityReport]) -> str:
 def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     """Execute the full time loop described by the configuration.
 
-    Raises ModelError before the loop when the model is inadmissible on
-    [0, c0_max] or on the table range, and lets SolverAbort propagate with
-    step context attached.
+    Raises ModelError before the loop when ``build_derived`` finds the model
+    inadmissible on [0, c0_max] or on the psi/rho table range, and lets
+    SolverAbort propagate with step context attached.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -106,11 +106,7 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     init = rc.build_initial(geom)
     init.validate()
     c0_max = init.c0.max_active()
-    report = validate_assumptions(model, c0_max)
-    if not report.passed:
-        names = ", ".join(c.name for c in report.failures)
-        raise ModelError(f"model assumptions violated: {names}")
-    derived = build_derived(model, default_c_floor(c0_max), c0_max)
+    derived = build_derived(model, c0_max)
     cfg = rc.solver_config()
     cfg.c_floor = derived.c_floor
     lin = LinearSystems(geom)
@@ -204,16 +200,14 @@ def run_inequality_scan(rc: RunConfig, out_dir) -> dict:
     """Evaluate every inequality on seed-fixed random boundary-compatible fields.
 
     Returns a summary dict; writes scan.csv (byte-reproducible for a fixed
-    seed) under out_dir.
+    seed) under out_dir. ``build_derived`` raises ModelError before any trial.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     geom = rc.build_geometry()
-    model = rc.build_model()
-    lin = LinearSystems(geom)
     c_base = rc["init.c0_base"]
-    derived = build_derived(model, default_c_floor(c_base + rc["scan.amplitude"]),
-                            c_base + rc["scan.amplitude"])
+    derived = build_derived(rc.build_model(), c_base + rc["scan.amplitude"])
+    lin = LinearSystems(geom)
     rng = np.random.default_rng(rc["run.seed"])
     rows = []
     worst_ms = -np.inf

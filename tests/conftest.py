@@ -44,7 +44,7 @@ def lin_model():
 
 @pytest.fixture(scope="session")
 def derived_linear(lin_model):
-    return build_derived(lin_model, 1e-10, 2.0)
+    return build_derived(lin_model, 2.0)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from chemofluid.diagnostics import (
 )
 from chemofluid.fields import ScalarField, VectorField, divergence
 from chemofluid.geometry import volume_integral
-from chemofluid.model import build_derived, default_c_floor
+from chemofluid.model import build_derived
 from chemofluid.solver import PROJECTION_TOL, LinearSystems, StepClock, cfl_dt, quantize_dt, step
 from chemofluid.runner import run_inequality_scan
 
@@ -45,7 +45,7 @@ def _setup(rc: RunConfig):
     init = rc.build_initial(geom)
     init.validate()
     c0_max = init.c0.max_active()
-    derived = build_derived(model, default_c_floor(c0_max), c0_max)
+    derived = build_derived(model, c0_max)
     cfg = rc.solver_config()
     cfg.c_floor = derived.c_floor
     lin = LinearSystems(geom)
@@ -155,7 +155,7 @@ def residual_studies():
             u0 = (VectorField.from_stream(g, lambda x, y: 0.15 * np.exp(-(x * x + y * y) / 0.18))
                   if coupled else VectorField.zeros(g))
             st = InitialData(n0, c0, u0).make_state()
-            derived = build_derived(model, default_c_floor(c0.max_active()), c0.max_active())
+            derived = build_derived(model, c0.max_active())
             clock = StepClock(dt, cfg.end_time, dt_cad)
             # the outputs around t = 0.12; the record fills the middle row's residual
             mid = round(0.12 / dt_cad)

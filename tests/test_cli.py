@@ -127,7 +127,7 @@ class TestCliExitCodes:
         assert not (tmp_path / "o" / "diagnostics.csv").exists()
 
     def test_scan_refuses_model_inadmissible_on_table(self, tmp_path, capsys):
-        # g = s^2 is convex: the psi/rho table range check rejects it
+        # g = s^2 is convex: build_derived rejects it
         cfg = write_cfg(tmp_path, "grid.n = 32\nscan.trials = 2\nmodel.f_coeffs = 0,0,1\n")
         assert main(["scan-inequalities", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -139,12 +139,25 @@ class TestCliExitCodes:
         text = ("grid.n = 32\nscan.trials = 2\nmodel.f_coeffs = 0,1,-0.195,0.1\n"
                 "init.c0_base = 0.5\ninit.c0_amp = 0.1\n")
         cfg = write_cfg(tmp_path, text)
-        assert main(["validate-model", "--config", cfg]) == 0
-        capsys.readouterr()
+        assert main(["validate-model", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("validation failure:")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation failure:") and err.count("\n") == 1
+        assert "(f/chi)'' <= 0" in err
         assert not (tmp_path / "o" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate-model", "scan-inequalities"])
+    def test_negative_sensitivity_refused_by_every_command(self, tmp_path, capsys, command):
+        # chi = -1, f = -s: g = s is admissible, but chi > 0 and f > 0 fail
+        text = SMALL_RUN + "scan.trials = 2\nmodel.chi_coeffs = -1\nmodel.f_coeffs = 0,-1\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure:") and err.count("\n") == 1
+        assert "chi > 0" in err and "f > 0 on (0, c_max]" in err
+        assert not (out / "scan.csv").exists() and not (out / "diagnostics.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate-model"])
     @pytest.mark.parametrize("line", ["model.chi = one", "model.f = linear", "model.f = poly"],

@@ -91,7 +91,7 @@ class TestPolynomialEvaluator:
             assert type(got) is type(want), name
             assert np.shape(got) == np.shape(want) and got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
-        for got, want in zip(mine.g_derivatives(s), ref.g_derivatives(s)):
+        for got, want in zip(mine.g_derivatives(mine.values(s)), ref.g_derivatives(ref.values(s))):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", sorted(INPUTS))
@@ -102,7 +102,7 @@ class TestPolynomialEvaluator:
     def test_g_derivatives_match_quotient_rule(self, make, kind):
         s = self.INPUTS[kind]
         model = make()
-        got, want = model.g_derivatives(s), quotient_rule(model, s)
+        got, want = model.g_derivatives(model.values(s)), quotient_rule(model, s)
         assert len(got) == 3
         for name, a, b in zip(("g", "g'", "g''"), got, want):
             assert np.shape(a) == np.shape(b), name
@@ -161,6 +161,14 @@ class TestValidator:
         rep = validate_assumptions(linear_model(), 2.0)
         assert len(rep.conditions) == 6
 
+    def test_concavity_checked_on_table_range(self):
+        # g'' = -0.39 + 0.6 s changes sign at s = 0.65: outside [0, c_max = 0.6]
+        # but inside the psi/rho table range, which runs to just past 1
+        rep = validate_assumptions(polynomial_model([1.0], [0.0, 1.0, -0.195, 0.1]), 0.6)
+        [failed] = rep.failures
+        assert failed.name == "(f/chi)'' <= 0"
+        assert 0.6 < failed.worst_point <= 1.0 + 1e-12
+
 
 class TestDerivedScalars:
     @pytest.mark.parametrize("model, c_max, psi, rho", [
@@ -171,7 +179,7 @@ class TestDerivedScalars:
          lambda s: np.log(s) - np.log(1 - s / 4) + np.log(3 / 4)),
     ], ids=["linear", "quadratic"])
     def test_closed_forms(self, model, c_max, psi, rho):
-        der = build_derived(model, 1e-10, c_max)
+        der = build_derived(model, c_max)
         s = np.geomspace(1e-9, c_max, 2000)
         assert np.abs(der.psi(s) - psi(s)).max() < 1e-8
         assert np.abs(der.rho(s) - rho(s)).max() < 1e-8
@@ -185,7 +193,7 @@ class TestDerivedScalars:
             calls.append(1)
             return base.f(s)
 
-        build_derived(dataclasses.replace(base, f=f), 1e-10, 1.5)
+        build_derived(dataclasses.replace(base, f=f), 1.5)
         assert len(calls) <= 16
 
     def test_anchor(self, derived_linear):
@@ -210,7 +218,7 @@ class TestDerivedScalars:
             assert rel.max() < 1e-7
 
     def test_saturating_against_quadrature(self):
-        der = build_derived(saturating_model(), 1e-10, 1.5)
+        der = build_derived(saturating_model(), 1.5)
         g = lambda s: s / (1.0 + s)
         for sv in (0.01, 0.3, 1.4):
             psi_q, _ = quad(lambda x: 1 / np.sqrt(g(x)), 1.0, sv, epsrel=1e-12)
@@ -224,13 +232,14 @@ class TestDerivedScalars:
 
     def test_invalid_model_rejected(self):
         for model in (inverse_chi_model(),                      # g'' = 2 > 0
-                      polynomial_model([1.0], [0.0, -1.0])):    # g(c_floor) < 0
+                      polynomial_model([1.0], [0.0, -1.0])):    # f < 0
             with pytest.raises(ModelError):
-                build_derived(model, 1e-10, 1.0)
+                build_derived(model, 1.0)
 
     def test_anchor_outside_table_rejected(self):
+        # c_max below the floor 1e-10: the table cannot reach down to c_max
         with pytest.raises(ValueError):
-            build_derived(linear_model(), 1.5, 2.0)
+            build_derived(linear_model(), 5e-11)
 
 
 class TestCubicHermite:
@@ -257,7 +266,7 @@ class TestCubicHermite:
                              ids=["linear", "saturating"])
     @pytest.mark.parametrize("c_max", [0.5, 1.0, 2.0])
     def test_tables(self, model, c_max):
-        der = build_derived(model, 1e-10, c_max)
+        der = build_derived(model, c_max)
         s_psi, psi_tab, s_rho, rho_tab = der.table
         t, ell = np.sqrt(s_psi), np.log(s_rho)
         rng = np.random.default_rng(5)
@@ -277,7 +286,7 @@ class TestCubicHermite:
             from chemofluid.config import RunConfig
             from chemofluid.model import build_derived, linear_model
             from chemofluid.runner import run_simulation
-            build_derived(linear_model(), 1e-10, 2.0)
+            build_derived(linear_model(), 2.0)
             rc = RunConfig()
             rc.override("grid.n", 32)
             rc.override("solver.end_time", 0.2)
@@ -303,7 +312,7 @@ class TestTransformFieldIdentity:
         psi_c = ScalarField(disk64, np.where(disk64.active, der.psi(c.data), 0.0))
         cx, cy = gradient_neumann(c)
         grad_c2 = cx.data ** 2 + cy.data ** 2
-        g, g_prime, _ = der.model.g_derivatives(der.clamp(c.data))
+        g, g_prime, _ = der.model.g_derivatives(der.model.values(der.clamp(c.data)))
         lhs = np.sqrt(g) * laplacian_neumann(rho_c).data
         rhs = laplacian_neumann(psi_c).data - 0.5 * g_prime * grad_c2 / g ** 1.5
         ok = disk64.stencil_ok
