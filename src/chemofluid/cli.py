@@ -60,10 +60,11 @@ def cmd_run(args) -> int:
 
 def cmd_validate_model(args) -> int:
     from chemofluid.model import validate_assumptions
+    from chemofluid.runner import initial_data
     rc = _load_config(args)
     model = rc.build_model()
-    c_max = rc["init.c0_base"] + rc["init.c0_amp"]
-    report = validate_assumptions(model, c_max)
+    _, c0_max = initial_data(rc)
+    report = validate_assumptions(model, c0_max)
     for line in report.summary_lines():
         print(line)
     if args.out:
@@ -82,7 +83,9 @@ def cmd_check_geometry(args) -> int:
     rc = _load_config(args)
     geom = rc.build_geometry()
     import numpy as np
-    print(f"grid: {geom.nx} x {geom.ny}, h = {geom.h:.6g}")
+    full_x, full_y = geom.bbox_shape
+    print(f"grid: {geom.nx} x {geom.ny} stored of {full_x} x {full_y}, "
+          f"origin {geom.origin}, h = {geom.h:.6g}")
     print(f"cells: interior {int(geom.interior.sum())}, band {int(geom.band.sum())}, "
           f"active {int(geom.active.sum())}")
     print(f"area = {geom.area:.8g}, perimeter = {geom.perimeter:.8g}")

@@ -536,7 +536,8 @@ def random_neumann_field(geom: GridGeometry, lin: LinearSystems, rng: np.random.
     boundary inequalities assume.
     """
     g = geom
-    z = np.where(g.active, rng.standard_normal((g.nx, g.ny)), 0.0)
+    # drawn on the whole bounding-box grid, so a seed gives one field however it is stored
+    z = np.where(g.active, rng.standard_normal(g.bbox_shape)[g.window], 0.0)
     tau = smooth_len ** 2 / (4.0 * n_smooth)
     f = ScalarField(g, z)
     for _ in range(n_smooth):

@@ -1,12 +1,21 @@
 """Level-set domains and embedded-boundary grid geometry.
 
 A domain is the sublevel set {phi < 0} of a smooth function on an axis-aligned
-bounding box. Cells of a uniform Cartesian grid are classified from the sign
-of phi at cell corners:
+bounding box. Cells of a uniform Cartesian grid over that box are classified
+from the sign of phi at cell corners:
 
     interior  : all four corners strictly inside
     band      : the zero level set crosses the cell (or a corner sits on it)
     exterior  : all four corners strictly outside
+
+Only a window of the bounding-box grid is stored: the bounding box of the
+active (interior or band) cells, widened by the 2-cell exterior margin that
+classification requires. Every per-cell and per-face array, and every field
+on the geometry, has the window's shape (nx, ny). ``GridGeometry.origin`` is
+the window's first cell in the bounding-box grid, and coordinates are those
+of the bounding-box grid: cell (i, j) has centre
+bbox[0] + (origin[0] + i + 0.5) h, bbox[2] + (origin[1] + j + 0.5) h. So a
+cell's coordinates, volume, apertures and values do not depend on the crop.
 
 The boundary is extracted as one straight segment per cut cell (marching
 segments with linear interpolation along cell edges). Each segment carries a
@@ -204,7 +213,14 @@ class BilinearStencil:
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """Classified uniform grid plus extracted boundary data. Immutable."""
+    """Classified uniform grid plus extracted boundary data. Immutable.
+
+    The arrays cover the stored window, nx by ny cells starting at cell
+    ``origin`` of the grid over ``bbox`` (the domain's bounding box, of
+    ``bbox_shape`` cells); ``window`` is that slice of the bounding-box
+    grid and ``window_box`` the box it covers. Cell indices, ``seg_cell``
+    and the flat indices of the stencils count within the window.
+    """
 
     domain: LevelSetDomain
     h: float
@@ -223,6 +239,7 @@ class GridGeometry:
     seg_weight: np.ndarray          # (nseg,) arc-length weights
     seg_curvature: np.ndarray       # (nseg,) level-set curvature samples
     seg_cell: np.ndarray            # (nseg, 2) host cell indices
+    origin: tuple[int, int]         # first stored cell in the bounding-box grid
 
     # ---- derived masks and coordinates -------------------------------
 
@@ -240,19 +257,37 @@ class GridGeometry:
 
     @property
     def xc(self) -> np.ndarray:
-        return self.bbox[0] + (np.arange(self.nx) + 0.5) * self.h
+        return self.bbox[0] + (self.origin[0] + np.arange(self.nx) + 0.5) * self.h
 
     @property
     def yc(self) -> np.ndarray:
-        return self.bbox[2] + (np.arange(self.ny) + 0.5) * self.h
+        return self.bbox[2] + (self.origin[1] + np.arange(self.ny) + 0.5) * self.h
 
     @property
     def xn(self) -> np.ndarray:
-        return self.bbox[0] + np.arange(self.nx + 1) * self.h
+        return self.bbox[0] + (self.origin[0] + np.arange(self.nx + 1)) * self.h
 
     @property
     def yn(self) -> np.ndarray:
-        return self.bbox[2] + np.arange(self.ny + 1) * self.h
+        return self.bbox[2] + (self.origin[1] + np.arange(self.ny + 1)) * self.h
+
+    @property
+    def bbox_shape(self) -> tuple[int, int]:
+        """Cells of the whole bounding-box grid, of which the stored arrays are a window."""
+        xlo, xhi, ylo, yhi = self.bbox
+        return int(round((xhi - xlo) / self.h)), int(round((yhi - ylo) / self.h))
+
+    @property
+    def window(self) -> tuple[slice, slice]:
+        """The stored cells as a slice of the bounding-box grid."""
+        (ox, oy), nx, ny = self.origin, self.nx, self.ny
+        return slice(ox, ox + nx), slice(oy, oy + ny)
+
+    @property
+    def window_box(self) -> tuple[float, float, float, float]:
+        """(xlo, xhi, ylo, yhi) of the stored cells: their outermost nodes."""
+        xn, yn = self.xn, self.yn
+        return float(xn[0]), float(xn[-1]), float(yn[0]), float(yn[-1])
 
     def cell_centers(self):
         """Meshgrid of cell-center coordinates, shape (nx, ny) each."""
@@ -349,12 +384,14 @@ class GridGeometry:
         """Four-cell interpolation stencils of cell-centered data at points (x, y)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        # positions in the bounding-box grid, so the weights do not depend on the window
         fx = (x - self.bbox[0]) / self.h - 0.5
         fy = (y - self.bbox[2]) / self.h - 0.5
-        i0 = np.clip(np.floor(fx).astype(int), 0, self.nx - 2)
-        j0 = np.clip(np.floor(fy).astype(int), 0, self.ny - 2)
-        tx = fx - i0
-        ty = fy - j0
+        ox, oy = self.origin
+        i0 = np.clip(np.floor(fx).astype(int) - ox, 0, self.nx - 2)
+        j0 = np.clip(np.floor(fy).astype(int) - oy, 0, self.ny - 2)
+        tx = fx - (i0 + ox)
+        ty = fy - (j0 + oy)
         inside = (tx >= -1e-12) & (tx <= 1.0 + 1e-12) & (ty >= -1e-12) & (ty <= 1.0 + 1e-12)
         act = self.active
         valid = inside & act[i0, j0] & act[i0 + 1, j0] & act[i0, j0 + 1] & act[i0 + 1, j0 + 1]
@@ -458,6 +495,10 @@ def _wet_polygon_area(corners, phis):
 def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
     """Build the embedded-boundary grid geometry at spacing h.
 
+    The cells are classified on the grid of the whole bounding box; the
+    result stores only the window of the active cells plus the 2-cell
+    exterior margin, cut before the per-band-cell boundary extraction.
+
     Raises DomainError for a bounding box that does not tile into square
     cells of side about h, empty interiors or missing bounding-box margin
     (at least 2 exterior cells on every side), ResolutionError when a cut
@@ -495,14 +536,22 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
     cell_class[all_in] = INTERIOR
     cell_class[cut | tie_cell] = BAND
 
-    interior = cell_class == INTERIOR
-    if not interior.any():
+    if not (cell_class == INTERIOR).any():
         raise DomainError("domain has no interior cells at this resolution")
 
-    active = cell_class != EXTERIOR
-    ii, jj = np.nonzero(active)
+    ii, jj = np.nonzero(cell_class != EXTERIOR)
     if ii.min() < 2 or jj.min() < 2 or ii.max() > nx - 3 or jj.max() > ny - 3:
         raise DomainError("interior must keep at least a 2-cell exterior margin inside the bounding box")
+
+    # Keep only the window: the active cells' bounding box plus the 2-cell margin.
+    ox, oy = int(ii.min()) - 2, int(jj.min()) - 2
+    ex, ey = int(ii.max()) + 3, int(jj.max()) + 3
+    cell_class = cell_class[ox:ex, oy:ey].copy()
+    node_phi = node_phi[ox:ex + 1, oy:ey + 1]
+    xn, yn = xn[ox:ex + 1], yn[oy:ey + 1]
+    nx, ny = cell_class.shape
+    interior = cell_class == INTERIOR
+    active = cell_class != EXTERIOR
 
     # Face apertures: wet fraction of each cell edge from its two node values.
     def edge_wet(fa, fb):
@@ -526,8 +575,8 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
     # Wet volume fractions.
     vol_frac = np.zeros((nx, ny))
     vol_frac[interior] = 1.0
-    xc = xlo + (np.arange(nx) + 0.5) * h
-    yc = ylo + (np.arange(ny) + 0.5) * h
+    xc = xlo + (ox + np.arange(nx) + 0.5) * h
+    yc = ylo + (oy + np.arange(ny) + 0.5) * h
 
     band = cell_class == BAND
     seg_p0, seg_p1, seg_cells = [], [], []
@@ -579,7 +628,7 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
         cell_class=cell_class, vol_frac=vol_frac, cell_vol=cell_vol,
         aperture_x=aperture_x, aperture_y=aperture_y, open_face_x=open_x, open_face_y=open_y,
         seg_mid=seg_mid, seg_normal=seg_normal, seg_weight=seg_weight,
-        seg_curvature=seg_curvature, seg_cell=seg_cell,
+        seg_curvature=seg_curvature, seg_cell=seg_cell, origin=(ox, oy),
     )
 
 

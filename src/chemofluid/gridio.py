@@ -11,8 +11,10 @@ each in rows of y with x fastest:
 
 A grid file holds one scalar sampled on a regular grid over the bounding box;
 read_grid also accepts a text body of ny rows of nx values, since grid files
-come from outside the program. A checkpoint holds a full simulation state;
-docs/csv_schema.md lists its block shapes. Both writes are atomic.
+come from outside the program. A checkpoint holds a full simulation state on
+the geometry's stored window, and its box is the box that window covers
+(GridGeometry.window_box); docs/csv_schema.md lists its block shapes. Both
+writes are atomic.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def read_grid(path):
 def save_state(path, state: SimState):
     g = state.n.geom
     blocks = (state.n.data, state.c.data, state.u.u, state.u.v, state.p.data)
-    _write(path, STATE_MAGIC, (g.nx, g.ny), g.bbox, blocks, "%.17e" % state.t)
+    _write(path, STATE_MAGIC, (g.nx, g.ny), g.window_box, blocks, "%.17e" % state.t)
 
 
 def load_state(path, geom: GridGeometry) -> SimState:
@@ -113,8 +115,9 @@ def load_state(path, geom: GridGeometry) -> SimState:
     if (nx, ny) != (geom.nx, geom.ny):
         raise FormatError(f"{path}: grid {nx}x{ny} does not match geometry "
                           f"{geom.nx}x{geom.ny}")
-    if not all(abs(a - b) <= 1e-12 for a, b in zip(bbox, geom.bbox)):
-        raise FormatError(f"{path}: bounding box mismatch")
+    if not all(abs(a - b) <= 1e-12 for a, b in zip(bbox, geom.window_box)):
+        raise FormatError(f"{path}: box {bbox} does not match the geometry's window "
+                          f"{geom.window_box}")
     t = _text_values(t_line)
     if t is None or t.size != 1 or not np.isfinite(t[0]) or t[0] < 0.0:
         raise FormatError(f"{path}: time must be one finite number >= 0, found {t_line[:40]!r}")

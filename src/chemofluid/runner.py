@@ -53,7 +53,15 @@ from chemofluid.fields import ScalarField
 from chemofluid.geometry import volume_integral
 from chemofluid.gridio import save_state
 from chemofluid.model import build_derived
-from chemofluid.solver import LinearSystems, SolverAbort, StepClock, cfl_dt, quantize_dt, step
+from chemofluid.solver import (
+    InitialData,
+    LinearSystems,
+    SolverAbort,
+    StepClock,
+    cfl_dt,
+    quantize_dt,
+    step,
+)
 
 INEQ_HEADER = "id,time,lhs,rhs,violation,tolerance,passed"
 
@@ -88,6 +96,17 @@ def _ineq_csv(reports: list[InequalityReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def initial_data(rc: RunConfig) -> tuple[InitialData, float]:
+    """The run's checked initial data on its geometry, and the maximum of c0 there.
+
+    That maximum is the c_max on which ``run`` (through ``build_derived``) and
+    ``validate-model`` check the kinetics assumptions.
+    """
+    init = rc.build_initial(rc.build_geometry())
+    init.validate()
+    return init, init.c0.max_active()
+
+
 def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     """Execute the full time loop described by the configuration.
 
@@ -101,11 +120,9 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     timings = collections.defaultdict(float)
 
     t0 = time.perf_counter()
-    geom = rc.build_geometry()
+    init, c0_max = initial_data(rc)
+    geom = init.n0.geom
     model = rc.build_model()
-    init = rc.build_initial(geom)
-    init.validate()
-    c0_max = init.c0.max_active()
     derived = build_derived(model, c0_max)
     cfg = rc.solver_config()
     cfg.c_floor = derived.c_floor

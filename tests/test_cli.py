@@ -173,6 +173,26 @@ class TestCliExitCodes:
         assert main(["check-geometry", "--config", cfg]) == 0
         assert "kappa_max" in capsys.readouterr().out
 
+    def test_check_geometry_prints_stored_window(self, capsys):
+        cfg = str(CONFIG_DIR / "star_ns_small.cfg")
+        assert main(["check-geometry", "--config", cfg, "--resolution", "256"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "grid: 182 x 198 stored of 256 x 256, origin (55, 29), h = 0.013125"
+
+    def test_validate_model_checks_the_c_max_run_checks(self, tmp_path, capsys):
+        # f < 0 fails on all of (0, c_max]; the worst point is c_max itself,
+        # the maximum of c0 over the cells (1.19828 here, not c0_base + c0_amp = 1.2)
+        text = (CONFIG_DIR / "star_ns_small.cfg").read_text()
+        cfg = write_cfg(tmp_path, text + "model.chi_coeffs = -1\nmodel.f_coeffs = 0,-1\n")
+        errors = []
+        for command in ("validate-model", "run"):
+            code = main([command, "--config", cfg, "--resolution", "32",
+                         "--out", str(tmp_path / command)])
+            assert code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "at s = 1.19828" in errors[0]
+
     def test_malformed_sampled_domain_is_config_error(self, tmp_path, capsys):
         bodies = ("# chemofluid grid 1\n4 4\n-1 1 -1 1\n1 2 3\n",
                   "hello\n",

@@ -1,4 +1,5 @@
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from chemofluid.geometry import (
     surface_integral,
     volume_integral,
 )
+from chemofluid.config import RunConfig, parse_config_text
+from chemofluid.diagnostics import random_neumann_field
 
 
 def star_radius(theta, k=3, a=0.4):
@@ -230,3 +233,86 @@ class TestSampledDomain:
         dom = LevelSetDomain.from_sampled(loaded, bbox)
         g = classify_cells(dom, 1.0 / 48.0)
         assert abs(g.area - np.pi) / np.pi < 0.02
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def dyadic_disk(widen=(0, 0, 0, 0)):
+    """The r = 5/6 disk on the box [-1, 1]^2 at h = 1/64, its box widened by
+    whole cells (left, right, bottom, top): every coordinate stays exact."""
+    d = np.array([-1.0, 1.0, -1.0, 1.0]) + np.array(widen) * np.array([-1, 1, -1, 1]) / 64.0
+    return LevelSetDomain(LevelSetDomain.disk(5.0 / 6.0).phi, tuple(float(v) for v in d))
+
+
+class TestStoredWindow:
+    @pytest.mark.parametrize("cfg", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+    def test_margin_is_exactly_two_cells(self, cfg):
+        g = RunConfig.from_file(CONFIG_DIR / cfg).build_geometry()
+        for axis in (0, 1):
+            occupied = np.nonzero(g.active.any(axis=1 - axis))[0]
+            assert occupied[0] == 2 and occupied[-1] == g.active.shape[axis] - 3
+        assert g.nx < g.bbox_shape[0] and g.ny < g.bbox_shape[1]
+
+    @pytest.mark.parametrize("geom_name", ["disk64", "star64"])
+    def test_coordinates_are_the_bounding_box_grid(self, geom_name, request):
+        g = request.getfixturevalue(geom_name)
+        (ox, oy), h, (xlo, _, ylo, _) = g.origin, g.h, g.bbox
+        assert np.array_equal(g.xc, xlo + (ox + np.arange(g.nx) + 0.5) * h)
+        assert np.array_equal(g.yc, ylo + (oy + np.arange(g.ny) + 0.5) * h)
+        assert np.array_equal(g.xn, xlo + (ox + np.arange(g.nx + 1)) * h)
+        assert np.array_equal(g.yn, ylo + (oy + np.arange(g.ny + 1)) * h)
+        # the window of the full grid's coordinates, as before the crop
+        fx, fy = g.bbox_shape
+        assert np.array_equal(g.xc, (xlo + (np.arange(fx) + 0.5) * h)[g.window[0]])
+        assert np.array_equal(g.yn, (ylo + np.arange(fy + 1) * h)[oy:oy + g.ny + 1])
+        assert g.window_box == (g.xn[0], g.xn[-1], g.yn[0], g.yn[-1])
+
+    def test_widened_box_keeps_geometry_and_trajectory(self, tmp_path, monkeypatch):
+        base = classify_cells(dyadic_disk(), 1.0 / 64.0)
+        wide = classify_cells(dyadic_disk((3, 0, 1, 3)), 1.0 / 64.0)
+        assert base.h == wide.h == 1.0 / 64.0
+        assert wide.bbox_shape == (base.bbox_shape[0] + 3, base.bbox_shape[1] + 4)
+        assert wide.origin == (base.origin[0] + 3, base.origin[1] + 1)
+        for name in ("nx", "ny", "cell_class", "vol_frac", "cell_vol", "aperture_x",
+                     "aperture_y", "open_face_x", "open_face_y", "seg_mid", "seg_normal",
+                     "seg_weight", "seg_curvature", "seg_cell", "xc", "yn"):
+            assert np.array_equal(getattr(base, name), getattr(wide, name)), name
+
+        from chemofluid.runner import run_simulation
+        text = ("domain.shape = disk\ngrid.n = 128\nmodel.kappa_ns = 1.0\n"
+                "solver.end_time = 0.05\nsolver.dt_max = 0.01\noutput.every_time = 0.025\n"
+                "output.snapshot_every = 1\n")
+        files = ("inequalities.csv", "snap_0000.bin", "snap_0001.bin", "snap_0002.bin")
+        outputs = {}
+        for name, g in (("base", base), ("wide", wide)):
+            monkeypatch.setattr(RunConfig, "build_geometry", lambda self, g=g: g)
+            run_simulation(RunConfig(parse_config_text(text)), tmp_path / name)
+            outputs[name] = {f: (tmp_path / name / f).read_bytes() for f in files}
+            outputs[name]["rows"] = np.genfromtxt(tmp_path / name / "diagnostics.csv",
+                                                  delimiter=",", names=True)
+        b, w = outputs["base"], outputs["wide"]
+        assert b["inequalities.csv"] == w["inequalities.csv"]
+        for snap in files[1:]:
+            # the trajectory is byte-identical; the header's box is the window's place
+            assert b[snap].split(b"\n", 4)[4] == w[snap].split(b"\n", 4)[4]
+        # The boundary probes sit at points measured from bbox[0], so their
+        # bilinear weights round differently in another box: boundary_term
+        # moves at round-off, every other column is bit-identical.
+        for col in b["rows"].dtype.names:
+            if col == "boundary_term":
+                assert np.allclose(b["rows"][col], w["rows"][col], rtol=1e-13, atol=0.0)
+            else:
+                assert np.array_equal(b["rows"][col], w["rows"][col]), col
+
+    def test_random_field_is_the_window_of_the_full_draw(self, star64):
+        class NoSmoothing:
+            def helmholtz_solve(self, tau, f):
+                return f
+
+        z = random_neumann_field(star64, NoSmoothing(), np.random.default_rng(5),
+                                 amplitude=1.0, n_smooth=1)
+        noise = np.random.default_rng(5).standard_normal(star64.bbox_shape)[star64.window]
+        vals = noise[star64.active] - noise[star64.active].mean()
+        assert np.array_equal(z.data[star64.active], vals * (1.0 / np.abs(vals).max()))
+        assert not z.data[~star64.active].any()

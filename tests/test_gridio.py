@@ -105,6 +105,10 @@ MALFORMED_STATES = {
     "bbox_three_numbers": lambda ls: ls[:2] + [b" ".join(ls[2].split()[:3])] + ls[3:],
     "bbox_text": lambda ls: ls[:2] + [b"-1.2 1.2 low 1.2"] + ls[3:],
     "bbox_nan": lambda ls: ls[:2] + [b"nan nan nan nan"] + ls[3:],
+    # the same window one cell (h = 2.4 / 32) further right: another part of the grid
+    "box_shifted_one_cell": lambda ls: ls[:2] + [b" ".join(
+        b"%.17g" % (float(v) + (2.4 / 32 if k < 2 else 0.0))
+        for k, v in enumerate(ls[2].split()))] + ls[3:],
     "time_text": lambda ls: ls[:3] + [b"soon"] + ls[4:],
     "time_two_numbers": lambda ls: ls[:3] + [b"0.0 1.0"] + ls[4:],
     "time_nan": lambda ls: ls[:3] + [b"nan"] + ls[4:],
