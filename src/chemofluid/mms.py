@@ -160,6 +160,7 @@ def run_manufactured(ms: ManufacturedSolution, n_side: int, end_time: float,
 
     Returns the sup-norm errors for n, c and u, the grid spacing ``h`` and the
     number of ``steps`` taken. Each source is bound to its grid points once.
+    Not ``runner.trajectory``: the level is fixed, and ``perfbench`` times ``mms.step``.
     """
     dom = LevelSetDomain.disk(ms.radius)
     side = dom.bbox[1] - dom.bbox[0]

@@ -1,14 +1,13 @@
-"""Run orchestration: the time loop with diagnostics, CSV artifacts, summaries.
+"""Run orchestration: set-up, the time loop with diagnostics, CSV artifacts, summaries.
 
-The time loop takes the quantized CFL level at each step and leaves the
-schedule to StepClock: time is an integer count of solver ticks, each step
-is clamped to the next output time, and every output time is a whole number
-of ticks hit without rounding drift. The loop emits a row whenever a step
-lands on an output. At every output time one diagnostics Frame is built over
-the state, and the row and both per-state inequality checks read their
-shared intermediates from it. The DiagnosticsRecord fills each interior
-row's entropy-identity residual itself when the next row arrives, so no
-state is copied or held. Artifacts under the output directory:
+``setup`` builds a run and ``trajectory``, shared with the acceptance suite,
+steps it at the quantized CFL level and leaves the schedule to StepClock
+(exact output times, no drift). The run emits a row whenever a step lands on
+an output. At every output time one diagnostics Frame is built over the
+state, and the row and both per-state inequality checks read their shared
+intermediates from it. The DiagnosticsRecord fills each interior row's
+entropy-identity residual itself when the next row arrives, so no state is
+copied or held. Artifacts under the output directory:
 
     diagnostics.csv    one row per output time (column order in csv_schema.md)
     inequalities.csv   one row per inequality evaluation
@@ -107,19 +106,15 @@ def initial_data(rc: RunConfig) -> tuple[InitialData, float]:
     return init, init.c0.max_active()
 
 
-def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
-    """Execute the full time loop described by the configuration.
+RunSetup = collections.namedtuple(
+    "RunSetup", "geom model derived cfg lin init c0_max n_inf amplitudes")
 
-    Raises ModelError before the loop when ``build_derived`` finds the model
-    inadmissible on [0, c0_max] or on the psi/rho table range, and lets
-    SolverAbort propagate with step context attached.
+
+def setup(rc: RunConfig) -> RunSetup:
+    """Everything a run builds before its first step; n_inf is the mean of n0.
+
+    Raises ModelError when ``build_derived`` refuses the model.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t_wall = time.perf_counter()
-    timings = collections.defaultdict(float)
-
-    t0 = time.perf_counter()
     init, c0_max = initial_data(rc)
     geom = init.n0.geom
     model = rc.build_model()
@@ -127,22 +122,54 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     cfg = rc.solver_config()
     cfg.c_floor = derived.c_floor
     lin = LinearSystems(geom)
-    timings["setup"] += time.perf_counter() - t0
-
-    state = init.make_state()
-    mass0 = volume_integral(state.n, geom)
-    area = volume_integral(np.ones((geom.nx, geom.ny)), geom)
-    n_inf = mass0 / area
+    n_inf = volume_integral(init.n0, geom) / geom.area
     amplitudes = (float(np.abs(init.n0.data[geom.active] - n_inf).max()),
                   c0_max, max(init.u0.max_speed(), 1e-300))
+    return RunSetup(geom, model, derived, cfg, lin, init, c0_max, n_inf, amplitudes)
 
-    record = DiagnosticsRecord(geom, n_inf=n_inf, c0_max=c0_max)
+
+def clock_for(cfg, every=None) -> StepClock:
+    """The clock of a ``trajectory`` over cfg: its ticks divide every level of cfg.dt_max."""
+    return StepClock(cfg.dt_max, cfg.end_time, every)
+
+
+def trajectory(state, cfg, model, lin, clock):
+    """Step at the quantized CFL level and yield (state, dt) until ``clock`` is done.
+
+    ``clock.output`` is the output the step landed on, if any. A SolverAbort
+    leaves with ``step_index``, the 1-based number of the step attempted.
+    """
+    while not clock.done:
+        attempt = clock.steps + 1
+        try:
+            dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max))
+            state = step(state, cfg, model, lin, dt=dt)
+        except SolverAbort as exc:
+            exc.step_index = attempt
+            raise
+        state.t = clock.t
+        yield state, dt
+
+
+def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
+    """Execute the full time loop described by the configuration.
+
+    Raises ModelError from ``setup``, before the loop. On a SolverAbort it
+    writes the CSVs' rows so far, no summary.json, and lets the abort go on.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    t_wall = time.perf_counter()
+    run = setup(rc)
+    timings = collections.defaultdict(float, setup=time.perf_counter() - t_wall)
+
+    record = DiagnosticsRecord(run.geom, n_inf=run.n_inf, c0_max=run.c0_max)
     ineq_rows: list[InequalityReport] = []
     snap_every = rc["output.snapshot_every"]
 
     def emit(st, index):
         t_diag = time.perf_counter()
-        frame = Frame(st, derived)
+        frame = Frame(st, run.derived)
         record.append_state(frame)
         ineq_rows.append(check_ms_lemma(frame, c_check=rc["check.ms_c"], time=st.t))
         ineq_rows.append(check_inequality_33(frame, time=st.t))
@@ -150,27 +177,25 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
             save_state(out / f"snap_{index:04d}.bin", st)
         timings["diagnostics"] += time.perf_counter() - t_diag
 
+    state = run.init.make_state()
     emit(state, 0)
-    clock = StepClock(cfg.dt_max, cfg.end_time, rc["output.every_time"])
+    clock = clock_for(run.cfg, rc["output.every_time"])
     try:
-        while not clock.done:
-            t0 = time.perf_counter()
-            dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max))
-            state = step(state, cfg, model, lin, dt=dt)
-            state.t = clock.t
+        t0 = time.perf_counter()
+        for state, _ in trajectory(state, run.cfg, run.model, run.lin, clock):
             timings["stepping"] += time.perf_counter() - t0
             if clock.output is not None:
                 emit(state, clock.output)
-    except SolverAbort as exc:
-        exc.step_index = clock.steps
+            t0 = time.perf_counter()
+    except SolverAbort:
         _write_atomic(out / "diagnostics.csv", record.csv_text())
         _write_atomic(out / "inequalities.csv", _ineq_csv(ineq_rows))
         raise
 
     energy = check_energy_inequality(record)
-    velocity = check_velocity_energy(record, abs(model.grav))
+    velocity = check_velocity_energy(record, abs(run.model.grav))
     ineq_rows.extend([energy, velocity])
-    conv = convergence_monitor(record, amplitudes, rc["conv.threshold_rel"])
+    conv = convergence_monitor(record, run.amplitudes, rc["conv.threshold_rel"])
 
     _write_atomic(out / "diagnostics.csv", record.csv_text())
     _write_atomic(out / "inequalities.csv", _ineq_csv(ineq_rows))
@@ -194,10 +219,10 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
                      "thresholds": list(conv.thresholds),
                      "c_max_monotone": conv.c_max_monotone,
                      "tail_monotone": conv.tail_monotone,
-                     "amplitudes": list(amplitudes)},
+                     "amplitudes": list(run.amplitudes)},
         wall_time=time.perf_counter() - t_wall,
         timings=dict(timings),
-        solver={"lu_factorizations": lin.factorizations, "factor_evictions": lin.evictions,
+        solver={"lu_factorizations": run.lin.factorizations, "factor_evictions": run.lin.evictions,
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0},
         outputs=[str(out / "diagnostics.csv"), str(out / "inequalities.csv")],
     )

@@ -23,8 +23,8 @@ halves the fill of the unsymmetric default. Factorizations are reused because
 the step size is quantized to dt_max / 2^k and time is kept by StepClock as an
 integer count of ticks dt_max / 2^K: a step is exactly one of those levels or
 the exact remainder to an output or end time, so no rounding drift creates a
-new step size. StepClock also owns the output schedule, so every time loop is
-the same four lines (see its docstring).
+new step size. StepClock also owns the output schedule; two loops drive it,
+``runner.trajectory`` (CFL levels) and ``mms.run_manufactured`` (fixed level).
 
 Memory is bounded by design: the Helmholtz system and each viscous component
 keep the factors of at most FACTOR_LEVELS step sizes, least recently used
@@ -86,20 +86,19 @@ def _trim_heap():
 
 
 class SolverAbort(RuntimeError):
-    """Unrecoverable state during time stepping (blow-up suspicion, lost invariants)."""
+    """Unrecoverable state during time stepping (blow-up suspicion, lost invariants).
 
-    def __init__(self, message, step_index=None, t=None, dt=None):
-        ctx = []
-        if step_index is not None:
-            ctx.append(f"step {step_index}")
-        if t is not None:
-            ctx.append(f"t = {t:.6g}")
-        if dt is not None:
-            ctx.append(f"dt = {dt:.3g}")
-        super().__init__(message + (f" [{', '.join(ctx)}]" if ctx else ""))
-        self.step_index = step_index
-        self.t = t
-        self.dt = dt
+    Its text is built when printed, so it names the step the loop attaches.
+    """
+
+    def __init__(self, message, t=None, dt=None):
+        super().__init__(message)
+        self.step_index, self.t, self.dt = None, t, dt
+
+    def __str__(self):
+        ctx = [fmt % v for fmt, v in (("step %d", self.step_index), ("t = %.6g", self.t),
+                                      ("dt = %.3g", self.dt)) if v is not None]
+        return self.args[0] + (f" [{', '.join(ctx)}]" if ctx else "")
 
 
 @dataclass
@@ -386,17 +385,10 @@ class StepClock:
     step is exactly the level it is given, or the exact remainder to the next
     target when that is shorter, and ``t`` is ``ticks * tick`` however many
     steps were taken: float drift can neither shift an output time nor create
-    a new step size (and with it new LU factorizations). Every time loop reads
-
-        while not clock.done:
-            dt = clock.advance(level)
-            state = step(..., dt=dt)
-            state.t = clock.t
-            if clock.output is not None:
-                emit(state, clock.output)
-
-    The loop stays with each caller, which calls step under its own module's
-    name, so a wrapper on runner.step or mms.step sees every step.
+    a new step size (and with it new LU factorizations). The loops over it are
+    ``runner.trajectory`` (CFL levels) and ``mms.run_manufactured`` (a fixed
+    level). Each calls step under its own module's name, so a wrapper on
+    runner.step or mms.step sees every step.
     """
 
     def __init__(self, dt_max: float, end_time: float, every: float | None = None):

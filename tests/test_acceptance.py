@@ -6,6 +6,7 @@ are fixed here, not tuned at test time; randomized pieces are seed-fixed and
 therefore deterministic.
 """
 
+import itertools
 import time
 from pathlib import Path
 
@@ -23,8 +24,8 @@ from chemofluid.diagnostics import (
 from chemofluid.fields import ScalarField, VectorField, divergence
 from chemofluid.geometry import volume_integral
 from chemofluid.model import build_derived
-from chemofluid.solver import PROJECTION_TOL, LinearSystems, StepClock, cfl_dt, quantize_dt, step
-from chemofluid.runner import run_inequality_scan
+from chemofluid.runner import clock_for, run_inequality_scan, setup, trajectory
+from chemofluid.solver import PROJECTION_TOL, LinearSystems
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MATRIX = ("disk_stokes_small", "disk_ns_small", "star_stokes_small", "star_ns_small")
@@ -39,28 +40,13 @@ def report(criterion: str, passed: bool, detail: str = ""):
     assert passed, line
 
 
-def _setup(rc: RunConfig):
-    geom = rc.build_geometry()
-    model = rc.build_model()
-    init = rc.build_initial(geom)
-    init.validate()
-    c0_max = init.c0.max_active()
-    derived = build_derived(model, c0_max)
-    cfg = rc.solver_config()
-    cfg.c_floor = derived.c_floor
-    lin = LinearSystems(geom)
-    return geom, model, derived, cfg, lin, init
-
-
 def instrumented_run(rc: RunConfig):
     """Full run with per-step probes and cadence diagnostics."""
-    geom, model, derived, cfg, lin, init = _setup(rc)
-    state = init.make_state()
+    run = setup(rc)
+    geom, derived = run.geom, run.derived
+    state = run.init.make_state()
     mass0 = volume_integral(state.n, geom)
-    n_inf = mass0 / geom.area
-    amplitudes = (float(np.abs(init.n0.data[geom.active] - n_inf).max()),
-                  init.c0.max_active(), max(init.u0.max_speed(), 1e-300))
-    record = DiagnosticsRecord(geom, n_inf=n_inf, c0_max=amplitudes[1])
+    record = DiagnosticsRecord(geom, n_inf=run.n_inf, c0_max=run.c0_max)
     probes = {"c_max": [state.c.max_active()], "n_min": [state.n.min_active()],
               "n_max": [state.n.max_active()], "div_bound_ratio": [], "p_gauge_ratio": [],
               "mass": [mass0], "dt": []}
@@ -74,11 +60,8 @@ def instrumented_run(rc: RunConfig):
                          hessian_pointwise_violation(st.n))
 
     emit(state)
-    clock = StepClock(cfg.dt_max, cfg.end_time, rc["output.every_time"])
-    while not clock.done:
-        dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max))
-        state = step(state, cfg, model, lin, dt=dt)
-        state.t = clock.t
+    clock = clock_for(run.cfg, rc["output.every_time"])
+    for state, dt in trajectory(state, run.cfg, run.model, run.lin, clock):
         probes["dt"].append(dt)
         probes["c_max"].append(state.c.max_active())
         probes["n_min"].append(state.n.min_active())
@@ -94,10 +77,10 @@ def instrumented_run(rc: RunConfig):
     for k in probes:
         probes[k] = np.asarray(probes[k])
     energy = check_energy_inequality(record)
-    conv = convergence_monitor(record, amplitudes, rc["conv.threshold_rel"])
-    return {"record": record, "probes": probes, "amplitudes": amplitudes,
+    conv = convergence_monitor(record, run.amplitudes, rc["conv.threshold_rel"])
+    return {"record": record, "probes": probes, "amplitudes": run.amplitudes,
             "energy": energy, "conv": conv, "hess_worst": hess_worst,
-            "geom": geom, "c0_max": amplitudes[1], "mass0": mass0}
+            "geom": geom, "c0_max": run.c0_max, "mass0": mass0}
 
 
 @pytest.fixture(scope="session")
@@ -156,13 +139,11 @@ def residual_studies():
                   if coupled else VectorField.zeros(g))
             st = InitialData(n0, c0, u0).make_state()
             derived = build_derived(model, c0.max_active())
-            clock = StepClock(dt, cfg.end_time, dt_cad)
+            clock = clock_for(cfg, dt_cad)
             # the outputs around t = 0.12; the record fills the middle row's residual
             mid = round(0.12 / dt_cad)
             record = DiagnosticsRecord(g, n_inf=1.0, c0_max=c0.max_active())
-            while not clock.done:
-                st = step(st, cfg, model, lin, dt=clock.advance(dt))
-                st.t = clock.t
+            for st, _ in trajectory(st, cfg, model, lin, clock):
                 if clock.output in (mid - 1, mid, mid + 1):
                     record.append_state(Frame(st, derived))
             normalized.append(record.rows[1]["identity_residual"])
@@ -179,15 +160,15 @@ class TestCriterion1Mass:
     def test_mass_conserved_over_2000_steps(self):
         rc = RunConfig.from_file(CONFIG_DIR / "disk_ns_small.cfg")
         rc.override("solver.end_time", 1.0e9)   # never reached; step count bounds the run
-        geom, model, derived, cfg, lin, init = _setup(rc)
-        state = init.make_state()
-        mass0 = volume_integral(state.n, geom)
+        run = setup(rc)
+        state = run.init.make_state()
+        mass0 = volume_integral(state.n, run.geom)
         worst = 0.0
         t_start = time.perf_counter()
-        for _ in range(2000):
-            state = step(state, cfg, model, lin,
-                         dt=quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max))
-            worst = max(worst, abs(volume_integral(state.n, geom) - mass0) / mass0)
+        # no output times, so no step is clamped short of its CFL level
+        for state, _ in itertools.islice(
+                trajectory(state, run.cfg, run.model, run.lin, clock_for(run.cfg)), 2000):
+            worst = max(worst, abs(volume_integral(state.n, run.geom) - mass0) / mass0)
         wall = time.perf_counter() - t_start
         report("1 mass conservation",
                worst <= 1e-8 and wall <= 120.0,

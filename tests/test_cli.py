@@ -345,6 +345,49 @@ output.every_time = 0.5
         assert [float(r.split(",", 1)[0]) for r in rows] == out_times
 
 
+    def test_abort_names_the_step_and_keeps_the_rows_before_it(self, tmp_path, monkeypatch,
+                                                               capsys):
+        import chemofluid.runner as runner
+        from chemofluid.solver import SolverAbort
+        cfg = write_cfg(tmp_path, """
+domain.shape = disk
+grid.n = 32
+solver.end_time = 0.05
+solver.dt_max = 0.01
+output.every_time = 0.01
+""")
+        full, cut = tmp_path / "full", tmp_path / "cut"
+        assert main(["run", "--config", cfg, "--out", str(full)]) == 0
+        step = runner.step
+        dts = []
+
+        def failing_step(state, *args, **kwargs):
+            if len(dts) == 2:
+                raise SolverAbort("injected")
+            dts.append(kwargs["dt"])
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "step", failing_step)
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(cut)]) == 3
+        assert "solver abort: injected [step 3]" in capsys.readouterr().err
+        # both steps landed on an output, so rows were emitted at t = 0, 0.01, 0.02
+        assert dts == [0.01, 0.01]
+        rows = (cut / "diagnostics.csv").read_text().splitlines()
+        assert [float(r.split(",", 1)[0]) for r in rows[1:]] == [j * 0.01 for j in range(3)]
+        # the last row's entropy-identity residual waits for a row that never came
+        assert rows[:-1] == (full / "diagnostics.csv").read_text().splitlines()[:3]
+        ineq = (cut / "inequalities.csv").read_text().splitlines()
+        assert ineq == (full / "inequalities.csv").read_text().splitlines()[:1 + 2 * 3]
+        assert not (cut / "summary.json").exists()
+
+    def test_cfl_abort_names_the_step_being_attempted(self, tmp_path, capsys):
+        # cfl_dt raises before the clock advances; the step is still number 1
+        cfg = write_cfg(tmp_path, "grid.n = 32\ninit.u0_amp = 1e12\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "dt underflow" in err and err.rstrip().endswith("[step 1, t = 0]")
+
 class TestDeterminism:
     def test_repeated_run_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)
