@@ -181,7 +181,7 @@ def run_manufactured(ms: ManufacturedSolution, n_side: int, end_time: float,
     state = SimState(n0, c0, u0, ScalarField.zeros(g), 0.0)
     clock = StepClock(dt, end_time)
     while not clock.done:
-        state = step(state, cfg, ms.model, lin, dt=clock.advance(dt), sources=sources)
+        state = step(state, cfg, ms.model, lin, dt=clock.advance(dt), sources=sources, level=dt)
         state.t = clock.t
     T = state.t
     act = g.active

@@ -12,8 +12,9 @@ copied or held. Artifacts under the output directory:
     diagnostics.csv    one row per output time (column order in csv_schema.md)
     inequalities.csv   one row per inequality evaluation
     summary.json       RunSummary, written atomically at the end; its solver
-                       block counts LU factorizations and factor evictions
-                       and gives the process's peak resident memory in MB
+                       block counts LU factorizations, factor evictions,
+                       clock-shortened steps and their CG iterations, and
+                       gives the process's peak resident memory in MB
     config.txt         the fully resolved configuration
     snap_XXXX.bin      optional binary checkpoints (output.snapshot_every),
                        readable with gridio.load_state
@@ -136,14 +137,18 @@ def clock_for(cfg, every=None) -> StepClock:
 def trajectory(state, cfg, model, lin, clock):
     """Step at the quantized CFL level and yield (state, dt) until ``clock`` is done.
 
+    ``step`` gets the level next to the dt the clock allowed, so a step cut
+    short by an output time is solved on the level's factors.
+
     ``clock.output`` is the output the step landed on, if any. A SolverAbort
     leaves with ``step_index``, the 1-based number of the step attempted.
     """
     while not clock.done:
         attempt = clock.steps + 1
         try:
-            dt = clock.advance(quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max))
-            state = step(state, cfg, model, lin, dt=dt)
+            level = quantize_dt(cfl_dt(state, cfg, model), cfg.dt_max)
+            dt = clock.advance(level)
+            state = step(state, cfg, model, lin, dt=dt, level=level)
         except SolverAbort as exc:
             exc.step_index = attempt
             raise
@@ -223,6 +228,7 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
         wall_time=time.perf_counter() - t_wall,
         timings=dict(timings),
         solver={"lu_factorizations": run.lin.factorizations, "factor_evictions": run.lin.evictions,
+                "shortened_steps": clock.shortened, "pcg_iterations": run.lin.pcg_iterations,
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0},
         outputs=[str(out / "diagnostics.csv"), str(out / "inequalities.csv")],
     )

@@ -25,14 +25,23 @@ integer count of ticks dt_max / 2^K: a step is exactly one of those levels or
 the exact remainder to an output or end time, so no rounding drift creates a
 new step size. StepClock also owns the output schedule; two loops drive it,
 ``runner.trajectory`` (CFL levels) and ``mms.run_manufactured`` (fixed level).
+Each passes ``step`` the level next to the step the clock allowed.
 
 Memory is bounded by design: the Helmholtz system and each viscous component
-keep the factors of at most FACTOR_LEVELS step sizes, least recently used
-evicted first, and the single pressure factor is built once and kept. After
-an eviction the freed heap pages go back to the OS (``_trim_heap``), so the
-bound also holds for the resident memory.
-LinearSystems counts its factorizations and evictions (``factorizations``,
-``evictions``); a run reports them in the ``solver`` block of summary.json.
+keep the factor of one step size, and the single pressure factor is built
+once and kept. A step at its own level solves with that level's factor,
+replacing the held one when the level changed. A step the clock shortened to
+dt >= level/4 is solved by conjugate gradients preconditioned with its
+level's factor (the preconditioned spectrum lies in [dt/level, 1]), so the
+remainder never needs a factor; the Helmholtz solution then gets the constant
+that restores its discrete mass to round-off. A shorter remainder, or a CG
+that misses PCG_TOL within PCG_MAXITER iterations, is factored for that step
+only: the factor never enters the cache and is dropped at the first solve at
+another step size. After an eviction, or that drop, the freed heap pages go
+back to the OS (``_trim_heap``), so the bound also holds for the resident
+memory. LinearSystems counts its factorizations, evictions and
+CG iterations (``factorizations``, ``evictions``, ``pcg_iterations``); a run
+reports them in the ``solver`` block of summary.json.
 
 Every step, manufactured-solution runs included, ends with the invariant check
 (finite fields, discrete divergence, pressure gauge), or SolverAbort.
@@ -60,11 +69,14 @@ from chemofluid.model import KineticsModel, buoyancy_force
 
 DT_UNDERFLOW = 1e-12
 PROJECTION_TOL = 1e-8   # relative divergence left by the pressure projection
-# Step sizes whose factors each step-dependent system keeps. Levels change one
-# at a time, and an output remainder sits between two visits of the same
-# level, so two levels keep every reuse a run makes; with one, star_ns_step
-# re-factors 0.02 after its 0.009375 remainder (22 factorizations, not 19).
-FACTOR_LEVELS = 2
+# A clock-shortened step of dt >= level * PCG_MIN_RATIO is solved by CG on its
+# level's factor: the preconditioned spectrum lies in [dt/level, 1], so 1/4
+# needs about as many solves (22-25 on the 256^2 star) as one factorization
+# costs. CG stops at a relative residual of PCG_TOL; after PCG_MAXITER
+# iterations the step is factored instead.
+PCG_MIN_RATIO = 0.25
+PCG_TOL = 1e-14
+PCG_MAXITER = 50
 
 try:
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -79,7 +91,7 @@ def _trim_heap():
     After its first large free, glibc serves blocks of that size from the
     heap instead of fresh mappings. When the next factor does not fit the
     hole an evicted one left, the hole would stay resident, and peak memory
-    would depend on the heap's layout rather than on FACTOR_LEVELS.
+    would depend on the heap's layout rather than on the one factor held.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
@@ -88,7 +100,10 @@ def _trim_heap():
 class SolverAbort(RuntimeError):
     """Unrecoverable state during time stepping (blow-up suspicion, lost invariants).
 
-    Its text is built when printed, so it names the step the loop attaches.
+    ``t`` is always the start time of the step being attempted: ``cfl_dt``
+    passes it, and ``step`` attaches it (with ``dt``) to any abort raised
+    inside the step. Its text is built when printed, so it names the step the
+    loop attaches.
     """
 
     def __init__(self, message, t=None, dt=None):
@@ -207,18 +222,21 @@ class LinearSystems:
     the pinned matrix stays symmetric) and the solution is then shifted to
     mean zero per component.
 
-    The factors of the step-dependent systems ("helm", "visc_u", "visc_v")
-    live in one insertion-ordered dict per system, least recently used
-    first, holding at most FACTOR_LEVELS step sizes; the pressure factor
-    does not depend on the step and is kept for the object's lifetime.
+    The step-dependent systems ("helm", "visc_u", "visc_v") each hold one
+    factor, as a (dt, LU) pair, and ``_solve`` applies the module's rule for
+    steps the clock shortened (which may add one transient factor per system
+    for the length of such a step); the pressure factor does not depend on
+    the step and is kept for the object's lifetime.
     """
 
     def __init__(self, geom: GridGeometry):
         g = self.geom = geom
-        self._factors = {"helm": {}, "visc_u": {}, "visc_v": {}}
+        self._factors = {"helm": None, "visc_u": None, "visc_v": None}
+        self._transient = dict.fromkeys(self._factors)
         self._pressure_lu = None
         self.factorizations = 0
         self.evictions = 0
+        self.pcg_iterations = 0
         self.n_scalar, adj = _adjacency(g.active, g.aperture_x[1:-1, :], g.aperture_y[:, 1:-1])
         self.L_scalar = _laplacian(adj)
         self.vol = g.cell_vol[g.active]
@@ -239,40 +257,100 @@ class LinearSystems:
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
 
-    def _factor(self, system: str, dt: float, build):
-        """The system's LU at step dt, from its cache of FACTOR_LEVELS step sizes.
+    def _held_dt(self, system: str):
+        """The step size of the system's held factor, or None."""
+        held = self._factors[system]
+        return None if held is None else held[0]
 
-        A hit moves dt to the most recent end. A miss evicts the least recent
-        factors before factoring build(), so the bound also holds while the
-        new factor is being built.
+    def _held(self, system: str, dt: float, build):
+        """The system's LU at step dt: the held one, or build(dt) factored in its place.
+
+        The held factor is evicted before the new one is built, so the bound
+        also holds while it is being built.
         """
-        levels = self._factors[system]
-        lu = levels.pop(dt, None)
-        if lu is None:
-            if len(levels) == FACTOR_LEVELS:
-                del levels[next(iter(levels))]
-                self.evictions += 1
-                _trim_heap()
-            lu = self._splu(build())
-        levels[dt] = lu
+        if self._held_dt(system) == dt:
+            return self._factors[system][1]
+        if self._factors[system] is not None:
+            self._factors[system] = None
+            self.evictions += 1
+            _trim_heap()
+        lu = self._splu(build(dt))
+        self._factors[system] = (dt, lu)
         return lu
 
-    def helmholtz_solve(self, dt: float, rhs: ScalarField) -> ScalarField:
-        """(V - dt L) x = V b: backward-Euler diffusion of a scalar."""
+    def _pcg(self, A, b, lu):
+        """CG on A x = b preconditioned by ``lu``, from lu.solve(b); None if it misses PCG_TOL."""
+        x = lu.solve(b)
+        r = b - A @ x
+        tol = PCG_TOL * np.linalg.norm(b)
+        p = z = lu.solve(r)
+        rz = r @ z
+        for k in range(PCG_MAXITER):
+            if np.linalg.norm(r) <= tol:
+                self.pcg_iterations += k
+                return x
+            Ap = A @ p
+            alpha = rz / (p @ Ap)
+            x = x + alpha * p
+            r = r - alpha * Ap
+            z = lu.solve(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        self.pcg_iterations += PCG_MAXITER
+        return x if np.linalg.norm(r) <= tol else None
+
+    def _solve(self, system: str, dt: float, level: float | None, build, b, mass=None):
+        """Solve build(dt) x = b with the system's one held factor; level None means dt.
+
+        A step at the held step size or at its own level uses (or replaces)
+        the held factor. A step the clock shortened to dt >= PCG_MIN_RATIO *
+        level is solved by ``_pcg`` on the level's factor; ``mass``, the
+        diagonal V of the Helmholtz system, then adds the constant that makes
+        sum(V x) == sum(b). Anything else is factored outside the cache, as
+        the system's transient factor: the step's other solves at dt (c and n
+        both diffuse) reuse it, and the first solve at another step size
+        drops it.
+        """
+        transient = self._transient[system]
+        if transient is not None:
+            if transient[0] == dt:
+                return transient[1].solve(b)
+            self._transient[system] = transient = None
+            _trim_heap()
+        level = dt if level is None else level
+        if dt == level or self._held_dt(system) == dt:
+            return self._held(system, dt, build).solve(b)
+        if dt >= PCG_MIN_RATIO * level:
+            x = self._pcg(build(dt), b, self._held(system, level, build))
+            if x is not None:
+                if mass is not None:
+                    x += (b.sum() - (mass * x).sum()) / mass.sum()
+                return x
+        lu = self._splu(build(dt))
+        self._transient[system] = (dt, lu)
+        return lu.solve(b)
+
+    def helmholtz_solve(self, dt: float, rhs: ScalarField, level: float | None = None
+                        ) -> ScalarField:
+        """(V - dt L) x = V b: backward-Euler diffusion of a scalar.
+
+        ``level`` is the CFL level the clock shortened to dt (default: dt).
+        """
         g = self.geom
         act = g.active
         b = self.vol * rhs.data[act]
 
-        def build():
-            return sp.diags(self.vol) - dt * self.L_scalar
+        def build(step):
+            return sp.diags(self.vol) - step * self.L_scalar
 
-        x = self._factor("helm", dt, build).solve(b)
+        x = self._solve("helm", dt, level, build, b, mass=self.vol)
         out = np.zeros((g.nx, g.ny))
         out[act] = x
         return ScalarField(g, out)
 
-    def viscous_solve(self, dt: float, vel: VectorField) -> VectorField:
-        """(I - dt Lap) per component with no-slip walls."""
+    def viscous_solve(self, dt: float, vel: VectorField, level: float | None = None
+                      ) -> VectorField:
+        """(I - dt Lap) per component with no-slip walls; ``level`` as in helmholtz_solve."""
         g = self.geom
         h2 = g.h * g.h
         out = VectorField.zeros(g)
@@ -283,10 +361,10 @@ class LinearSystems:
                 continue
             b = arr[mask]
 
-            def build(nf=nf, adj=adj):
-                return sp.identity(nf) * (1.0 + 4.0 * dt / h2) - (dt / h2) * adj
+            def build(step, nf=nf, adj=adj):
+                return sp.identity(nf) * (1.0 + 4.0 * step / h2) - (step / h2) * adj
 
-            dest[mask] = self._factor("visc_" + comp, dt, build).solve(b)
+            dest[mask] = self._solve("visc_" + comp, dt, level, build, b)
         return out
 
     def pressure_solve(self, rhs: ScalarField) -> ScalarField:
@@ -395,6 +473,7 @@ class StepClock:
         self.tick = quantize_dt(DT_UNDERFLOW, dt_max)
         self.ticks = 0
         self.steps = 0
+        self.shortened = 0   # steps cut short of their level by an output or end time
         self.end = self.ticks_of(end_time)
         self.every = self.end if every is None else max(1, self.ticks_of(every))
         self.target = min(self.every, self.end)
@@ -418,6 +497,7 @@ class StepClock:
         n = min(self.ticks_of(dt), self.target - self.ticks)
         self.ticks += n
         self.steps += 1
+        self.shortened += n < self.ticks_of(dt)
         self.output = None
         if self.ticks == self.target:
             self.outputs += 1
@@ -431,23 +511,25 @@ class StepClock:
 # ---------------------------------------------------------------------------
 
 def _transport_diffuse(s: ScalarField, vel: VectorField, dt: float, lin: LinearSystems,
-                       source: np.ndarray | None) -> ScalarField:
+                       source: np.ndarray | None, level: float | None) -> ScalarField:
     """Explicit upwind transport of s by vel (plus source), then implicit diffusion."""
     rhs = s.data + dt * advect_conservative(s, vel).data
     if source is not None:
         rhs += dt * source
-    return lin.helmholtz_solve(dt, ScalarField(s.geom, rhs))
+    return lin.helmholtz_solve(dt, ScalarField(s.geom, rhs), level)
 
 
 def step_c(state: SimState, dt: float, model: KineticsModel, lin: LinearSystems,
-           c_floor: float, source: np.ndarray | None = None) -> ScalarField:
+           c_floor: float, source: np.ndarray | None = None,
+           level: float | None = None) -> ScalarField:
     """Advect by the fluid, diffuse implicitly, then apply consumption.
 
     The consumption update c/(1 + dt n f(c)/max(c, c_floor)) is exact for
     f(s) = s and keeps c in [0, max c] for any admissible f with n >= 0.
+    ``level`` is the CFL level the clock shortened to dt (default: dt).
     """
     g = state.c.geom
-    cs = _transport_diffuse(state.c, state.u, dt, lin, source).data
+    cs = _transport_diffuse(state.c, state.u, dt, lin, source, level).data
     n_pos = np.maximum(state.n.data, 0.0)
     f_val = model.f(np.maximum(cs, 0.0))
     denom = 1.0 + dt * n_pos * f_val / np.maximum(cs, c_floor)
@@ -456,16 +538,17 @@ def step_c(state: SimState, dt: float, model: KineticsModel, lin: LinearSystems,
 
 
 def step_n(state: SimState, c_new: ScalarField, dt: float, model: KineticsModel,
-           lin: LinearSystems, source: np.ndarray | None = None) -> ScalarField:
-    """Upwind transport by u + chi(c) grad c, then implicit diffusion."""
+           lin: LinearSystems, source: np.ndarray | None = None,
+           level: float | None = None) -> ScalarField:
+    """Upwind transport by u + chi(c) grad c, then implicit diffusion; ``level`` as in step_c."""
     g = state.n.geom
     chem = chemotactic_face_velocity(c_new, model.chi)
     drift = VectorField(g, state.u.u + chem.u, state.u.v + chem.v)
-    n_new = _transport_diffuse(state.n, drift, dt, lin, source)
+    n_new = _transport_diffuse(state.n, drift, dt, lin, source, level)
     n_max = n_new.max_active()
     n_min = n_new.min_active()
     if n_min < -1e-10 * max(n_max, 1e-300):
-        raise SolverAbort(f"cell density went negative: min n = {n_min:.3e}", t=state.t, dt=dt)
+        raise SolverAbort(f"cell density went negative: min n = {n_min:.3e}")
     return n_new
 
 
@@ -498,11 +581,13 @@ def _mac_advection(vel: VectorField, kappa: float) -> VectorField:
 
 def step_u(state: SimState, n_new: ScalarField, dt: float, model: KineticsModel,
            lin: LinearSystems, source_u: np.ndarray | None = None,
-           source_v: np.ndarray | None = None) -> tuple[VectorField, ScalarField]:
+           source_v: np.ndarray | None = None,
+           level: float | None = None) -> tuple[VectorField, ScalarField]:
     """Explicit advection + buoyancy, implicit viscosity, MAC projection.
 
     Solves Lap(p) = div(u*)/dt and corrects u <- u* - dt grad p, leaving the
-    discrete divergence at solver accuracy and p with zero mean.
+    discrete divergence at solver accuracy and p with zero mean. ``level`` as
+    in step_c.
     """
     g = state.u.geom
     rhs = state.u.copy()
@@ -515,7 +600,7 @@ def step_u(state: SimState, n_new: ScalarField, dt: float, model: KineticsModel,
     if source_v is not None:
         rhs.v += dt * source_v
 
-    u_star = lin.viscous_solve(dt, rhs)
+    u_star = lin.viscous_solve(dt, rhs, level)
     # buoyancy joins after the viscous solve: a pure-gradient force (the
     # hydrostatic balance with uniform n) is then removed exactly by the
     # projection instead of leaking through the no-slip viscous operator
@@ -530,27 +615,33 @@ def step_u(state: SimState, n_new: ScalarField, dt: float, model: KineticsModel,
 
 
 def step(state: SimState, config: SolverConfig, model: KineticsModel,
-         lin: LinearSystems, dt: float, sources=None) -> SimState:
+         lin: LinearSystems, dt: float, sources=None, level: float | None = None) -> SimState:
     """One full IMEX step c -> n -> u; returns the new state at t + dt.
 
+    ``level`` is the step's level when the clock shortened it to ``dt``
+    (default: dt); the implicit solves then work on that level's factors.
     ``sources``, when given, adds manufactured right-hand sides (verification
     runs): a dict with any of the keys 'c', 'n' (on cell centres), 'u' (on
     x-faces) and 'v' (on y-faces), each a callable t -> array already on
     those points. They are evaluated at the step's start time ``state.t``,
     explicitly and to first order, like the advection terms.
 
-    The new state's invariants are checked before it is returned.
+    The new state's invariants are checked before it is returned. A
+    SolverAbort raised within the step leaves with ``t``, the step's start
+    time, and ``dt``.
     """
     t_start = state.t
     src = {k: f(t_start) for k, f in (sources or {}).items()}
-
-    c_new = step_c(state, dt, model, lin, config.c_floor, source=src.get("c"))
-    n_new = step_n(state, c_new, dt, model, lin, source=src.get("n"))
-    u_new, p_new = step_u(state, n_new, dt, model, lin,
-                          source_u=src.get("u"), source_v=src.get("v"))
-
-    new = SimState(n_new, c_new, u_new, p_new, state.t + dt)
-    _check_state(new, dt)
+    try:
+        c_new = step_c(state, dt, model, lin, config.c_floor, source=src.get("c"), level=level)
+        n_new = step_n(state, c_new, dt, model, lin, source=src.get("n"), level=level)
+        u_new, p_new = step_u(state, n_new, dt, model, lin,
+                              source_u=src.get("u"), source_v=src.get("v"), level=level)
+        new = SimState(n_new, c_new, u_new, p_new, t_start + dt)
+        _check_state(new, dt)
+    except SolverAbort as exc:
+        exc.t, exc.dt = t_start, dt
+        raise
     return new
 
 
@@ -564,10 +655,9 @@ def _check_state(state: SimState, dt: float):
     div_tol = 10.0 * PROJECTION_TOL / dt * max(1.0, state.u.max_speed())
     worst = float(np.abs(div.data).max())
     if worst > max(div_tol, 1e-9):
-        raise SolverAbort(f"divergence {worst:.3e} above tolerance after projection",
-                          t=state.t, dt=dt)
+        raise SolverAbort(f"divergence {worst:.3e} above tolerance after projection")
     interior = g.interior
     pmean = abs(float(state.p.data[interior].mean()))
     pmax = float(np.abs(state.p.data[interior]).max())
     if pmean > 1e-12 * max(pmax, 1e-300):
-        raise SolverAbort("pressure gauge lost (nonzero mean)", t=state.t, dt=dt)
+        raise SolverAbort("pressure gauge lost (nonzero mean)")

@@ -45,11 +45,10 @@ def instrumented_run(rc: RunConfig):
     run = setup(rc)
     geom, derived = run.geom, run.derived
     state = run.init.make_state()
-    mass0 = volume_integral(state.n, geom)
     record = DiagnosticsRecord(geom, n_inf=run.n_inf, c0_max=run.c0_max)
     probes = {"c_max": [state.c.max_active()], "n_min": [state.n.min_active()],
               "n_max": [state.n.max_active()], "div_bound_ratio": [], "p_gauge_ratio": [],
-              "mass": [mass0], "dt": []}
+              "dt": []}
     hess_worst = 0.0
 
     def emit(st):
@@ -66,7 +65,6 @@ def instrumented_run(rc: RunConfig):
         probes["c_max"].append(state.c.max_active())
         probes["n_min"].append(state.n.min_active())
         probes["n_max"].append(state.n.max_active())
-        probes["mass"].append(volume_integral(state.n, geom))
         div = divergence(state.u)
         probes["div_bound_ratio"].append(float(np.abs(div.data).max()) / (10.0 * PROJECTION_TOL / dt))
         pmax = float(np.abs(state.p.data[geom.interior]).max())
@@ -80,7 +78,7 @@ def instrumented_run(rc: RunConfig):
     conv = convergence_monitor(record, run.amplitudes, rc["conv.threshold_rel"])
     return {"record": record, "probes": probes, "amplitudes": run.amplitudes,
             "energy": energy, "conv": conv, "hess_worst": hess_worst,
-            "geom": geom, "c0_max": run.c0_max, "mass0": mass0}
+            "geom": geom, "c0_max": run.c0_max}
 
 
 @pytest.fixture(scope="session")

@@ -257,9 +257,13 @@ class TestRunArtifacts:
         assert s["exit_status"] == "ok"
         assert "entropy_energy" in s["inequality_verdicts"]
         assert s["steps"] > 0
-        assert set(s["solver"]) == {"lu_factorizations", "factor_evictions", "peak_rss_mb"}
+        assert set(s["solver"]) == {"lu_factorizations", "factor_evictions", "shortened_steps",
+                                    "pcg_iterations", "peak_rss_mb"}
         assert s["solver"]["lu_factorizations"] >= 4
         assert s["solver"]["factor_evictions"] >= 0
+        # one step is cut from the 0.02 level to 0.01 by an output time and solved by PCG
+        assert s["solver"]["shortened_steps"] == 1
+        assert s["solver"]["pcg_iterations"] > 0
         assert s["solver"]["peak_rss_mb"] > 0
 
     def test_inequality_csv_schema(self, run_dir):
@@ -380,6 +384,32 @@ output.every_time = 0.01
         ineq = (cut / "inequalities.csv").read_text().splitlines()
         assert ineq == (full / "inequalities.csv").read_text().splitlines()[:1 + 2 * 3]
         assert not (cut / "summary.json").exists()
+
+    def test_check_abort_reports_the_start_of_its_step(self, tmp_path, monkeypatch, capsys):
+        # the invariant check after step 3 (t = 0.02 -> 0.03) fails: t is the step's start
+        from chemofluid import solver
+        cfg = write_cfg(tmp_path, """
+domain.shape = disk
+grid.n = 32
+solver.end_time = 0.05
+solver.dt_max = 0.01
+output.every_time = 0.01
+""")
+        step_u = solver.step_u
+        calls = []
+
+        def unprojected_step_u(*args, **kwargs):
+            u, p = step_u(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 3:
+                u.u[u.geom.fluid_face_x] += 1.0
+            return u, p
+
+        monkeypatch.setattr(solver, "step_u", unprojected_step_u)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.rstrip()
+        assert "above tolerance after projection" in err
+        assert err.endswith("[step 3, t = 0.02, dt = 0.01]"), err
 
     def test_cfl_abort_names_the_step_being_attempted(self, tmp_path, capsys):
         # cfl_dt raises before the clock advances; the step is still number 1

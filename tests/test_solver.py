@@ -19,7 +19,6 @@ from chemofluid.geometry import LevelSetDomain, classify_cells, volume_integral
 from chemofluid.model import linear_model
 from chemofluid.solver import (
     DT_UNDERFLOW,
-    FACTOR_LEVELS,
     InitialData,
     LinearSystems,
     SimState,
@@ -310,21 +309,24 @@ class TestSolveSpd:
         assert np.abs(p.data).max() == 0.0
 
 
-def direct_system(lin, name, dt, rng):
-    """Matrix A, right-hand side b and the cached-LU solution x of A x = b."""
+def direct_system(lin, name, dt, rng, level=None):
+    """Matrix A, right-hand side b and the solution x of A x = b that ``lin`` gives.
+
+    ``level`` is passed on to the step-dependent solves (default: dt).
+    """
     g = lin.geom
     h2 = g.h * g.h
     if name == "helmholtz":
         b = rng.standard_normal(lin.n_scalar)
         rhs = np.zeros((g.nx, g.ny))
         rhs[g.active] = b
-        x = lin.helmholtz_solve(dt, ScalarField(g, rhs)).data[g.active]
+        x = lin.helmholtz_solve(dt, ScalarField(g, rhs), level).data[g.active]
         return sp.diags(lin.vol) - dt * lin.L_scalar, lin.vol * b, x
     if name in ("viscous_u", "viscous_v"):
         vel = VectorField.zeros(g)
         vel.u[g.fluid_face_x] = rng.standard_normal(lin.n_u)
         vel.v[g.fluid_face_y] = rng.standard_normal(lin.n_v)
-        out = lin.viscous_solve(dt, vel)
+        out = lin.viscous_solve(dt, vel, level)
         if name == "viscous_u":
             mask, adj, b, x = g.fluid_face_x, lin.adj_u, vel.u, out.u
         else:
@@ -341,28 +343,29 @@ def direct_system(lin, name, dt, rng):
     return lin.L_pressure / h2, b, x
 
 
-class TestFactorCache:
-    """The factor cache holds FACTOR_LEVELS step sizes per system and changes no solve."""
+STEP_SYSTEMS = {"helmholtz": "helm", "viscous_u": "visc_u", "viscous_v": "visc_v"}
 
-    # four levels, a hit on the first, and back to the first after its eviction;
-    # after each level: the cached step sizes of every step-dependent system
-    # (least recent first) and the factorization and eviction counters
+
+class TestFactorCache:
+    """Each step-dependent system holds the factor of one step size; no solve changes."""
+
+    # a level, a hit on it, then three level changes: after each, the counters
+    # (pressure factor included) and the step size every system holds
     LEVELS = (
-        (0.02, (0.02,), 1 + 3, 0),
-        (0.01, (0.02, 0.01), 1 + 6, 0),
-        (0.02, (0.01, 0.02), 1 + 6, 0),
-        (0.005, (0.02, 0.005), 1 + 9, 3),
-        (0.0025, (0.005, 0.0025), 1 + 12, 6),
-        (0.02, (0.0025, 0.02), 1 + 15, 9),
+        (0.02, 1 + 3, 0),
+        (0.02, 1 + 3, 0),
+        (0.01, 1 + 6, 3),
+        (0.02, 1 + 9, 6),
+        (0.005, 1 + 12, 9),
     )
 
     def test_bound_counters_and_solves(self, grid96, monkeypatch):
-        assert FACTOR_LEVELS == 2
         lin = LinearSystems(grid96)
         held_at_factoring = []
 
         def splu(*args, **kwargs):
-            held_at_factoring.append(sum(map(len, lin._factors.values())))
+            held_at_factoring.append(sum(f is not None for f in lin._factors.values())
+                                     + (lin._pressure_lu is not None))
             return spla.splu(*args, **kwargs)
 
         monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
@@ -370,28 +373,118 @@ class TestFactorCache:
         monkeypatch.setattr(solver, "_trim_heap", lambda: trims.append(lin.evictions))
         pressure_lu = None
         solved = []
-        for k, (dt, cached, factorizations, evictions) in enumerate(self.LEVELS):
+        for k, (dt, factorizations, evictions) in enumerate(self.LEVELS):
             solves = {name: direct_system(lin, name, dt, np.random.default_rng(k))[2]
                       for name in ("helmholtz", "viscous_u", "viscous_v", "pressure")}
-            assert set(lin._factors) == {"helm", "visc_u", "visc_v"}
-            for system, levels in lin._factors.items():
-                assert tuple(levels) == cached, system
+            assert {system: held[0] for system, held in lin._factors.items()} == {
+                "helm": dt, "visc_u": dt, "visc_v": dt}
             if pressure_lu is None:
                 pressure_lu = lin._pressure_lu
             assert lin._pressure_lu is pressure_lu
             assert (lin.factorizations, lin.evictions) == (factorizations, evictions)
             solved.append(solves)
-        # evicted before factoring: the new factor never exceeds the bound either
+        # evicted before factoring: with the one being built, at most one factor
+        # per system (three step-dependent, one pressure) is ever held
         assert len(held_at_factoring) == lin.factorizations
-        assert max(held_at_factoring) + 1 <= 3 * FACTOR_LEVELS
+        assert max(held_at_factoring) + 1 <= 4
         # the heap is trimmed once after every eviction
         assert trims == list(range(1, lin.evictions + 1))
+        assert lin.pcg_iterations == 0
         monkeypatch.undo()
         for k, ((dt, *_), solves) in enumerate(zip(self.LEVELS, solved)):
             fresh = LinearSystems(grid96)
             for name, x in solves.items():
                 want = direct_system(fresh, name, dt, np.random.default_rng(k))[2]
                 assert np.array_equal(x, want), (dt, name)
+
+
+class TestShortenedStep:
+    """A step the clock shortened to dt = r * level, solved against the level's factor."""
+
+    LEVEL = 0.02
+
+    @pytest.fixture(scope="class")
+    def star128(self):
+        # the Helmholtz grid: CG alone leaves its mass 2-4e-14 off (1e-15 on
+        # grid96), so only the constant correction passes the mass check here
+        return classify_cells(LevelSetDomain.star(3, 0.4), 1.0 / 128.0)
+
+    def warm(self, grid, names=tuple(STEP_SYSTEMS)):
+        """Systems whose solves of ``names`` hold the level's factors."""
+        lin = LinearSystems(grid)
+        for name in names:
+            direct_system(lin, name, self.LEVEL, np.random.default_rng(0))
+        return lin
+
+    @pytest.mark.parametrize("r", [0.75, 0.47, 0.3])
+    @pytest.mark.parametrize("name, grid", [("helmholtz", "star128"), ("viscous_u", "grid96"),
+                                            ("viscous_v", "grid96")])
+    def test_pcg_matches_direct_without_factoring(self, request, name, grid, r):
+        lin = self.warm(request.getfixturevalue(grid), (name,))
+        held = dict(lin._factors)   # (dt, LU) pairs; an LU compares by identity
+        counts = (lin.factorizations, lin.evictions)
+        dt = r * self.LEVEL
+        A, b, x = direct_system(lin, name, dt, np.random.default_rng(1), level=self.LEVEL)
+        want = spla.splu(A.tocsc()).solve(b)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max(), (name, r)
+        if name == "helmholtz":
+            assert abs((lin.vol * x).sum() - b.sum()) <= 1e-14 * abs(b.sum())
+        assert (lin.factorizations, lin.evictions) == counts
+        assert lin._factors == held
+        assert lin.pcg_iterations > 0
+
+    def test_short_remainder_is_factored_for_the_step_only(self, grid96, monkeypatch):
+        # r = 0.1 < 1/4: one transient factor per system, the slot untouched
+        lin = self.warm(grid96)
+        held = dict(lin._factors)
+        factorizations = lin.factorizations
+        dt = 0.1 * self.LEVEL
+        # the step's second Helmholtz solve (n after c) reuses the transient factor;
+        # viscous_solve does both components
+        for name in ("helmholtz", "viscous_u", "helmholtz"):
+            A, b, x = direct_system(lin, name, dt, np.random.default_rng(2), level=self.LEVEL)
+            want = spla.splu(A.tocsc()).solve(b)
+            assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        assert lin.factorizations == factorizations + 3
+        assert lin._factors == held
+        assert lin.pcg_iterations == 0
+        # the next step, back at the level, drops the transient factors and trims the heap
+        trims = []
+        monkeypatch.setattr(solver, "_trim_heap", lambda: trims.append(None))
+        for name in ("helmholtz", "viscous_u"):
+            direct_system(lin, name, self.LEVEL, np.random.default_rng(0))
+        assert lin._transient == dict.fromkeys(STEP_SYSTEMS.values())
+        assert (len(trims), lin.factorizations, lin._factors) == (3, factorizations + 3, held)
+
+    def test_unconverged_cg_falls_back_to_a_transient_factor(self, grid96, monkeypatch):
+        lin = self.warm(grid96)
+        held = dict(lin._factors)
+        factorizations = lin.factorizations
+        monkeypatch.setattr(solver, "PCG_MAXITER", 2)
+        for name in ("helmholtz", "viscous_u"):
+            A, b, x = direct_system(lin, name, 0.47 * self.LEVEL, np.random.default_rng(3),
+                                    level=self.LEVEL)
+            assert np.abs(A @ x - b).max() <= 1e-12 * np.abs(b).max()
+        assert lin.factorizations == factorizations + 3
+        assert lin._factors == held
+        assert lin.pcg_iterations == 3 * 2
+
+    def test_missing_level_enters_the_slot(self, grid96):
+        # the slot holds 0.01; a step shortened from 0.02 factors 0.02 in its place
+        lin = LinearSystems(grid96)
+        direct_system(lin, "helmholtz", 0.01, np.random.default_rng(0))
+        A, b, x = direct_system(lin, "helmholtz", 0.015, np.random.default_rng(4), level=0.02)
+        assert np.abs(A @ x - b).max() <= 1e-12 * np.abs(b).max()
+        assert lin._factors["helm"][0] == 0.02
+        assert (lin.factorizations, lin.evictions) == (2, 1)
+
+    def test_held_step_size_is_solved_directly(self, grid96):
+        # a step shortened to exactly the held step size uses that factor as it is
+        lin = LinearSystems(grid96)
+        x0 = direct_system(lin, "helmholtz", 0.01, np.random.default_rng(5))[2]
+        x1 = direct_system(lin, "helmholtz", 0.01, np.random.default_rng(5), level=0.02)[2]
+        assert np.array_equal(x0, x1)
+        assert (lin.factorizations, lin.pcg_iterations) == (1, 0)
 
 
 class TestOperatorConsistency:
