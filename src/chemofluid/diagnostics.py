@@ -186,12 +186,6 @@ class Frame:
 # pointwise / single-state functionals
 # ---------------------------------------------------------------------------
 
-def entropy_functional(f: Frame) -> float:
-    """int n log n + 1/2 int |grad psi(c)|^2 (n clamped away from 0 in the log)."""
-    ent_n, grad_psi_sq = entropy_parts(f)
-    return ent_n + 0.5 * grad_psi_sq
-
-
 def entropy_parts(f: Frame) -> tuple[float, float]:
     n = f.n_active
     ent_n = f._integral(n * np.log(np.maximum(n, LOG_CLAMP)))
@@ -525,7 +519,8 @@ def convergence_monitor(record: DiagnosticsRecord, amplitudes: tuple[float, floa
 
 def random_neumann_field(geom: GridGeometry, lin: LinearSystems, rng: np.random.Generator,
                          amplitude: float = 0.3, smooth_len: float = 0.1,
-                         n_smooth: int = 2) -> ScalarField:
+                         n_smooth: int = 2, count: int | None = None
+                         ) -> ScalarField | list[ScalarField]:
     """Band-limited random field compatible with the discrete Neumann condition.
 
     White noise on the active cells is smoothed by implicit heat steps of the
@@ -534,19 +529,30 @@ def random_neumann_field(geom: GridGeometry, lin: LinearSystems, rng: np.random.
     the requested sup amplitude. The heat semigroup projects onto the
     operator's own Neumann modes, which is exactly the compatibility the
     boundary inequalities assume.
+
+    With ``count`` it returns a list of that many fields, smoothed together:
+    each heat step is one Helmholtz solve with a column per field, so the
+    factor is read once per step rather than once per field. Without it, one
+    field, the one-column case. Each field's noise is drawn in turn, so a
+    seed draws the same noise however many fields are smoothed together; a
+    block solve can round a cell's last bit differently from a one-column
+    solve (the BLAS kernels differ), so the fields agree with one-by-one
+    draws to round-off.
     """
     g = geom
-    # drawn on the whole bounding-box grid, so a seed gives one field however it is stored
-    z = np.where(g.active, rng.standard_normal(g.bbox_shape)[g.window], 0.0)
+    # each drawn on the whole bounding-box grid, so a seed gives one field however it is stored
+    z = np.stack([rng.standard_normal(g.bbox_shape)[g.window][g.active]
+                  for _ in range(1 if count is None else count)], axis=1)
     tau = smooth_len ** 2 / (4.0 * n_smooth)
-    f = ScalarField(g, z)
     for _ in range(n_smooth):
-        f = lin.helmholtz_solve(tau, f)
-    vals = f.data[g.active]
-    vals = vals - vals.mean()
-    peak = np.abs(vals).max()
-    if peak > 0:
-        vals = vals * (amplitude / peak)
-    out = np.zeros((g.nx, g.ny))
-    out[g.active] = vals
-    return ScalarField(g, out)
+        z = lin.helmholtz_solve(tau, z)
+    fields = []
+    for vals in z.T:
+        vals = vals - vals.mean()
+        peak = np.abs(vals).max()
+        if peak > 0:
+            vals = vals * (amplitude / peak)
+        out = np.zeros((g.nx, g.ny))
+        out[g.active] = vals
+        fields.append(ScalarField(g, out))
+    return fields[0] if count is None else fields

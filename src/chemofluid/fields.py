@@ -46,11 +46,6 @@ class ScalarField:
     def full(geom: GridGeometry, value: float) -> "ScalarField":
         return ScalarField(geom, np.where(geom.active, float(value), 0.0))
 
-    @staticmethod
-    def from_function(geom: GridGeometry, fn: Callable) -> "ScalarField":
-        X, Y = geom.cell_centers()
-        return ScalarField(geom, np.where(geom.active, fn(X, Y), 0.0))
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.geom, self.data.copy())
 

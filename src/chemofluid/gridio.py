@@ -1,4 +1,4 @@
-"""Flat grid files and simulation checkpoints, written by one binary writer.
+"""Flat grid files (read) and simulation checkpoints (written and read).
 
 Both start with a text header, then hold raw little-endian float64 blocks,
 each in rows of y with x fastest:
@@ -13,8 +13,8 @@ A grid file holds one scalar sampled on a regular grid over the bounding box;
 read_grid also accepts a text body of ny rows of nx values, since grid files
 come from outside the program. A checkpoint holds a full simulation state on
 the geometry's stored window, and its box is the box that window covers
-(GridGeometry.window_box); docs/csv_schema.md lists its block shapes. Both
-writes are atomic.
+(GridGeometry.window_box); docs/csv_schema.md lists its block shapes. The
+checkpoint write is atomic.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ def _write(path, magic: str, shape, bbox, blocks, *header_lines):
         for block in blocks:
             fh.write(np.asarray(block, dtype="<f8").T.tobytes())
     os.replace(tmp, path)
-
-
-def write_grid(path, values: np.ndarray, bbox):
-    values = np.asarray(values, dtype=float)
-    _write(path, GRID_MAGIC, values.shape, bbox, [values])
 
 
 def _read_header(fh, path, magic: str):

@@ -302,12 +302,15 @@ class LinearSystems:
     def _solve(self, system: str, dt: float, level: float | None, build, b, mass=None):
         """Solve build(dt) x = b with the system's one held factor; level None means dt.
 
-        A step at the held step size or at its own level uses (or replaces)
-        the held factor. A step the clock shortened to dt >= PCG_MIN_RATIO *
-        level is solved by ``_pcg`` on the level's factor; ``mass``, the
-        diagonal V of the Helmholtz system, then adds the constant that makes
-        sum(V x) == sum(b). Anything else is factored outside the cache, as
-        the system's transient factor: the step's other solves at dt (c and n
+        ``b`` is one right-hand side, or a matrix with one per column; a
+        factor solves all columns in one ``lu.solve``, reading the factor
+        once. A step at the held step size or at its own level uses (or
+        replaces) the held factor. A step the clock shortened to dt >=
+        PCG_MIN_RATIO * level is solved by ``_pcg`` on the level's factor when
+        b is one vector; ``mass``, the diagonal V of the Helmholtz system,
+        then adds the constant that makes sum(V x) == sum(b). Anything else,
+        a block of columns included, is factored outside the cache, as the
+        system's transient factor: the step's other solves at dt (c and n
         both diffuse) reuse it, and the first solve at another step size
         drops it.
         """
@@ -320,7 +323,7 @@ class LinearSystems:
         level = dt if level is None else level
         if dt == level or self._held_dt(system) == dt:
             return self._held(system, dt, build).solve(b)
-        if dt >= PCG_MIN_RATIO * level:
+        if b.ndim == 1 and dt >= PCG_MIN_RATIO * level:
             x = self._pcg(build(dt), b, self._held(system, level, build))
             if x is not None:
                 if mass is not None:
@@ -330,22 +333,29 @@ class LinearSystems:
         self._transient[system] = (dt, lu)
         return lu.solve(b)
 
-    def helmholtz_solve(self, dt: float, rhs: ScalarField, level: float | None = None
-                        ) -> ScalarField:
+    def helmholtz_solve(self, dt: float, rhs: ScalarField | np.ndarray,
+                        level: float | None = None) -> ScalarField | np.ndarray:
         """(V - dt L) x = V b: backward-Euler diffusion of a scalar.
 
+        ``rhs`` is a ScalarField, or b on the active cells: a vector, or a
+        matrix with one column per right-hand side, all solved in one call on
+        the factor. The solution comes back in the form rhs came in.
         ``level`` is the CFL level the clock shortened to dt (default: dt).
         """
         g = self.geom
-        act = g.active
-        b = self.vol * rhs.data[act]
+        if isinstance(rhs, ScalarField):
+            b = self.vol * rhs.data[g.active]
+        else:
+            b = (self.vol if rhs.ndim == 1 else self.vol[:, None]) * rhs
 
         def build(step):
             return sp.diags(self.vol) - step * self.L_scalar
 
         x = self._solve("helm", dt, level, build, b, mass=self.vol)
+        if not isinstance(rhs, ScalarField):
+            return x
         out = np.zeros((g.nx, g.ny))
-        out[act] = x
+        out[g.active] = x
         return ScalarField(g, out)
 
     def viscous_solve(self, dt: float, vel: VectorField, level: float | None = None

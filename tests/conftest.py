@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from chemofluid import gridio
+from chemofluid.diagnostics import entropy_parts
+from chemofluid.fields import ScalarField
 from chemofluid.geometry import LevelSetDomain, classify_cells
 from chemofluid.model import build_derived, linear_model
 from chemofluid.solver import LinearSystems
@@ -60,3 +63,21 @@ def deep_interior(geom):
     deep[:, 1:] &= geom.interior[:, :-1]
     deep[:, :-1] &= geom.interior[:, 1:]
     return deep
+
+
+def scalar_from_function(geom, fn):
+    """fn(x, y) at the cell centres of the active cells, zero elsewhere."""
+    X, Y = geom.cell_centers()
+    return ScalarField(geom, np.where(geom.active, fn(X, Y), 0.0))
+
+
+def entropy_functional(f):
+    """int n log n + 1/2 int |grad psi(c)|^2 of a Frame (n clamped away from 0 in the log)."""
+    ent_n, grad_psi_sq = entropy_parts(f)
+    return ent_n + 0.5 * grad_psi_sq
+
+
+def write_grid(path, values, bbox):
+    """A grid file of values (indexed x-first) over bbox, as read_grid reads it."""
+    values = np.asarray(values, dtype=float)
+    gridio._write(path, gridio.GRID_MAGIC, values.shape, bbox, [values])

@@ -21,11 +21,10 @@ from chemofluid.diagnostics import (
     convergence_monitor,
     hessian_pointwise_violation,
 )
-from chemofluid.fields import ScalarField, VectorField, divergence
+from chemofluid.fields import ScalarField, divergence
 from chemofluid.geometry import volume_integral
-from chemofluid.model import build_derived
 from chemofluid.runner import clock_for, run_inequality_scan, setup, trajectory
-from chemofluid.solver import PROJECTION_TOL, LinearSystems
+from chemofluid.solver import PROJECTION_TOL
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MATRIX = ("disk_stokes_small", "disk_ns_small", "star_stokes_small", "star_ns_small")
@@ -114,36 +113,25 @@ def scan_ladder(tmp_path_factory):
 @pytest.fixture(scope="session")
 def residual_studies():
     """Entropy-identity residual under simultaneous (h, dt) halving."""
-    from chemofluid.geometry import LevelSetDomain, classify_cells
-    from chemofluid.model import linear_model
-    from chemofluid.solver import InitialData, SolverConfig
-
-    dom = LevelSetDomain.disk(1.0)
     out = {}
     for label, coupled in (("no_fluid", False), ("coupled", True)):
         normalized = []
         for nside, dt, dt_cad in ((48, 0.004, 0.04), (96, 0.002, 0.02), (192, 0.001, 0.01)):
-            side = dom.bbox[1] - dom.bbox[0]
-            g = classify_cells(dom, side / nside)
-            model = linear_model(G=0.5 if coupled else 0.0, kappa_ns=1.0 if coupled else 0.0)
-            cfg = SolverConfig(dt_max=dt, end_time=0.2)
-            lin = LinearSystems(g)
-            X, Y = g.cell_centers()
-            n0 = ScalarField(g, np.where(
-                g.active, 1.0 + 0.4 * np.exp(-((X - 0.2) ** 2 + (Y - 0.1) ** 2) / 0.08), 0.0))
-            c0 = ScalarField(g, np.where(
-                g.active, 1.0 + 0.2 * np.cos(2 * X) * np.cos(1.5 * Y), 0.0))
-            u0 = (VectorField.from_stream(g, lambda x, y: 0.15 * np.exp(-(x * x + y * y) / 0.18))
-                  if coupled else VectorField.zeros(g))
-            st = InitialData(n0, c0, u0).make_state()
-            derived = build_derived(model, c0.max_active())
-            clock = clock_for(cfg, dt_cad)
+            rc = RunConfig({
+                "domain.shape": "disk", "domain.radius": 1.0, "grid.n": nside,
+                "model.G": 0.5 if coupled else 0.0, "model.kappa_ns": 1.0 if coupled else 0.0,
+                "init.n0_amp": 0.4, "init.n0_sigma": 0.2,
+                "init.u0": "vortex" if coupled else "zero", "init.u0_amp": 0.15,
+                "solver.dt_max": dt, "solver.end_time": 0.2,
+            })
+            run = setup(rc)
+            clock = clock_for(run.cfg, dt_cad)
             # the outputs around t = 0.12; the record fills the middle row's residual
             mid = round(0.12 / dt_cad)
-            record = DiagnosticsRecord(g, n_inf=1.0, c0_max=c0.max_active())
-            for st, _ in trajectory(st, cfg, model, lin, clock):
+            record = DiagnosticsRecord(run.geom, n_inf=run.n_inf, c0_max=run.c0_max)
+            for st, _ in trajectory(run.init.make_state(), run.cfg, run.model, run.lin, clock):
                 if clock.output in (mid - 1, mid, mid + 1):
-                    record.append_state(Frame(st, derived))
+                    record.append_state(Frame(st, run.derived))
             normalized.append(record.rows[1]["identity_residual"])
         orders = [float(np.log2(normalized[i] / normalized[i + 1])) for i in range(2)]
         out[label] = {"normalized": normalized, "orders": orders}

@@ -7,6 +7,8 @@ import pytest
 from chemofluid.cli import main
 from chemofluid.config import ConfigError, RunConfig, parse_config_text, schema_description
 
+from conftest import write_grid
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -70,7 +72,6 @@ class TestConfigParsing:
             assert rc["grid.n"] >= 16
 
     def test_sampled_domain_through_config(self, tmp_path):
-        from chemofluid.gridio import write_grid
         xs = np.linspace(-1.2, 1.2, 97)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         path = tmp_path / "phi.txt"
@@ -206,7 +207,6 @@ class TestCliExitCodes:
 
     def test_non_tiling_sampled_domain_is_config_error(self, tmp_path, capsys):
         # 2.4 / 48 = 0.05 across, but the 2.06-high box holds 41.2 such cells
-        from chemofluid.gridio import write_grid
         X, Y = np.meshgrid(np.linspace(-1.2, 1.2, 49), np.linspace(-1.03, 1.03, 43),
                            indexing="ij")
         grid = tmp_path / "phi.bin"
@@ -434,6 +434,42 @@ class TestDeterminism:
         assert main(["scan-inequalities", "--config", cfg, "--seed", "9",
                      "--out", str(tmp_path / "s2")]) == 0
         assert (tmp_path / "s1" / "scan.csv").read_bytes() == (tmp_path / "s2" / "scan.csv").read_bytes()
+
+    def test_scan_csv_does_not_depend_on_the_chunk(self, tmp_path, monkeypatch):
+        # 10 trials: a full chunk of 8, then a partial one of 2. A block solve can
+        # round a cell's last bit differently from a one-column solve; at this
+        # size scan.csv is byte-identical all the same
+        from chemofluid import runner
+        cfg = write_cfg(tmp_path, "grid.n = 48\nscan.trials = 10\n")
+        assert main(["scan-inequalities", "--config", cfg, "--seed", "9",
+                     "--out", str(tmp_path / "chunked")]) == 0
+        monkeypatch.setattr(runner, "SCAN_CHUNK", 1)
+        assert main(["scan-inequalities", "--config", cfg, "--seed", "9",
+                     "--out", str(tmp_path / "single")]) == 0
+        assert ((tmp_path / "chunked" / "scan.csv").read_bytes()
+                == (tmp_path / "single" / "scan.csv").read_bytes())
+
+    def test_scan_draws_through_the_module_name_before_each_chunk(self, tmp_path, monkeypatch):
+        # a wrapper on runner.random_neumann_field sees the draw before the first
+        # trial's diagnostics and one call per chunk
+        from chemofluid import runner
+        events = []
+
+        def traced(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(runner, "random_neumann_field",
+                            traced("draw", runner.random_neumann_field))
+        monkeypatch.setattr(runner, "Frame", traced("trial", runner.Frame))
+        trials = 10
+        rc = RunConfig({"grid.n": 48, "scan.trials": trials})
+        runner.run_inequality_scan(rc, tmp_path / "scan")
+        assert events[0] == "draw"
+        assert events.count("trial") == trials
+        assert events.count("draw") >= -(-trials // runner.SCAN_CHUNK)
 
     def test_different_seed_differs(self, tmp_path):
         cfg = write_cfg(tmp_path, "grid.n = 48\nscan.trials = 5\n")

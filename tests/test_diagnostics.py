@@ -14,7 +14,6 @@ from chemofluid.diagnostics import (
     check_ms_lemma,
     convergence_monitor,
     dissipation_terms,
-    entropy_functional,
     entropy_parts,
     hessian_pointwise_violation,
     identity_source_terms,
@@ -24,6 +23,8 @@ from chemofluid.fields import ScalarField, VectorField, gradient_neumann, mac_gr
 from chemofluid.geometry import LevelSetDomain, classify_cells, volume_integral
 from chemofluid.model import build_derived, linear_model
 from chemofluid.solver import InitialData, LinearSystems, SimState, SolverConfig, step
+
+from conftest import entropy_functional, scalar_from_function
 
 
 def make_state(geom, n, c, u=None):
@@ -73,7 +74,7 @@ class TestDissipation:
     def test_fisher_against_quadrature(self, disk64, derived_linear):
         # n = 1 + 0.1 cos(pi x): integrate |grad n|^2 / n over the unit disk
         st = make_state(disk64, 1.0, 1.0)
-        st.n = ScalarField.from_function(disk64, lambda x, y: 1.0 + 0.1 * np.cos(np.pi * x))
+        st.n = scalar_from_function(disk64, lambda x, y: 1.0 + 0.1 * np.cos(np.pi * x))
         fisher, _ = dissipation_terms(Frame(st, derived_linear))
 
         def integrand(x):
@@ -86,7 +87,7 @@ class TestDissipation:
     def test_hess_rho_radial_oracle(self, disk64, derived_linear):
         # c(r) = 1 + 0.25 r^2(2-r^2), zeta = log(c): |D^2 zeta|^2 = zeta'' ^2 + (zeta'/r)^2
         st = make_state(disk64, 1.0, 1.0)
-        st.c = ScalarField.from_function(disk64, bump_c)
+        st.c = scalar_from_function(disk64, bump_c)
         _, hess = dissipation_terms(Frame(st, derived_linear))
 
         def integrand(r):
@@ -134,7 +135,7 @@ class TestMsLemma:
         worst = []
         for h in (1 / 48, 1 / 96, 1 / 192):
             g = classify_cells(disk_domain, h)
-            w = ScalarField.from_function(g, lambda x, y: (x * x + y * y) * (2 - x * x - y * y))
+            w = scalar_from_function(g, lambda x, y: (x * x + y * y) * (2 - x * x - y * y))
             worst.append(abs(check_ms_lemma(Frame(w)).violation))
         assert worst[0] > worst[1] > worst[2]
 
@@ -179,7 +180,7 @@ class TestInequality33:
     def test_radial_oracle_both_sides(self, disk64, derived_linear):
         # linear model: lhs = int |grad c|^4 / c^3, rhs = (2+sqrt2)^2 int c |D^2 log c|^2
         st = make_state(disk64, 1.0, 1.0)
-        st.c = ScalarField.from_function(disk64, bump_c)
+        st.c = scalar_from_function(disk64, bump_c)
         rep = check_inequality_33(Frame(st, derived_linear))
 
         def lhs_int(r):
@@ -210,7 +211,7 @@ class TestInequality33:
             assert rep.lhs <= rep.rhs + rep.tolerance
 
     def test_star_reported_not_failed(self, star64, derived_linear):
-        c = ScalarField.from_function(star64, lambda x, y: 1.0 + 0.2 * np.cos(2 * x))
+        c = scalar_from_function(star64, lambda x, y: 1.0 + 0.2 * np.cos(2 * x))
         rep = check_inequality_33(Frame(c, derived_linear))
         assert rep.passed  # non-convex domains report, never fail
         assert rep.extra["convex"] is False
@@ -223,7 +224,7 @@ def trajectory(disk64):
     n0 = ScalarField(disk64, np.where(
         disk64.active, 1.0 + 0.4 * np.exp(-((X - 0.2) ** 2 + (Y - 0.1) ** 2) / 0.08), 0.0))
     u0 = VectorField.from_stream(disk64, lambda x, y: 0.15 * np.exp(-(x * x + y * y) / 0.18))
-    states = [InitialData(n0, ScalarField.from_function(disk64, bump_c), u0).make_state()]
+    states = [InitialData(n0, scalar_from_function(disk64, bump_c), u0).make_state()]
     cfg = SolverConfig(dt_max=0.01)
     model = linear_model(G=0.5, kappa_ns=1.0)
     lin = LinearSystems(disk64)
@@ -401,6 +402,36 @@ class TestRandomFieldGenerator:
         a = random_neumann_field(disk64, lin64, np.random.default_rng(77))
         b = random_neumann_field(disk64, lin64, np.random.default_rng(77))
         assert np.array_equal(a.data, b.data)
+
+    @staticmethod
+    def chunked_and_single(geom, lin, chunks, **kw):
+        """The fields of one seed drawn in ``chunks``, and the same fields drawn one by one."""
+        rng = np.random.default_rng(0)
+        batched = [f for k in chunks for f in random_neumann_field(geom, lin, rng, count=k, **kw)]
+        rng = np.random.default_rng(0)
+        single = [random_neumann_field(geom, lin, rng, **kw) for _ in range(sum(chunks))]
+        assert len(batched) == len(single)
+        return batched, single
+
+    @pytest.mark.parametrize("chunks", [(8, 3), (5,), (4, 4, 1)])
+    def test_chunk_draws_the_noise_of_single_draws(self, star64, chunks):
+        # with identity smoothing, a chunk is its fields drawn in turn, bit for bit
+        class NoSmoothing:
+            def helmholtz_solve(self, tau, f):
+                return f
+
+        for a, b in zip(*self.chunked_and_single(star64, NoSmoothing(), chunks, n_smooth=1)):
+            assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("chunks", [(8, 3), (4, 4, 1)])
+    def test_chunk_smooths_like_single_draws(self, star64, chunks):
+        # a block solve can round a cell's last bit differently (BLAS kernels);
+        # at seed 0 some of these fields can differ from their single draws
+        amplitude = 0.3
+        batched, single = self.chunked_and_single(star64, LinearSystems(star64), chunks,
+                                                  amplitude=amplitude, n_smooth=3)
+        for a, b in zip(batched, single):
+            assert np.abs(a.data - b.data).max() <= 1e-15 * amplitude
 
     def test_amplitude_and_mean(self, disk64, lin64):
         f = random_neumann_field(disk64, lin64, np.random.default_rng(78), amplitude=0.25)

@@ -15,7 +15,7 @@ from chemofluid.fields import (
 )
 from chemofluid.geometry import LevelSetDomain, ResolutionError, classify_cells, volume_integral
 
-from conftest import deep_interior
+from conftest import deep_interior, scalar_from_function
 
 
 def radial_neumann(x, y):
@@ -65,7 +65,7 @@ class TestGradient:
         assert np.abs(gy.data).max() == 0.0
 
     def test_linear_exact_inside(self, disk64):
-        s = ScalarField.from_function(disk64, lambda x, y: x)
+        s = scalar_from_function(disk64, lambda x, y: x)
         gx, gy = gradient_neumann(s)
         deep = deep_interior(disk64)
         assert np.abs(gx.data[deep] - 1.0).max() < 1e-13
@@ -75,9 +75,9 @@ class TestGradient:
         errs_in = []
         for h in (1 / 32, 1 / 64, 1 / 128):
             g = classify_cells(disk_domain, h)
-            s = ScalarField.from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
+            s = scalar_from_function(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
             gx, _ = gradient_neumann(s)
-            exact = ScalarField.from_function(
+            exact = scalar_from_function(
                 g, lambda x, y: -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
             deep = deep_interior(g)
             errs_in.append(np.abs(gx.data - exact.data)[deep].max())
@@ -103,9 +103,9 @@ class TestLaplacian:
         errs = []
         for h in (1 / 32, 1 / 64, 1 / 128):
             g = classify_cells(disk_domain, h)
-            w = ScalarField.from_function(g, radial_neumann)
+            w = scalar_from_function(g, radial_neumann)
             lap = laplacian_neumann(w)
-            exact = ScalarField.from_function(g, lambda x, y: 8.0 - 16.0 * (x * x + y * y))
+            exact = scalar_from_function(g, lambda x, y: 8.0 - 16.0 * (x * x + y * y))
             err = volume_integral(np.abs(lap.data - exact.data), g) / g.area
             errs.append(err)
         assert np.log2(errs[0] / errs[-1]) / 2 >= 1.0
@@ -113,14 +113,14 @@ class TestLaplacian:
 
 class TestHessian:
     def test_x_squared(self, disk64):
-        H = hessian(ScalarField.from_function(disk64, lambda x, y: x * x))
+        H = hessian(scalar_from_function(disk64, lambda x, y: x * x))
         deep = deep_interior(disk64)
         assert np.abs(H.xx[deep] - 2.0).max() < 1e-10
         assert np.abs(H.xy[deep]).max() < 1e-10
         assert np.abs(H.yy[deep]).max() < 1e-10
 
     def test_trace_matches_laplacian(self, disk64):
-        s = ScalarField.from_function(disk64, lambda x, y: x * x + x * y + 2 * y * y + 0.3 * x)
+        s = scalar_from_function(disk64, lambda x, y: x * x + x * y + 2 * y * y + 0.3 * x)
         H = hessian(s)
         lap = laplacian_neumann(s)
         deep = deep_interior(disk64)
@@ -137,7 +137,7 @@ class TestHessian:
 
     def test_equality_case(self, disk64):
         # s = x^2 + y^2: |tr H|^2 = 16 = 2 |H|^2
-        H = hessian(ScalarField.from_function(disk64, lambda x, y: x * x + y * y))
+        H = hessian(scalar_from_function(disk64, lambda x, y: x * x + y * y))
         deep = deep_interior(disk64)
         assert np.abs(H.trace()[deep] ** 2 - 16.0).max() < 1e-9
         assert np.abs(2.0 * H.frobenius_sq()[deep] - 16.0).max() < 1e-9
@@ -151,7 +151,7 @@ class TestHessian:
         errs = []
         for h in (1 / 32, 1 / 64, 1 / 128):
             g = classify_cells(disk_domain, h)
-            H = hessian(ScalarField.from_function(g, radial_neumann))
+            H = hessian(scalar_from_function(g, radial_neumann))
             xx, xy, yy = exact(g)
             err = np.abs(H.xx - xx) + np.abs(H.xy - xy) + np.abs(H.yy - yy)
             errs.append(volume_integral(np.where(g.stencil_ok, err, 0.0), g) / g.area)
@@ -280,7 +280,7 @@ class TestBoundaryDerivative:
         worst = []
         for h in (1 / 48, 1 / 96, 1 / 192):
             g = classify_cells(disk_domain, h)
-            w = ScalarField.from_function(g, radial_neumann)
+            w = scalar_from_function(g, radial_neumann)
             dq, qn, valid = normal_derivative_of_gradsq(w)
             worst.append(np.abs(dq[valid]).max())
         assert worst[0] > worst[1] > worst[2]

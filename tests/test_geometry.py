@@ -24,6 +24,8 @@ from chemofluid.geometry import (
 from chemofluid.config import RunConfig, parse_config_text
 from chemofluid.diagnostics import random_neumann_field
 
+from conftest import write_grid
+
 
 def star_radius(theta, k=3, a=0.4):
     return 1.0 + a * np.cos(k * theta)
@@ -223,7 +225,7 @@ class TestRefinement:
 
 class TestSampledDomain:
     def test_roundtrip_through_grid_file(self, tmp_path, disk_domain):
-        from chemofluid.gridio import read_grid, write_grid
+        from chemofluid.gridio import read_grid
         xs = np.linspace(-1.2, 1.2, 121)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         vals = disk_domain.phi(X, Y)

@@ -3,8 +3,10 @@ import pytest
 
 from chemofluid.fields import ScalarField, VectorField
 from chemofluid.geometry import LevelSetDomain, classify_cells
-from chemofluid.gridio import FormatError, load_state, read_grid, save_state, write_grid
+from chemofluid.gridio import FormatError, load_state, read_grid, save_state
 from chemofluid.solver import SimState
+
+from conftest import write_grid
 
 
 def test_grid_roundtrip_text(tmp_path):

@@ -23,6 +23,8 @@ from chemofluid.model import (
     validate_assumptions,
 )
 
+from conftest import scalar_from_function
+
 MODEL_CALLABLES = ("chi", "chi_p", "chi_pp", "f", "f_p", "f_pp", "g")
 
 
@@ -305,7 +307,7 @@ class TestCubicHermite:
 class TestTransformFieldIdentity:
     def test_sqrt_g_lap_rho_relation(self, disk64, derived_linear):
         # sqrt(g) lap rho(c) = lap psi(c) - g' |grad c|^2 / (2 g^(3/2))
-        c = ScalarField.from_function(
+        c = scalar_from_function(
             disk64, lambda x, y: 1.2 + 0.3 * np.cos(1.5 * x) * np.cos(y))
         der = derived_linear
         rho_c = ScalarField(disk64, np.where(disk64.active, der.rho(c.data), 0.0))

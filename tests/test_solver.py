@@ -487,6 +487,46 @@ class TestShortenedStep:
         assert (lin.factorizations, lin.pcg_iterations) == (1, 0)
 
 
+class TestBlockSolve:
+    """A matrix right-hand side: one column per system, all solved in one call."""
+
+    def block(self, lin, k, seed):
+        return np.random.default_rng(seed).standard_normal((lin.n_scalar, k))
+
+    def test_columns_match_single_solves(self, grid96):
+        # the factor's dense blocks go through BLAS kernels that round a column
+        # differently in a block than alone, at the last bit of a few cells
+        lin = LinearSystems(grid96)
+        B = self.block(lin, 5, 6)
+        X = lin.helmholtz_solve(0.02, B)
+        assert X.shape == B.shape
+        for j in range(B.shape[1]):
+            x = lin.helmholtz_solve(0.02, B[:, j])
+            assert np.abs(X[:, j] - x).max() <= 1e-15 * np.abs(x).max()
+            # a one-column block is the vector solve, bit for bit
+            assert np.array_equal(lin.helmholtz_solve(0.02, B[:, j:j + 1])[:, 0], x)
+        g = grid96
+        rhs = np.zeros((g.nx, g.ny))
+        rhs[g.active] = B[:, 0]
+        assert np.array_equal(lin.helmholtz_solve(0.02, ScalarField(g, rhs)).data[g.active],
+                              lin.helmholtz_solve(0.02, B[:, 0]))
+        assert lin.factorizations == 1
+
+    def test_shortened_step_factors_a_block(self, grid96):
+        # CG takes one right-hand side: a block on a shortened step is factored
+        lin = LinearSystems(grid96)
+        direct_system(lin, "helmholtz", 0.02, np.random.default_rng(0))
+        held = dict(lin._factors)
+        dt = 0.47 * 0.02
+        B = self.block(lin, 3, 7)
+        X = lin.helmholtz_solve(dt, B, level=0.02)
+        A = sp.diags(lin.vol) - dt * lin.L_scalar
+        want = spla.splu(A.tocsc()).solve(lin.vol[:, None] * B)
+        assert np.abs(X - want).max() <= 1e-12 * np.abs(want).max()
+        assert (lin.factorizations, lin.pcg_iterations) == (2, 0)
+        assert lin._factors == held
+
+
 class TestOperatorConsistency:
     """The assembled matrices are the explicit stencils the steps use."""
 
