@@ -519,9 +519,8 @@ def convergence_monitor(record: DiagnosticsRecord, amplitudes: tuple[float, floa
 
 def random_neumann_field(geom: GridGeometry, lin: LinearSystems, rng: np.random.Generator,
                          amplitude: float = 0.3, smooth_len: float = 0.1,
-                         n_smooth: int = 2, count: int | None = None
-                         ) -> ScalarField | list[ScalarField]:
-    """Band-limited random field compatible with the discrete Neumann condition.
+                         n_smooth: int = 2, count: int = 1) -> list[ScalarField]:
+    """``count`` band-limited random fields compatible with the discrete Neumann condition.
 
     White noise on the active cells is smoothed by implicit heat steps of the
     zero-flux operator (total smoothing length fixed in physical units, so
@@ -530,19 +529,17 @@ def random_neumann_field(geom: GridGeometry, lin: LinearSystems, rng: np.random.
     operator's own Neumann modes, which is exactly the compatibility the
     boundary inequalities assume.
 
-    With ``count`` it returns a list of that many fields, smoothed together:
-    each heat step is one Helmholtz solve with a column per field, so the
-    factor is read once per step rather than once per field. Without it, one
-    field, the one-column case. Each field's noise is drawn in turn, so a
-    seed draws the same noise however many fields are smoothed together; a
-    block solve can round a cell's last bit differently from a one-column
-    solve (the BLAS kernels differ), so the fields agree with one-by-one
-    draws to round-off.
+    The fields are smoothed together: each heat step is one Helmholtz solve
+    with a column per field, so the factor is read once per step rather than
+    once per field. Each field's noise is drawn in turn, so a seed draws the
+    same noise however many fields are smoothed together; a block solve can
+    round a cell's last bit differently from a one-column solve (the BLAS
+    kernels differ), so the fields agree with one-by-one draws to round-off.
     """
     g = geom
     # each drawn on the whole bounding-box grid, so a seed gives one field however it is stored
     z = np.stack([rng.standard_normal(g.bbox_shape)[g.window][g.active]
-                  for _ in range(1 if count is None else count)], axis=1)
+                  for _ in range(count)], axis=1)
     tau = smooth_len ** 2 / (4.0 * n_smooth)
     for _ in range(n_smooth):
         z = lin.helmholtz_solve(tau, z)
@@ -555,4 +552,4 @@ def random_neumann_field(geom: GridGeometry, lin: LinearSystems, rng: np.random.
         out = np.zeros((g.nx, g.ny))
         out[g.active] = vals
         fields.append(ScalarField(g, out))
-    return fields[0] if count is None else fields
+    return fields

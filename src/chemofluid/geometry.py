@@ -384,14 +384,14 @@ class GridGeometry:
         """Four-cell interpolation stencils of cell-centered data at points (x, y)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        # positions in the bounding-box grid, so the weights do not depend on the window
-        fx = (x - self.bbox[0]) / self.h - 0.5
-        fy = (y - self.bbox[2]) / self.h - 0.5
-        ox, oy = self.origin
-        i0 = np.clip(np.floor(fx).astype(int) - ox, 0, self.nx - 2)
-        j0 = np.clip(np.floor(fy).astype(int) - oy, 0, self.ny - 2)
-        tx = fx - (i0 + ox)
-        ty = fy - (j0 + oy)
+        # positions measured from the window's first node, so the weights do not
+        # depend on the bounding box the window sits in
+        fx = (x - self.xn[0]) / self.h - 0.5
+        fy = (y - self.yn[0]) / self.h - 0.5
+        i0 = np.clip(np.floor(fx).astype(int), 0, self.nx - 2)
+        j0 = np.clip(np.floor(fy).astype(int), 0, self.ny - 2)
+        tx = fx - i0
+        ty = fy - j0
         inside = (tx >= -1e-12) & (tx <= 1.0 + 1e-12) & (ty >= -1e-12) & (ty <= 1.0 + 1e-12)
         act = self.active
         valid = inside & act[i0, j0] & act[i0 + 1, j0] & act[i0, j0 + 1] & act[i0 + 1, j0 + 1]

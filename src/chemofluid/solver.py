@@ -28,20 +28,21 @@ new step size. StepClock also owns the output schedule; two loops drive it,
 Each passes ``step`` the level next to the step the clock allowed.
 
 Memory is bounded by design: the Helmholtz system and each viscous component
-keep the factor of one step size, and the single pressure factor is built
-once and kept. A step at its own level solves with that level's factor,
-replacing the held one when the level changed. A step the clock shortened to
-dt >= level/4 is solved by conjugate gradients preconditioned with its
-level's factor (the preconditioned spectrum lies in [dt/level, 1]), so the
-remainder never needs a factor; the Helmholtz solution then gets the constant
-that restores its discrete mass to round-off. A shorter remainder, or a CG
-that misses PCG_TOL within PCG_MAXITER iterations, is factored for that step
-only: the factor never enters the cache and is dropped at the first solve at
-another step size. After an eviction, or that drop, the freed heap pages go
-back to the OS (``_trim_heap``), so the bound also holds for the resident
-memory. LinearSystems counts its factorizations, evictions and
-CG iterations (``factorizations``, ``evictions``, ``pcg_iterations``); a run
-reports them in the ``solver`` block of summary.json.
+hold one factor slot, and the single pressure factor is built once and kept,
+so at most one factor per system is ever held. A step the clock shortened to
+dt >= level/4, with one right-hand side, is solved by conjugate gradients
+preconditioned with its level's factor (the preconditioned spectrum lies in
+[dt/level, 1]), so the remainder never needs a factor; the Helmholtz solution
+then gets the constant that restores its discrete mass to round-off. Every
+other solve (a step at its level, a shorter remainder, a CG that misses
+PCG_TOL within PCG_MAXITER iterations, a block of right-hand sides) uses the
+slot's factor at its step size, which replaces the held one when the step
+size changed. The held factor is evicted before its replacement is built, and
+the freed heap pages go back to the OS (``_trim_heap``), so the bound also
+holds for the resident memory. LinearSystems counts its factorizations,
+evictions and CG iterations (``factorizations``, ``evictions``,
+``pcg_iterations``); a run reports them in the ``solver`` block of
+summary.json.
 
 Every step, manufactured-solution runs included, ends with the invariant check
 (finite fields, discrete divergence, pressure gauge), or SolverAbort.
@@ -223,16 +224,14 @@ class LinearSystems:
     mean zero per component.
 
     The step-dependent systems ("helm", "visc_u", "visc_v") each hold one
-    factor, as a (dt, LU) pair, and ``_solve`` applies the module's rule for
-    steps the clock shortened (which may add one transient factor per system
-    for the length of such a step); the pressure factor does not depend on
-    the step and is kept for the object's lifetime.
+    factor slot, a (dt, LU) pair, and ``_solve`` applies the module's rule
+    for steps the clock shortened; the pressure factor does not depend on the
+    step and is kept for the object's lifetime.
     """
 
     def __init__(self, geom: GridGeometry):
         g = self.geom = geom
         self._factors = {"helm": None, "visc_u": None, "visc_v": None}
-        self._transient = dict.fromkeys(self._factors)
         self._pressure_lu = None
         self.factorizations = 0
         self.evictions = 0
@@ -300,63 +299,43 @@ class LinearSystems:
         return x if np.linalg.norm(r) <= tol else None
 
     def _solve(self, system: str, dt: float, level: float | None, build, b, mass=None):
-        """Solve build(dt) x = b with the system's one held factor; level None means dt.
+        """Solve build(dt) x = b with the system's one factor slot; level None means dt.
 
         ``b`` is one right-hand side, or a matrix with one per column; a
         factor solves all columns in one ``lu.solve``, reading the factor
-        once. A step at the held step size or at its own level uses (or
-        replaces) the held factor. A step the clock shortened to dt >=
-        PCG_MIN_RATIO * level is solved by ``_pcg`` on the level's factor when
-        b is one vector; ``mass``, the diagonal V of the Helmholtz system,
-        then adds the constant that makes sum(V x) == sum(b). Anything else,
-        a block of columns included, is factored outside the cache, as the
-        system's transient factor: the step's other solves at dt (c and n
-        both diffuse) reuse it, and the first solve at another step size
-        drops it.
+        once. A step the clock shortened to dt >= PCG_MIN_RATIO * level, with
+        one right-hand side and no factor held at dt, is solved by ``_pcg`` on
+        the level's factor; ``mass``, the diagonal V of the Helmholtz system,
+        then adds the constant that makes sum(V x) == sum(b). Every other
+        solve, and a CG that misses PCG_TOL, uses the slot's factor at dt.
+        Only the held step size is read here: a reference to the held factor
+        would keep it alive while ``_held`` builds its replacement.
         """
-        transient = self._transient[system]
-        if transient is not None:
-            if transient[0] == dt:
-                return transient[1].solve(b)
-            self._transient[system] = transient = None
-            _trim_heap()
         level = dt if level is None else level
-        if dt == level or self._held_dt(system) == dt:
-            return self._held(system, dt, build).solve(b)
-        if b.ndim == 1 and dt >= PCG_MIN_RATIO * level:
+        if (b.ndim == 1 and dt != level and self._held_dt(system) != dt
+                and dt >= PCG_MIN_RATIO * level):
             x = self._pcg(build(dt), b, self._held(system, level, build))
             if x is not None:
                 if mass is not None:
                     x += (b.sum() - (mass * x).sum()) / mass.sum()
                 return x
-        lu = self._splu(build(dt))
-        self._transient[system] = (dt, lu)
-        return lu.solve(b)
+        return self._held(system, dt, build).solve(b)
 
-    def helmholtz_solve(self, dt: float, rhs: ScalarField | np.ndarray,
-                        level: float | None = None) -> ScalarField | np.ndarray:
-        """(V - dt L) x = V b: backward-Euler diffusion of a scalar.
+    def helmholtz_solve(self, dt: float, rhs: np.ndarray, level: float | None = None
+                        ) -> np.ndarray:
+        """(V - dt L) x = V b: backward-Euler diffusion of a scalar on the active cells.
 
-        ``rhs`` is a ScalarField, or b on the active cells: a vector, or a
-        matrix with one column per right-hand side, all solved in one call on
-        the factor. The solution comes back in the form rhs came in.
-        ``level`` is the CFL level the clock shortened to dt (default: dt).
+        ``rhs`` is b on the active cells: a vector, or a matrix with one
+        column per right-hand side, all solved in one call on the factor. The
+        solution comes back in the same form. ``level`` is the CFL level the
+        clock shortened to dt (default: dt).
         """
-        g = self.geom
-        if isinstance(rhs, ScalarField):
-            b = self.vol * rhs.data[g.active]
-        else:
-            b = (self.vol if rhs.ndim == 1 else self.vol[:, None]) * rhs
+        b = (self.vol if rhs.ndim == 1 else self.vol[:, None]) * rhs
 
         def build(step):
             return sp.diags(self.vol) - step * self.L_scalar
 
-        x = self._solve("helm", dt, level, build, b, mass=self.vol)
-        if not isinstance(rhs, ScalarField):
-            return x
-        out = np.zeros((g.nx, g.ny))
-        out[g.active] = x
-        return ScalarField(g, out)
+        return self._solve("helm", dt, level, build, b, mass=self.vol)
 
     def viscous_solve(self, dt: float, vel: VectorField, level: float | None = None
                       ) -> VectorField:
@@ -523,10 +502,13 @@ class StepClock:
 def _transport_diffuse(s: ScalarField, vel: VectorField, dt: float, lin: LinearSystems,
                        source: np.ndarray | None, level: float | None) -> ScalarField:
     """Explicit upwind transport of s by vel (plus source), then implicit diffusion."""
+    g = s.geom
     rhs = s.data + dt * advect_conservative(s, vel).data
     if source is not None:
         rhs += dt * source
-    return lin.helmholtz_solve(dt, ScalarField(s.geom, rhs), level)
+    out = np.zeros((g.nx, g.ny))
+    out[g.active] = lin.helmholtz_solve(dt, rhs[g.active], level)
+    return ScalarField(g, out)
 
 
 def step_c(state: SimState, dt: float, model: KineticsModel, lin: LinearSystems,

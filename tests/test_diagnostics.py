@@ -111,14 +111,14 @@ class TestBoundaryTerm:
         rng = np.random.default_rng(31)
         tol = 0.5 * np.sqrt(disk64.h)
         for _ in range(10):
-            z = random_neumann_field(disk64, lin64, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
+            (z,) = random_neumann_field(disk64, lin64, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
             c = ScalarField(disk64, np.where(disk64.active, 1.0 + z.data, 0.0))
             assert boundary_term(Frame(c, derived_linear)) <= tol
 
     def test_star_values_finite(self, star64, derived_linear):
         lin = LinearSystems(star64)
         rng = np.random.default_rng(32)
-        z = random_neumann_field(star64, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
+        (z,) = random_neumann_field(star64, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
         c = ScalarField(star64, np.where(star64.active, 1.0 + z.data, 0.0))
         assert np.isfinite(boundary_term(Frame(c, derived_linear)))
 
@@ -150,7 +150,7 @@ class TestMsLemma:
         worst = -np.inf
         worst_positive_part = -np.inf
         for _ in range(20):
-            z = random_neumann_field(g, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
+            (z,) = random_neumann_field(g, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
             c = ScalarField(g, np.where(g.active, 1.0 + z.data, 0.0))
             rep = check_ms_lemma(Frame(c), c_check=200.0)
             assert rep.passed
@@ -165,7 +165,7 @@ class TestMsLemma:
         rng = np.random.default_rng(33)
         c_check = 200.0
         for _ in range(20):
-            z = random_neumann_field(star64, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
+            (z,) = random_neumann_field(star64, lin, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
             c = ScalarField(star64, np.where(star64.active, 1.0 + z.data, 0.0))
             rep = check_ms_lemma(Frame(c), c_check=c_check)
             assert rep.passed, rep.violation
@@ -205,7 +205,7 @@ class TestInequality33:
     def test_randomized_disk_no_violations(self, disk64, derived_linear, lin64):
         rng = np.random.default_rng(34)
         for _ in range(20):
-            z = random_neumann_field(disk64, lin64, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
+            (z,) = random_neumann_field(disk64, lin64, rng, amplitude=0.3, smooth_len=0.2, n_smooth=8)
             c = ScalarField(disk64, np.where(disk64.active, 1.0 + z.data, 0.0))
             rep = check_inequality_33(Frame(c, derived_linear))
             assert rep.lhs <= rep.rhs + rep.tolerance
@@ -399,8 +399,8 @@ class TestTrajectoryChecks:
 
 class TestRandomFieldGenerator:
     def test_deterministic(self, disk64, lin64):
-        a = random_neumann_field(disk64, lin64, np.random.default_rng(77))
-        b = random_neumann_field(disk64, lin64, np.random.default_rng(77))
+        (a,) = random_neumann_field(disk64, lin64, np.random.default_rng(77))
+        (b,) = random_neumann_field(disk64, lin64, np.random.default_rng(77))
         assert np.array_equal(a.data, b.data)
 
     @staticmethod
@@ -409,7 +409,7 @@ class TestRandomFieldGenerator:
         rng = np.random.default_rng(0)
         batched = [f for k in chunks for f in random_neumann_field(geom, lin, rng, count=k, **kw)]
         rng = np.random.default_rng(0)
-        single = [random_neumann_field(geom, lin, rng, **kw) for _ in range(sum(chunks))]
+        single = [f for _ in range(sum(chunks)) for f in random_neumann_field(geom, lin, rng, **kw)]
         assert len(batched) == len(single)
         return batched, single
 
@@ -434,7 +434,7 @@ class TestRandomFieldGenerator:
             assert np.abs(a.data - b.data).max() <= 1e-15 * amplitude
 
     def test_amplitude_and_mean(self, disk64, lin64):
-        f = random_neumann_field(disk64, lin64, np.random.default_rng(78), amplitude=0.25)
+        (f,) = random_neumann_field(disk64, lin64, np.random.default_rng(78), amplitude=0.25)
         vals = f.data[disk64.active]
         assert np.abs(vals).max() == pytest.approx(0.25, rel=1e-12)
         assert abs(vals.mean()) < 0.05

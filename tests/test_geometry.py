@@ -298,22 +298,18 @@ class TestStoredWindow:
         for snap in files[1:]:
             # the trajectory is byte-identical; the header's box is the window's place
             assert b[snap].split(b"\n", 4)[4] == w[snap].split(b"\n", 4)[4]
-        # The boundary probes sit at points measured from bbox[0], so their
-        # bilinear weights round differently in another box: boundary_term
-        # moves at round-off, every other column is bit-identical.
+        # the boundary probes are measured from the window's first node, so
+        # every column, boundary_term included, is bit-identical
         for col in b["rows"].dtype.names:
-            if col == "boundary_term":
-                assert np.allclose(b["rows"][col], w["rows"][col], rtol=1e-13, atol=0.0)
-            else:
-                assert np.array_equal(b["rows"][col], w["rows"][col]), col
+            assert np.array_equal(b["rows"][col], w["rows"][col]), col
 
     def test_random_field_is_the_window_of_the_full_draw(self, star64):
         class NoSmoothing:
             def helmholtz_solve(self, tau, f):
                 return f
 
-        z = random_neumann_field(star64, NoSmoothing(), np.random.default_rng(5),
-                                 amplitude=1.0, n_smooth=1)
+        (z,) = random_neumann_field(star64, NoSmoothing(), np.random.default_rng(5),
+                                    amplitude=1.0, n_smooth=1)
         noise = np.random.default_rng(5).standard_normal(star64.bbox_shape)[star64.window]
         vals = noise[star64.active] - noise[star64.active].mean()
         assert np.array_equal(z.data[star64.active], vals * (1.0 / np.abs(vals).max()))

@@ -318,9 +318,7 @@ def direct_system(lin, name, dt, rng, level=None):
     h2 = g.h * g.h
     if name == "helmholtz":
         b = rng.standard_normal(lin.n_scalar)
-        rhs = np.zeros((g.nx, g.ny))
-        rhs[g.active] = b
-        x = lin.helmholtz_solve(dt, ScalarField(g, rhs), level).data[g.active]
+        x = lin.helmholtz_solve(dt, b, level)
         return sp.diags(lin.vol) - dt * lin.L_scalar, lin.vol * b, x
     if name in ("viscous_u", "viscous_v"):
         vel = VectorField.zeros(g)
@@ -346,17 +344,26 @@ def direct_system(lin, name, dt, rng, level=None):
 STEP_SYSTEMS = {"helmholtz": "helm", "viscous_u": "visc_u", "viscous_v": "visc_v"}
 
 
+def held_step_sizes(lin):
+    """The step size of each step-dependent system's held factor."""
+    return {system: held[0] for system, held in lin._factors.items()}
+
+
 class TestFactorCache:
     """Each step-dependent system holds the factor of one step size; no solve changes."""
 
-    # a level, a hit on it, then three level changes: after each, the counters
-    # (pressure factor included) and the step size every system holds
+    # a level, a hit on it, level changes and a short remainder of 0.02 (r =
+    # 0.1, below PCG_MIN_RATIO), as (dt, level, factorizations, evictions):
+    # after each, the counters (pressure factor included) and the step size
+    # every system holds
     LEVELS = (
-        (0.02, 1 + 3, 0),
-        (0.02, 1 + 3, 0),
-        (0.01, 1 + 6, 3),
-        (0.02, 1 + 9, 6),
-        (0.005, 1 + 12, 9),
+        (0.02, None, 1 + 3, 0),
+        (0.02, None, 1 + 3, 0),
+        (0.01, None, 1 + 6, 3),
+        (0.02, None, 1 + 9, 6),
+        (0.002, 0.02, 1 + 12, 9),
+        (0.02, None, 1 + 15, 12),
+        (0.005, None, 1 + 18, 15),
     )
 
     def test_bound_counters_and_solves(self, grid96, monkeypatch):
@@ -373,11 +380,10 @@ class TestFactorCache:
         monkeypatch.setattr(solver, "_trim_heap", lambda: trims.append(lin.evictions))
         pressure_lu = None
         solved = []
-        for k, (dt, factorizations, evictions) in enumerate(self.LEVELS):
-            solves = {name: direct_system(lin, name, dt, np.random.default_rng(k))[2]
+        for k, (dt, level, factorizations, evictions) in enumerate(self.LEVELS):
+            solves = {name: direct_system(lin, name, dt, np.random.default_rng(k), level)[2]
                       for name in ("helmholtz", "viscous_u", "viscous_v", "pressure")}
-            assert {system: held[0] for system, held in lin._factors.items()} == {
-                "helm": dt, "visc_u": dt, "visc_v": dt}
+            assert held_step_sizes(lin) == dict.fromkeys(STEP_SYSTEMS.values(), dt)
             if pressure_lu is None:
                 pressure_lu = lin._pressure_lu
             assert lin._pressure_lu is pressure_lu
@@ -433,41 +439,46 @@ class TestShortenedStep:
         assert lin._factors == held
         assert lin.pcg_iterations > 0
 
-    def test_short_remainder_is_factored_for_the_step_only(self, grid96, monkeypatch):
-        # r = 0.1 < 1/4: one transient factor per system, the slot untouched
+    def test_short_remainder_is_factored_in_the_slot(self, grid96, monkeypatch):
+        # r = 0.1 < 1/4: each system's slot trades the level's factor for one at dt
         lin = self.warm(grid96)
-        held = dict(lin._factors)
-        factorizations = lin.factorizations
+        factorizations, evictions = lin.factorizations, lin.evictions
+        trims = []
+        monkeypatch.setattr(solver, "_trim_heap", lambda: trims.append(None))
         dt = 0.1 * self.LEVEL
-        # the step's second Helmholtz solve (n after c) reuses the transient factor;
         # viscous_solve does both components
-        for name in ("helmholtz", "viscous_u", "helmholtz"):
+        for name in ("helmholtz", "viscous_u"):
             A, b, x = direct_system(lin, name, dt, np.random.default_rng(2), level=self.LEVEL)
             want = spla.splu(A.tocsc()).solve(b)
             assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
-        assert lin.factorizations == factorizations + 3
-        assert lin._factors == held
-        assert lin.pcg_iterations == 0
-        # the next step, back at the level, drops the transient factors and trims the heap
-        trims = []
-        monkeypatch.setattr(solver, "_trim_heap", lambda: trims.append(None))
+        assert held_step_sizes(lin) == dict.fromkeys(STEP_SYSTEMS.values(), dt)
+        assert (lin.factorizations, lin.evictions, len(trims)) == (
+            factorizations + 3, evictions + 3, 3)
+        # the step's second Helmholtz solve (n after c) makes no new factor
+        A, b, x = direct_system(lin, "helmholtz", dt, np.random.default_rng(3), level=self.LEVEL)
+        assert np.abs(A @ x - b).max() <= 1e-12 * np.abs(b).max()
+        assert (lin.factorizations, lin.pcg_iterations) == (factorizations + 3, 0)
+        # the next solves at the level factor the level again
         for name in ("helmholtz", "viscous_u"):
             direct_system(lin, name, self.LEVEL, np.random.default_rng(0))
-        assert lin._transient == dict.fromkeys(STEP_SYSTEMS.values())
-        assert (len(trims), lin.factorizations, lin._factors) == (3, factorizations + 3, held)
+        assert held_step_sizes(lin) == dict.fromkeys(STEP_SYSTEMS.values(), self.LEVEL)
+        assert (lin.factorizations, lin.evictions, len(trims)) == (
+            factorizations + 6, evictions + 6, 6)
 
-    def test_unconverged_cg_falls_back_to_a_transient_factor(self, grid96, monkeypatch):
+    def test_unconverged_cg_falls_back_to_the_slot(self, grid96, monkeypatch):
         lin = self.warm(grid96)
-        held = dict(lin._factors)
-        factorizations = lin.factorizations
+        factorizations, evictions = lin.factorizations, lin.evictions
         monkeypatch.setattr(solver, "PCG_MAXITER", 2)
+        dt = 0.47 * self.LEVEL
         for name in ("helmholtz", "viscous_u"):
-            A, b, x = direct_system(lin, name, 0.47 * self.LEVEL, np.random.default_rng(3),
-                                    level=self.LEVEL)
+            A, b, x = direct_system(lin, name, dt, np.random.default_rng(3), level=self.LEVEL)
             assert np.abs(A @ x - b).max() <= 1e-12 * np.abs(b).max()
-        assert lin.factorizations == factorizations + 3
-        assert lin._factors == held
+        assert held_step_sizes(lin) == dict.fromkeys(STEP_SYSTEMS.values(), dt)
+        assert (lin.factorizations, lin.evictions) == (factorizations + 3, evictions + 3)
         assert lin.pcg_iterations == 3 * 2
+        # the step's second Helmholtz solve finds dt in the slot: no CG, no new factor
+        direct_system(lin, "helmholtz", dt, np.random.default_rng(4), level=self.LEVEL)
+        assert (lin.factorizations, lin.pcg_iterations) == (factorizations + 3, 3 * 2)
 
     def test_missing_level_enters_the_slot(self, grid96):
         # the slot holds 0.01; a step shortened from 0.02 factors 0.02 in its place
@@ -505,26 +516,20 @@ class TestBlockSolve:
             assert np.abs(X[:, j] - x).max() <= 1e-15 * np.abs(x).max()
             # a one-column block is the vector solve, bit for bit
             assert np.array_equal(lin.helmholtz_solve(0.02, B[:, j:j + 1])[:, 0], x)
-        g = grid96
-        rhs = np.zeros((g.nx, g.ny))
-        rhs[g.active] = B[:, 0]
-        assert np.array_equal(lin.helmholtz_solve(0.02, ScalarField(g, rhs)).data[g.active],
-                              lin.helmholtz_solve(0.02, B[:, 0]))
         assert lin.factorizations == 1
 
     def test_shortened_step_factors_a_block(self, grid96):
-        # CG takes one right-hand side: a block on a shortened step is factored
+        # CG takes one right-hand side: a block on a shortened step is factored in the slot
         lin = LinearSystems(grid96)
         direct_system(lin, "helmholtz", 0.02, np.random.default_rng(0))
-        held = dict(lin._factors)
         dt = 0.47 * 0.02
         B = self.block(lin, 3, 7)
         X = lin.helmholtz_solve(dt, B, level=0.02)
         A = sp.diags(lin.vol) - dt * lin.L_scalar
         want = spla.splu(A.tocsc()).solve(lin.vol[:, None] * B)
         assert np.abs(X - want).max() <= 1e-12 * np.abs(want).max()
-        assert (lin.factorizations, lin.pcg_iterations) == (2, 0)
-        assert lin._factors == held
+        assert (lin.factorizations, lin.evictions, lin.pcg_iterations) == (2, 1, 0)
+        assert lin._factors["helm"][0] == dt
 
 
 class TestOperatorConsistency:
