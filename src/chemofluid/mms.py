@@ -9,7 +9,8 @@ refinement. First-order IMEX splitting with the first-order embedded boundary
 should show L-infinity convergence at order about one for every variable.
 
 The substitution is done in exact arithmetic. Every field and source is a
-polynomial with rational (QQ) coefficients in x, y and three time profiles,
+polynomial with exact rational coefficients (``fractions.Fraction``, so the
+standard library alone) in x, y and three time profiles,
 
     a = cos(pi t),  b = sin(pi t / 2 + 1/3),  q = sin(pi t / 3 + 1/2),
 
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
-from sympy import QQ
-from sympy.polys.rings import ring
 
 from chemofluid.fields import ScalarField, VectorField
 from chemofluid.geometry import LevelSetDomain, classify_cells
@@ -51,6 +51,79 @@ class ManufacturedSolution:
     sources: dict
     model: KineticsModel
     radius: float
+
+
+class _Poly:
+    """A polynomial with exact rational coefficients: {exponent tuple: Fraction}.
+
+    Zero coefficients are dropped, so the zero polynomial has no terms. An int
+    or a Fraction on either side of + - * acts as a constant polynomial, and
+    is the only divisor / takes.
+    """
+
+    __slots__ = ("coeffs", "nvars")
+
+    def __init__(self, coeffs: dict, nvars: int):
+        self.coeffs = {e: c for e, c in coeffs.items() if c}
+        self.nvars = nvars
+
+    def _lift(self, other) -> _Poly:
+        if isinstance(other, _Poly):
+            return other
+        return _Poly({(0,) * self.nvars: Fraction(other)}, self.nvars)
+
+    def __add__(self, other) -> _Poly:
+        out = dict(self.coeffs)
+        for e, c in self._lift(other).coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return _Poly(out, self.nvars)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> _Poly:
+        return _Poly({e: -c for e, c in self.coeffs.items()}, self.nvars)
+
+    def __sub__(self, other) -> _Poly:
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> _Poly:
+        return -self + other
+
+    def __mul__(self, other) -> _Poly:
+        out = {}
+        for e2, c2 in self._lift(other).coeffs.items():
+            for e1, c1 in self.coeffs.items():
+                e = tuple(i + j for i, j in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return _Poly(out, self.nvars)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> _Poly:
+        return self * (1 / Fraction(scalar))
+
+    def __pow__(self, k: int) -> _Poly:
+        out = self._lift(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def diff(self, gen: _Poly) -> _Poly:
+        """The partial derivative by the generator ``gen``."""
+        (unit,) = gen.coeffs
+        i = unit.index(1)
+        return _Poly({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                      for e, c in self.coeffs.items() if e[i]}, self.nvars)
+
+    def terms(self) -> list:
+        """(exponents, coefficient) pairs in descending lexicographic order of the exponents."""
+        return sorted(self.coeffs.items(), reverse=True)
+
+
+def _ring(nvars: int) -> list:
+    """The generators of the polynomial ring in ``nvars`` variables."""
+    return [_Poly({tuple(int(k == i) for k in range(nvars)): Fraction(1)}, nvars)
+            for i in range(nvars)]
 
 
 def _profiles(t: float) -> tuple:
@@ -104,28 +177,26 @@ def _field(poly):
     return field
 
 
-def _exact(value: float):
+def _exact(value: float) -> Fraction:
     """The exact binary value of a float as a rational."""
-    return QQ(*float(value).as_integer_ratio())
+    return Fraction(float(value))
 
 
-def build_manufactured(radius: float = 1.0, kappa_ns: float = 1.0, grav: float = 0.5,
-                       amp_n: float = 0.3, amp_c: float = 0.2, amp_u: float = 0.25,
-                       ) -> ManufacturedSolution:
-    """Time-periodic manufactured solution on the disk for the linear model.
+def _polynomials(radius: float, kappa_ns: float, grav: float, amp_n: float, amp_c: float,
+                 amp_u: float, tilt: float) -> dict:
+    """The exact fields 'n', 'c', 'u', 'v' and their sources 's_n' ... 's_v'.
 
-    n and c ride on the Neumann-compatible radial bump w = r^2 (2 R^2 - r^2),
-    u is the curl of (R^2 - r^2)^3 scaled to peak speed about amp_u. Sources
-    follow the implemented momentum convention
-    u_t = lap u + kappa (u.grad) u + n grad(phi) - grad p  with p = 0.
+    Polynomials in the generators x, y, a, da, b, db, q, dq of ``_ring(8)``;
+    the arguments are those of ``build_manufactured``.
     """
-    _, x, y, a, da, b, db, q, dq = ring("x y a da b db q dq", QQ)
+    x, y, a, da, b, db, q, dq = _ring(8)
     R2 = _exact(radius) ** 2
     kappa, G = _exact(kappa_ns), _exact(grav)
     r2 = x ** 2 + y ** 2
-    w = r2 * (2 * R2 - r2) / R2 ** 2              # dw/dr = 0 at r = R
-    n_e = 1 + _exact(amp_n) * a * w / 2
-    c_e = 1 + _exact(amp_c) * b * w / 2
+    # d(bump)/dr = 0 at r = R: w peaks there, and the tilt term has a double zero
+    bump = r2 * (2 * R2 - r2) / R2 ** 2 + _exact(tilt) * x * (R2 - r2) ** 2 / R2 ** 2
+    n_e = 1 + _exact(amp_n) * a * bump / 2
+    c_e = 1 + _exact(amp_c) * b * bump / 2
     psi = _exact(amp_u) * q * (R2 - r2) ** 3 / R2 ** 3
     u_e = psi.diff(y)
     v_e = -psi.diff(x)
@@ -140,18 +211,33 @@ def build_manufactured(radius: float = 1.0, kappa_ns: float = 1.0, grav: float =
         return u_e * f.diff(x) + v_e * f.diff(y)
 
     # linear model: chi = 1, f(s) = s; potential phi = -G y
-    s_n = (d_dt(n_e) + adv(n_e) - lap(n_e)
-           + (n_e * c_e.diff(x)).diff(x) + (n_e * c_e.diff(y)).diff(y))
-    s_c = d_dt(c_e) + adv(c_e) - lap(c_e) + n_e * c_e
-    s_u = d_dt(u_e) - lap(u_e) - kappa * adv(u_e)
-    s_v = d_dt(v_e) - lap(v_e) - kappa * adv(v_e) + G * n_e
+    return {
+        "n": n_e, "c": c_e, "u": u_e, "v": v_e,
+        "s_n": (d_dt(n_e) + adv(n_e) - lap(n_e)
+                + (n_e * c_e.diff(x)).diff(x) + (n_e * c_e.diff(y)).diff(y)),
+        "s_c": d_dt(c_e) + adv(c_e) - lap(c_e) + n_e * c_e,
+        "s_u": d_dt(u_e) - lap(u_e) - kappa * adv(u_e),
+        "s_v": d_dt(v_e) - lap(v_e) - kappa * adv(v_e) + G * n_e,
+    }
 
-    model = linear_model(G=grav, kappa_ns=kappa_ns)
+
+def build_manufactured(radius: float = 1.0, kappa_ns: float = 1.0, grav: float = 0.5,
+                       amp_n: float = 0.3, amp_c: float = 0.2, amp_u: float = 0.25,
+                       tilt: float = 0.0) -> ManufacturedSolution:
+    """Time-periodic manufactured solution on the disk for the linear model.
+
+    n and c ride on the Neumann-compatible radial bump w = r^2 (2 R^2 - r^2)
+    plus ``tilt`` x (R^2 - r^2)^2 (both over R^4), u is the curl of
+    (R^2 - r^2)^3 scaled to peak speed about amp_u. The velocity is tangential
+    to the circles r = const, so it transports n and c only when tilt != 0.
+    Sources follow the implemented momentum convention
+    u_t = lap u + kappa (u.grad) u + n grad(phi) - grad p  with p = 0.
+    """
+    p = _polynomials(radius, kappa_ns, grav, amp_n, amp_c, amp_u, tilt)
     return ManufacturedSolution(
-        n=_field(n_e), c=_field(c_e), u=_field(u_e), v=_field(v_e),
-        sources={"n": _separable(s_n), "c": _separable(s_c),
-                 "u": _separable(s_u), "v": _separable(s_v)},
-        model=model, radius=radius)
+        n=_field(p["n"]), c=_field(p["c"]), u=_field(p["u"]), v=_field(p["v"]),
+        sources={k: _separable(p["s_" + k]) for k in ("n", "c", "u", "v")},
+        model=linear_model(G=grav, kappa_ns=kappa_ns), radius=radius)
 
 
 def run_manufactured(ms: ManufacturedSolution, n_side: int, end_time: float,

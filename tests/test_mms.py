@@ -1,15 +1,25 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sym
+from sympy import QQ
+from sympy.polys.rings import ring
 
+import chemofluid
 from chemofluid.cli import main
-from chemofluid.mms import build_manufactured, convergence_study, run_manufactured
+from chemofluid.mms import (_polynomials, _ring, build_manufactured, convergence_study,
+                            run_manufactured)
 
 
 def reference_manufactured(radius=1.0, kappa_ns=1.0, grav=0.5, amp_n=0.3, amp_c=0.2,
-                           amp_u=0.25) -> dict:
+                           amp_u=0.25, tilt=0.0) -> dict:
     """Fields and sources as sympy expression trees, each (x, y, t) -> array.
 
     The manufactured solution written out with sympy's own diff and lambdify,
@@ -18,7 +28,7 @@ def reference_manufactured(radius=1.0, kappa_ns=1.0, grav=0.5, amp_n=0.3, amp_c=
     x, y, t = sym.symbols("x y t")
     r2 = x * x + y * y
     R2 = radius * radius
-    w = r2 * (2 * R2 - r2) / R2 ** 2
+    w = r2 * (2 * R2 - r2) / R2 ** 2 + tilt * x * (R2 - r2) ** 2 / R2 ** 2
     n_e = 1 + amp_n * sym.cos(sym.pi * t) * w / 2
     c_e = 1 + amp_c * sym.sin(sym.pi * t / 2 + sym.Rational(1, 3)) * w / 2
     psi = amp_u * sym.sin(sym.pi * t / 3 + sym.Rational(1, 2)) * (R2 - r2) ** 3 / R2 ** 3
@@ -49,10 +59,14 @@ def reference_manufactured(radius=1.0, kappa_ns=1.0, grav=0.5, amp_n=0.3, amp_c=
     return {name: fn(expr) for name, expr in exprs.items()}
 
 
+# n and c off the circles the velocity follows, so u.grad n and u.grad c are nonzero
+TILTED = {"tilt": 1.0, "amp_u": 1.0}
+
 PARAMETER_SETS = {
     "defaults": {},
     "pure_heat": {"kappa_ns": 0.0, "grav": 0.0, "amp_u": 0.0, "amp_c": 0.0},
     "stokes": {"kappa_ns": 0.0},
+    "tilted": TILTED,
 }
 
 
@@ -102,6 +116,24 @@ class TestManufactured:
         errs = [run_manufactured(ms, n, end_time=0.2) for n in (48, 96, 192)]
         order = np.log2(errs[0]["n"] / errs[-1]["n"]) / 2
         assert order >= 0.8, [e["n"] for e in errs]
+
+    def test_tilted_solution_is_transported(self):
+        # u is tangential to the circles r = const, so it carries a radial n or c
+        # nowhere and a source missing u.grad n or u.grad c would go unseen; the
+        # tilt moves n and c off those circles
+        x, y, *_ = _ring(8)
+        args = {"radius": 1.0, "kappa_ns": 1.0, "grav": 0.5, "amp_n": 0.3, "amp_c": 0.2}
+        flat = _polynomials(**args, amp_u=0.25, tilt=0.0)
+        tilted = _polynomials(**args, **TILTED)
+        for f in ("n", "c"):
+            for p, moved in ((flat, False), (tilted, True)):
+                transport = p["u"] * p[f].diff(x) + p["v"] * p[f].diff(y)
+                assert bool(transport.terms()) is moved, f
+        ms = build_manufactured(**TILTED)
+        errs = [run_manufactured(ms, n, end_time=0.1) for n in (48, 96)]
+        for var in ("n", "c"):
+            order = np.log2(errs[0][var] / errs[1][var])
+            assert order >= 0.8, (var, [e[var] for e in errs])
 
     def test_steps_go_through_mms_step(self, monkeypatch):
         # every step of a manufactured run is a call of the name mms.step, so
@@ -177,3 +209,69 @@ class TestManufactured:
         assert lines[0].split()[2] == "steps"
         assert [int(line.split()[2]) for line in lines[1:3]] == [
             math.ceil(end_time / (dt_ratio * 2.4 / n)) for n in (32, 40)]
+
+
+# The MMS ring in three variables against sympy's, built from the same terms.
+OURS = _ring(3)
+_, *THEIRS = ring("x y z", QQ)
+
+
+def random_terms(rng, count=4):
+    """(exponents, numerator, denominator) of a few random terms."""
+    return [(tuple(int(e) for e in rng.integers(0, 3, size=3)),
+             int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(count)]
+
+
+def build(gens, scalar, terms):
+    return sum((scalar(num, den) * math.prod(g ** e for g, e in zip(gens, exps))
+                for exps, num, den in terms), 0)
+
+
+def assert_same(ours, theirs):
+    """Exactly the same coefficients, as Fractions, in the same term order."""
+    assert ours.terms() == [(tuple(m), c) for m, c in theirs.terms()]
+    assert all(type(c) is Fraction for _, c in ours.terms())
+
+
+class TestRing:
+    def test_operations_match_sympy(self):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            ta, tb = random_terms(rng), random_terms(rng)
+            a, b = build(OURS, Fraction, ta), build(OURS, Fraction, tb)
+            A, B = build(THEIRS, QQ, ta), build(THEIRS, QQ, tb)
+            k = Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 10)), int(rng.integers(1, 8)))
+            K = QQ(k.numerator, k.denominator)
+            pairs = [(a + b, A + B), (a - b, A - B), (a * b, A * B), (a ** 3, A ** 3),
+                     (-a, -A), (2 - a, 2 - A), (k * a + 1, K * A + 1), (a / k, A / K)]
+            pairs += [(a.diff(g), A.diff(G)) for g, G in zip(OURS, THEIRS)]
+            for ours, theirs in pairs:
+                assert_same(ours, theirs)
+
+    def test_zero_polynomial_has_no_terms(self):
+        x, y, z = OURS
+        X, Y, Z = THEIRS
+        a, A = x ** 2 * y - Fraction(1, 3) * z, X ** 2 * Y - QQ(1, 3) * Z
+        for ours, theirs in ((a - a, A - A), (0 * a, 0 * A), (a * (x - x), A * (X - X)),
+                             (x.diff(y), X.diff(Y)), (a - a + 1, A - A + 1)):
+            assert_same(ours, theirs)
+        assert (a - a).terms() == [] and (a - a + 1).terms() == [((0, 0, 0), 1)]
+
+
+class TestRuntimeFootprint:
+    def test_runtime_imports_neither_sympy_nor_ndimage(self):
+        # sympy is the tests' oracle, and the interior is labelled through scipy.sparse
+        code = textwrap.dedent("""
+            import sys
+            import chemofluid.cli, chemofluid.runner, chemofluid.mms
+            from chemofluid.geometry import LevelSetDomain, classify_cells
+            chemofluid.mms.build_manufactured(tilt=0.5)
+            assert classify_cells(LevelSetDomain.star(), 0.1).n_components == 1
+            loaded = [m for m in sys.modules
+                      if m == "sympy" or m.startswith(("sympy.", "scipy.ndimage"))]
+            assert not loaded, loaded
+        """)
+        src = str(Path(chemofluid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
