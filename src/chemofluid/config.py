@@ -150,6 +150,8 @@ class RunConfig:
             raise ConfigError("solver.cfl_safety must be in (0, 1]")
         if len(v["mms.resolutions"]) < 2:
             raise ConfigError("mms needs at least 2 resolutions")
+        if any(a >= b for a, b in zip(v["mms.resolutions"], v["mms.resolutions"][1:])):
+            raise ConfigError("mms.resolutions must be strictly increasing")
         for key in ("scan.trials", "scan.n_smooth"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be at least 1")

@@ -17,20 +17,25 @@ of the bounding-box grid: cell (i, j) has centre
 bbox[0] + (origin[0] + i + 0.5) h, bbox[2] + (origin[1] + j + 0.5) h. So a
 cell's coordinates, volume, apertures and values do not depend on the crop.
 
-The boundary is extracted as one straight segment per cut cell (marching
-segments with linear interpolation along cell edges). Each segment carries a
+The boundary comes from one pass over the cell faces: phi, linear along a
+face, crosses zero at t = fa / (fa - fb) from the face's lower or left node.
+The same crossings give each face's aperture (its wet fraction), one straight
+segment per cut cell (the chord between its two crossings), and the cut
+cell's wet fraction by Green's theorem, 1/2 (a_E + a_N + s (u0 v1 - u1 v0))
+in units of h from its lower-left corner: the wet parts of its right and top
+faces plus the cross product of the segment, run from where the boundary
+leaves the wet region to where it enters it. Each segment carries a
 midpoint, an outward unit normal from the level-set gradient, an arc-length
 weight, and a curvature sample. Quadrature weights:
 
-    volume  : h^2 per interior cell, linear cut-cell wet fraction in the band
+    volume  : h^2 per interior cell, the wet polygon's fraction in the band
               (floored at VOL_FRAC_FLOOR for time-stepping stability; the same
               floored volumes are used everywhere so conservation is exact)
     surface : segment length per boundary segment
 
-Face apertures (wet fraction of each cell edge) are precomputed for the
-conservative flux operators in :mod:`chemofluid.fields`. Only open faces,
-those between two active cells (``open_face_x/y``), have nonzero aperture,
-which makes zero-flux boundary conditions automatic in flux form.
+The apertures serve the conservative flux operators in :mod:`chemofluid.fields`.
+Only open faces, those between two active cells (``open_face_x/y``), have
+nonzero aperture, which makes zero-flux boundary conditions automatic in flux form.
 
 Geometry objects are immutable after construction. Every other fact that
 depends on the grid alone (cell masks, fluid faces, interior components,
@@ -456,52 +461,42 @@ def _phi_derivatives(domain: LevelSetDomain, x, y, step: float):
     return gx, gy, gxx, gyy, gxy
 
 
+def _normals_and_curvatures(domain: LevelSetDomain, x, y, step: float):
+    """Unit normals grad phi / |grad phi| and curvatures div(grad phi / |grad phi|)
+    at the points of the 1-D arrays x, y, by differences of phi at spacing step."""
+    gx, gy, gxx, gyy, gxy = _phi_derivatives(domain, x, y, step)
+    gnorm = np.hypot(gx, gy)
+    if np.any(gnorm < GRAD_MIN):
+        k = int(np.argmin(gnorm))
+        raise SingularGradientError(
+            f"|grad phi| = {gnorm[k]:.3e} at boundary point ({float(x[k])}, {float(y[k])})")
+    curvature = (gxx * gy * gy - 2.0 * gxy * gx * gy + gyy * gx * gx) / gnorm ** 3
+    return np.stack([gx / gnorm, gy / gnorm], axis=1), curvature
+
+
 def boundary_curvature(domain: LevelSetDomain, point, step: float | None = None) -> float:
     """Signed curvature div(grad phi / |grad phi|) at a point near the boundary.
 
     Positive where the domain is locally convex: a disk of radius R gives
     1/R on its boundary with phi negative inside.
     """
-    x, y = float(point[0]), float(point[1])
     if step is None:
         xlo, xhi, ylo, yhi = domain.bbox
         step = 1e-3 * max(xhi - xlo, yhi - ylo)
-    gx, gy, gxx, gyy, gxy = _phi_derivatives(domain, np.float64(x), np.float64(y), step)
-    g2 = gx * gx + gy * gy
-    if g2 < GRAD_MIN * GRAD_MIN:
-        raise SingularGradientError(f"|grad phi| = {np.sqrt(g2):.3e} at ({x}, {y})")
-    return float((gxx * gy * gy - 2.0 * gxy * gx * gy + gyy * gx * gx) / g2 ** 1.5)
+    x, y = (np.array([point[k]], dtype=float) for k in (0, 1))
+    _, curvature = _normals_and_curvatures(domain, x, y, step)
+    return float(curvature[0])
 
 
-def _edge_crossing(pa, pb, fa, fb):
-    """Linear zero crossing between points pa, pb with values fa, fb."""
-    t = fa / (fa - fb)
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-
-def _wet_polygon_area(corners, phis):
-    """Area of {phi < 0} within a cell, linear along edges.
-
-    corners are the 4 cell vertices in counterclockwise order with their phi
-    values; the wet region is the polygon of inside vertices plus edge
-    crossings, traversed in boundary order.
-    """
-    poly = []
-    for k in range(4):
-        pa, fa = corners[k], phis[k]
-        pb, fb = corners[(k + 1) % 4], phis[(k + 1) % 4]
-        if fa < 0:
-            poly.append(pa)
-        if (fa < 0) != (fb < 0):
-            poly.append(_edge_crossing(pa, pb, fa, fb))
-    if len(poly) < 3:
-        return 0.0
-    a = 0.0
-    for k in range(len(poly)):
-        x0, y0 = poly[k]
-        x1, y1 = poly[(k + 1) % len(poly)]
-        a += x0 * y1 - x1 * y0
-    return 0.5 * abs(a)
+def _face_crossings(fa, fb):
+    """(cross, t, wet) of faces with phi = fa at the lower or left node, fb at the
+    other: whether phi changes sign, where (t from fa's node, 0 where it does not)
+    and the raw wet fraction."""
+    inside = fa < 0
+    cross = inside != (fb < 0)
+    t = np.divide(fa, fa - fb, out=np.zeros_like(fa), where=cross)
+    wet = np.where(cross, np.where(inside, t, 1.0 - t), inside.astype(float))
+    return cross, t, wet
 
 
 def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
@@ -509,7 +504,10 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
 
     The cells are classified on the grid of the whole bounding box; the
     result stores only the window of the active cells plus the 2-cell
-    exterior margin, cut before the per-band-cell boundary extraction.
+    exterior margin. There one pass finds every face's zero crossing. A band
+    cell's edges, counterclockwise from corner (i, j), cross twice (its
+    segment, p0 the first crossing, and its wet fraction) or not at all (a
+    tie: the sign of phi at its centre makes it wet or dry).
 
     Raises DomainError for a bounding box that does not tile into square
     cells of side about h, empty interiors or missing bounding-box margin
@@ -562,76 +560,59 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
     node_phi = node_phi[ox:ex + 1, oy:ey + 1]
     xn, yn = xn[ox:ex + 1], yn[oy:ey + 1]
     nx, ny = cell_class.shape
-    interior = cell_class == INTERIOR
     active = cell_class != EXTERIOR
 
-    # Face apertures: wet fraction of each cell edge from its two node values.
-    def edge_wet(fa, fb):
-        wet = np.zeros_like(fa)
-        both_in = (fa < 0) & (fb < 0)
-        wet[both_in] = 1.0
-        mixed = (fa < 0) != (fb < 0)
-        t = np.zeros_like(fa)
-        t[mixed] = fa[mixed] / (fa[mixed] - fb[mixed])
-        wet[mixed & (fa < 0)] = t[mixed & (fa < 0)]
-        wet[mixed & (fa >= 0)] = 1.0 - t[mixed & (fa >= 0)]
-        return wet
-
-    aperture_x = edge_wet(node_phi[:, :-1], node_phi[:, 1:])    # (nx+1, ny)
-    aperture_y = edge_wet(node_phi[:-1, :], node_phi[1:, :])    # (nx, ny+1)
-
+    # One crossing pass over every face gives the apertures and the segments.
+    cross_x, t_x, wet_x = _face_crossings(node_phi[:, :-1], node_phi[:, 1:])   # (nx+1, ny)
+    cross_y, t_y, wet_y = _face_crossings(node_phi[:-1, :], node_phi[1:, :])   # (nx, ny+1)
     open_x, open_y = _face_mask(active, 0), _face_mask(active, 1)
-    aperture_x = np.where(open_x, np.maximum(aperture_x, APERTURE_FLOOR), aperture_x)
-    aperture_y = np.where(open_y, np.maximum(aperture_y, APERTURE_FLOOR), aperture_y)
+    aperture_x = np.where(open_x, np.maximum(wet_x, APERTURE_FLOOR), wet_x)
+    aperture_y = np.where(open_y, np.maximum(wet_y, APERTURE_FLOOR), wet_y)
 
-    # Wet volume fractions.
-    vol_frac = np.zeros((nx, ny))
-    vol_frac[interior] = 1.0
-    xc = xlo + (ox + np.arange(nx) + 0.5) * h
-    yc = ylo + (oy + np.arange(ny) + 0.5) * h
-
+    # Each band cell's edges counterclockwise from corner (i, j): bottom,
+    # right, top, left. A crossing at t is the point (u, v) in units of h
+    # from that corner.
     band = cell_class == BAND
-    seg_p0, seg_p1, seg_cells = [], [], []
-    for i, j in np.argwhere(band):
-        corners = [(xn[i], yn[j]), (xn[i + 1], yn[j]), (xn[i + 1], yn[j + 1]), (xn[i], yn[j + 1])]
-        phis = [node_phi[i, j], node_phi[i + 1, j], node_phi[i + 1, j + 1], node_phi[i, j + 1]]
-        crossings = []
-        for k in range(4):
-            fa, fb = phis[k], phis[(k + 1) % 4]
-            if (fa < 0) != (fb < 0):
-                crossings.append(_edge_crossing(corners[k], corners[(k + 1) % 4], fa, fb))
-        if len(crossings) > 2:
-            raise ResolutionError(
-                f"cell ({i}, {j}) has {len(crossings)} boundary crossings; refine the grid")
-        if len(crossings) == 2:
-            seg_p0.append(crossings[0])
-            seg_p1.append(crossings[1])
-            seg_cells.append((i, j))
-            vol_frac[i, j] = _wet_polygon_area(corners, phis) / (h * h)
-        else:
-            # Band by tie-break only: use the center sign.
-            vol_frac[i, j] = 1.0 if domain.phi(np.float64(xc[i]), np.float64(yc[j])) < 0 else 0.0
+    bi, bj = np.nonzero(band)
+    edges = ((cross_y, t_y, bi, bj), (cross_x, t_x, bi + 1, bj),
+             (cross_y, t_y, bi, bj + 1), (cross_x, t_x, bi, bj))
+    cross = np.stack([c[i, j] for c, _, i, j in edges], axis=1)
+    t = np.stack([tt[i, j] for _, tt, i, j in edges], axis=1)
+    along_x = np.array([True, False, True, False])
+    u = np.where(along_x, t, (0.0, 1.0, 1.0, 0.0))
+    v = np.where(along_x, (0.0, 0.0, 1.0, 1.0), t)
+    count = cross.sum(axis=1)
+    if (count > 2).any():
+        k = int(np.argmax(count > 2))
+        raise ResolutionError(
+            f"cell ({bi[k]}, {bj[k]}) has {count[k]} boundary crossings; refine the grid")
 
-    if not seg_p0:
+    vol_frac = (cell_class == INTERIOR).astype(float)
+    # A band cell without crossings is band by tie-break only: its centre's sign decides.
+    ti, tj = bi[count == 0], bj[count == 0]
+    vol_frac[ti, tj] = domain.phi(xlo + (ox + ti + 0.5) * h, ylo + (oy + tj + 0.5) * h) < 0.0
+
+    seg = count == 2
+    if not seg.any():
         raise DomainError("no boundary segments were extracted; domain degenerate")
+    ci, cj = bi[seg], bj[seg]
+    seg_cell = np.stack([ci, cj], axis=1)
+    # p0 and p1: the first and the second crossed edge in counterclockwise order
+    edge = np.argsort(~cross[seg], axis=1, kind="stable")[:, :2]
+    u0, u1 = np.take_along_axis(u[seg], edge, axis=1).T
+    v0, v1 = np.take_along_axis(v[seg], edge, axis=1).T
+    seg_mid = np.stack([xn[ci] + 0.5 * (u0 + u1) * h, yn[cj] + 0.5 * (v0 + v1) * h], axis=1)
+    seg_weight = np.hypot(u1 - u0, v1 - v0) * h
+    # Green's theorem: the wet parts of the right and top faces, plus the segment
+    # run from exit to entry of the wet region, p0 -> p1 when corner (i, j) is wet.
+    s = np.where(node_phi[ci, cj] < 0.0, 1.0, -1.0)
+    vol_frac[ci, cj] = 0.5 * (wet_x[ci + 1, cj] + wet_y[ci, cj + 1] + s * (u0 * v1 - u1 * v0))
 
-    p0 = np.asarray(seg_p0)
-    p1 = np.asarray(seg_p1)
-    seg_mid = 0.5 * (p0 + p1)
-    seg_weight = np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
-
-    gx, gy, gxx, gyy, gxy = _phi_derivatives(domain, seg_mid[:, 0], seg_mid[:, 1], 0.5 * h)
-    gnorm = np.hypot(gx, gy)
-    if np.any(gnorm < GRAD_MIN):
-        k = int(np.argmin(gnorm))
-        raise SingularGradientError(
-            f"|grad phi| = {gnorm[k]:.3e} at boundary point {tuple(seg_mid[k])}")
-    seg_normal = np.stack([gx / gnorm, gy / gnorm], axis=1)
-    seg_curvature = (gxx * gy * gy - 2.0 * gxy * gx * gy + gyy * gx * gx) / gnorm ** 3
+    seg_normal, seg_curvature = _normals_and_curvatures(
+        domain, seg_mid[:, 0], seg_mid[:, 1], 0.5 * h)
 
     cell_vol = np.where(band, np.maximum(vol_frac, VOL_FRAC_FLOOR), vol_frac) * (h * h)
 
-    seg_cell = np.asarray(seg_cells, dtype=int)
     for arr in (cell_class, vol_frac, cell_vol, aperture_x, aperture_y,
                 seg_mid, seg_normal, seg_weight, seg_curvature, seg_cell):
         arr.setflags(write=False)

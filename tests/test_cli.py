@@ -231,6 +231,27 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, line + "\n")
         assert main([command, "--config", cfg]) == 4
 
+    @pytest.mark.parametrize("ladder, levels_run, message",
+                             [("48, 24", [], "mms.resolutions must be strictly increasing"),
+                              ("24, 32", [24], "2-cell exterior margin")],
+                             ids=["decreasing", "too-coarse"])
+    def test_mms_ladder_checked(self, tmp_path, monkeypatch, capsys, ladder, levels_run, message):
+        # a ladder out of order is refused before any level runs; an increasing
+        # one whose first grid cannot hold the disk fails at that level's geometry
+        import chemofluid.mms as mms
+        levels = []
+        real = mms.run_manufactured
+
+        def recording(ms, n, *args):
+            levels.append(n)
+            return real(ms, n, *args)
+
+        monkeypatch.setattr(mms, "run_manufactured", recording)
+        cfg = write_cfg(tmp_path, f"mms.resolutions = {ladder}\n")
+        assert main(["mms", "--config", cfg]) == 4
+        assert levels == levels_run
+        assert message in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):

@@ -102,7 +102,51 @@ class TestDissipation:
         assert hess == pytest.approx(exact, rel=0.06)
 
 
+def annulus_profile(r):
+    """G(r) with G'(0.5) = G'(1) = 0, so G(r) cos 2 theta is Neumann on 0.5 < r < 1."""
+    return r ** 3 / 3 - 0.75 * r ** 2 + 0.5 * r
+
+
+def circle_boundary_term(radius, kappa, amp):
+    """1/2 oint (1/c)(-2 kappa |d_tau c|^2) ds on a circle where c = 1 + 0.2 amp cos 2 theta.
+
+    For a Neumann field, d|grad c|^2/dnu = -2 kappa |d_tau c|^2 on the boundary,
+    so this is the exact boundary term of the circle.
+    """
+    th = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    c = 1.0 + 0.2 * amp * np.cos(2.0 * th)
+    dtau_c = -0.4 * amp / radius * np.sin(2.0 * th)
+    return 0.5 * np.mean(-2.0 * kappa * dtau_c ** 2 / c) * 2.0 * np.pi * radius
+
+
+# domain, Neumann field w, (radius, curvature, amplitude of w) per boundary
+# circle, bound on the relative error at h = 1/80
+EXACT_BOUNDARY_TERMS = {
+    "disk": (LevelSetDomain.disk(),
+             lambda x, y: (x * x - y * y) * (1.0 - (x * x + y * y) / 2.0),
+             [(1.0, 1.0, 0.5)], 0.15),
+    "annulus": (LevelSetDomain.annulus(0.5, 1.0),
+                lambda x, y: annulus_profile(np.hypot(x, y)) * (x * x - y * y) / (x * x + y * y),
+                [(1.0, 1.0, annulus_profile(1.0)), (0.5, -2.0, annulus_profile(0.5))], 0.05),
+}
+
+
 class TestBoundaryTerm:
+    @pytest.mark.parametrize("name", sorted(EXACT_BOUNDARY_TERMS))
+    def test_converges_to_the_exact_value(self, name, derived_linear):
+        # the annulus's inner circle (kappa = -2) makes the term positive,
+        # a sign no convex domain can give
+        domain, w, circles, bound = EXACT_BOUNDARY_TERMS[name]
+        exact = sum(circle_boundary_term(*circle) for circle in circles)
+        assert (exact > 0.0) == (name == "annulus")
+        errors = []
+        for n in (96, 192, 384):   # h = 1/40, 1/80, 1/160
+            geom = classify_cells(domain, 2.4 / n)
+            c = scalar_from_function(geom, lambda x, y: 1.0 + 0.2 * w(x, y))
+            errors.append(abs(boundary_term(Frame(c, derived_linear)) - exact) / abs(exact))
+        assert np.all(np.log2(np.array(errors[:-1]) / errors[1:]) >= 1.0), errors
+        assert errors[1] <= bound, errors
+
     def test_constant_field(self, disk64, derived_linear):
         st = make_state(disk64, 1.0, 1.2)
         assert boundary_term(Frame(st, derived_linear)) == 0.0

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -69,6 +70,16 @@ class TestClassification:
         dom = LevelSetDomain.annulus(0.93, 1.0)
         with pytest.raises((ResolutionError, DomainError)):
             classify_cells(dom, 1.0 / 16.0)
+
+    def test_saddle_cell_underresolved(self):
+        # two touching disks: the cell at their contact point sees four crossings
+        a = 0.35
+
+        def phi(x, y):
+            return np.minimum((x - a) ** 2 + (y - a) ** 2, (x + a) ** 2 + (y + a) ** 2) - 2 * a * a
+
+        with pytest.raises(ResolutionError, match=r"cell \(14, 18\) has 4 boundary crossings"):
+            classify_cells(LevelSetDomain(phi, (-1.2, 1.2, -1.2, 1.2)), 2.4 / 41)
 
     def test_star_classifies_and_measures_perimeter(self, star64):
         exact = star_arclength()
@@ -168,6 +179,43 @@ class TestGridCache:
         vals, ok = stencil.sample(data), stencil.valid
         assert np.array_equal(g.seg_sample.sample(data), vals)
         assert np.array_equal(g.seg_sample.valid, ok)
+
+
+def exact_wet_fraction(f):
+    """Exact area of {phi < 0} in the unit cell, phi linear along its edges.
+
+    f holds phi at the corners (0, 0), (1, 0), (1, 1), (0, 1); the wet
+    polygon is the wet corners and the edge crossings in that order, and
+    its area is a shoelace sum over rationals.
+    """
+    corners = ((0, 0), (1, 0), (1, 1), (0, 1))
+    f = [Fraction(float(v)) for v in f]
+    poly = []
+    for k in range(4):
+        (xa, ya), (xb, yb) = corners[k], corners[(k + 1) % 4]
+        fa, fb = f[k], f[(k + 1) % 4]
+        if fa < 0:
+            poly.append((xa, ya))
+        if (fa < 0) != (fb < 0):
+            t = fa / (fa - fb)
+            poly.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+class TestCutCellVolumes:
+    @pytest.mark.parametrize("domain, n", [(LevelSetDomain.disk(), 256),
+                                           (LevelSetDomain.star(3, 0.4), 512)],
+                             ids=["disk256", "star512"])
+    def test_fractions_are_the_exact_polygon_areas(self, domain, n):
+        g = classify_cells(domain, (domain.bbox[1] - domain.bbox[0]) / n)
+        # phi at the nodes as classify_cells samples it: on the whole box, then the window
+        (ox, oy), (fx, fy), h = g.origin, g.bbox_shape, g.h
+        X, Y = np.meshgrid(g.bbox[0] + np.arange(fx + 1) * h, g.bbox[2] + np.arange(fy + 1) * h,
+                           indexing="ij")
+        f = domain.phi(X, Y)[ox:ox + g.nx + 1, oy:oy + g.ny + 1]
+        err = [abs(float(exact_wet_fraction((f[i, j], f[i + 1, j], f[i + 1, j + 1], f[i, j + 1])))
+                   - g.vol_frac[i, j]) for i, j in g.seg_cell[::3]]
+        assert max(err) <= 2e-13
 
 
 class TestQuadrature:
