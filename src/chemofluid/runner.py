@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from chemofluid.config import RunConfig
+from chemofluid.config import ConfigError, RunConfig
 from chemofluid.diagnostics import (
     DiagnosticsRecord,
     Frame,
@@ -162,9 +162,17 @@ def trajectory(state, cfg, model, lin, clock):
 def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     """Execute the full time loop described by the configuration.
 
-    Raises ModelError from ``setup``, before the loop. On a SolverAbort it
-    writes the CSVs' rows so far, no summary.json, and lets the abort go on.
+    Raises ConfigError first when the run would write fewer than three
+    output rows, the least the energy-inequality fit takes, and ModelError
+    from ``setup``, before the loop. On a SolverAbort it writes the CSVs'
+    rows so far, no summary.json, and lets the abort go on.
     """
+    clock = clock_for(rc.solver_config(), rc["output.every_time"])
+    if clock.targets < 2:   # row 0 is the initial state
+        raise ConfigError(
+            f"solver.end_time = {rc['solver.end_time']:g} with output.every_time = "
+            f"{rc['output.every_time']:g} gives {clock.targets + 1} output rows; "
+            "the energy-inequality fit needs at least 3")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_wall = time.perf_counter()
@@ -187,7 +195,6 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
 
     state = run.init.make_state()
     emit(state, 0)
-    clock = clock_for(run.cfg, rc["output.every_time"])
     try:
         t0 = time.perf_counter()
         for state, _ in trajectory(state, run.cfg, run.model, run.lin, clock):

@@ -19,7 +19,9 @@ unidirectional flow) with dt_max; diffusion is implicit and imposes no bound.
 Implicit systems are symmetric positive (semi)definite and solved by cached
 sparse LU factorizations: SuperLU in symmetric mode with a
 multiple-minimum-degree ordering of A + A^T and no pivoting, which roughly
-halves the fill of the unsymmetric default. Factorizations are reused because
+halves the fill of the unsymmetric default, and with one-column panels,
+which take 17-33% less time than SuperLU's default 20 columns at the same fill
+on every system at 48^2 to 256^2. Factorizations are reused because
 the step size is quantized to dt_max / 2^k and time is kept by StepClock as an
 integer count of ticks dt_max / 2^K: a step is exactly one of those levels or
 the exact remainder to an output or end time, so no rounding drift creates a
@@ -71,10 +73,13 @@ from chemofluid.model import KineticsModel, buoyancy_force
 DT_UNDERFLOW = 1e-12
 PROJECTION_TOL = 1e-8   # relative divergence left by the pressure projection
 # A clock-shortened step of dt >= level * PCG_MIN_RATIO is solved by CG on its
-# level's factor: the preconditioned spectrum lies in [dt/level, 1], so 1/4
-# needs about as many solves (22-25 on the 256^2 star) as one factorization
-# costs. CG stops at a relative residual of PCG_TOL; after PCG_MAXITER
-# iterations the step is factored instead.
+# level's factor: the preconditioned spectrum lies in [dt/level, 1]. On the
+# 256^2 star a factorization costs as much as 21-23 solves, and CG takes 28-29
+# solves at 1/4 and 19 at 1/2 (random right-hand sides), so against one
+# factorization CG breaks even near 0.4. Factoring the step, though, evicts the
+# level's factor, so a run that goes on at its level factors that again: against
+# those two factorizations CG wins down to 1/4. CG stops at a relative residual
+# of PCG_TOL; after PCG_MAXITER iterations the step is factored instead.
 PCG_MIN_RATIO = 0.25
 PCG_TOL = 1e-14
 PCG_MAXITER = 50
@@ -251,10 +256,14 @@ class LinearSystems:
     # -- solves --------------------------------------------------------
 
     def _splu(self, matrix):
-        """LU of the symmetric positive definite matrix, counted."""
+        """LU of the symmetric positive definite matrix, counted.
+
+        One-column panels (SuperLU's default is 20) factor every system 17-33%
+        faster at the same fill; CHANGES.md has the table of widths 1 to 20.
+        """
         self.factorizations += 1
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
+                         panel_size=1, options={"SymmetricMode": True})
 
     def _held_dt(self, system: str):
         """The step size of the system's held factor, or None."""
@@ -480,6 +489,11 @@ class StepClock:
     @property
     def done(self) -> bool:
         return self.ticks >= self.end
+
+    @property
+    def targets(self) -> int:
+        """The number of output targets, each of which one step lands on."""
+        return -(-self.end // self.every)
 
     def advance(self, dt: float) -> float:
         """Move by the level dt, or to the next target if nearer; return the step."""

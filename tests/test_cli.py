@@ -370,6 +370,39 @@ output.every_time = 0.5
         rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
         assert [float(r.split(",", 1)[0]) for r in rows] == out_times
 
+    @pytest.mark.parametrize("end_time, rows", [(0.1, 2), (0.15, 3)])
+    def test_three_output_rows_at_least(self, tmp_path, monkeypatch, capsys, end_time, rows):
+        # the energy-inequality fit needs three rows: with fewer, the run is
+        # refused before its first step; the count is the clock's, in ticks
+        import chemofluid.runner as runner
+        steps = []
+        step = runner.step
+
+        def recording_step(*args, **kwargs):
+            steps.append(kwargs["dt"])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "step", recording_step)
+        cfg = write_cfg(tmp_path, SMALL_RUN + f"solver.end_time = {end_time}\n")
+        status = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        if rows < 3:
+            assert status == 4 and steps == []
+            err = capsys.readouterr().err
+            assert "solver.end_time" in err and "output.every_time" in err
+            assert not (tmp_path / "out").exists()
+        else:
+            assert status == 0 and steps
+            csv = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+            assert len(csv) == 1 + rows
+
+    @pytest.mark.parametrize("command", ["scan-inequalities", "mms", "check-geometry"])
+    def test_two_row_config_serves_the_other_commands(self, tmp_path, monkeypatch, command):
+        # the three-row floor belongs to ``run``; the other commands take the same config
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, SMALL_RUN + "solver.end_time = 0.1\nscan.trials = 1\n"
+                        "mms.resolutions = 48, 64\nmms.end_time = 0.02\n")
+        assert main([command, "--config", cfg]) == 0
+
 
     def test_abort_names_the_step_and_keeps_the_rows_before_it(self, tmp_path, monkeypatch,
                                                                capsys):

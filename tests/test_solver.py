@@ -575,6 +575,38 @@ class TestDirectSolves:
                 assert abs(x[cells].mean()) <= 1e-12 * np.abs(x).max()
 
 
+class TestFactorOptions:
+    """The factor options (ordering, no pivoting, symmetric mode, panel width) cost no accuracy."""
+
+    @pytest.fixture(scope="class")
+    def star_n128(self):
+        dom = LevelSetDomain.star(3, 0.4)
+        return classify_cells(dom, (dom.bbox[1] - dom.bbox[0]) / 128)
+
+    @pytest.mark.parametrize("dt", [0.02, 0.005])
+    @pytest.mark.parametrize("system", ["helmholtz", "viscous_u", "viscous_v", "pressure"])
+    def test_matches_default_splu(self, star_n128, system, dt):
+        lin = LinearSystems(star_n128)
+        A, b, x = direct_system(lin, system, dt, np.random.default_rng(11))
+        if system == "pressure":
+            # the default factor of the same pinned system, shifted to the same gauge
+            keep = np.ones(lin.n_pressure)
+            keep[lin.pressure_pins] = 0.0
+            pinned = sp.diags(keep) @ (-lin.L_pressure) @ sp.diags(keep) + sp.diags(1.0 - keep)
+            rhs = -b * star_n128.h ** 2
+            rhs[lin.pressure_pins] = 0.0
+            want = spla.splu(pinned.tocsc()).solve(rhs)
+            for cells in lin.comp_cells:
+                want[cells] -= want[cells].mean()
+        else:
+            want = spla.splu(A.tocsc()).solve(b)
+        # the pinned Poisson system is the worst conditioned: on this grid the
+        # default factor's own residual reads up to 3e-13, so 1e-13 is out of reach
+        tol = 1e-12 if system == "pressure" else 1e-13
+        assert np.linalg.norm(x - want) <= tol * np.linalg.norm(want)
+        assert np.linalg.norm(A @ x - b) <= tol * np.linalg.norm(b)
+
+
 def reference_mac_advection(vel, kappa):
     """The MAC tendency written out with both one-sided differences per point."""
     g = vel.geom
