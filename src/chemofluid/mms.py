@@ -158,8 +158,10 @@ def _separable(poly):
         def at(t):
             prof = _profiles(t)
             out = np.zeros(X.shape)
+            term = np.empty(X.shape)   # each T_k(t) P_k in turn
             for powers, values in spatial:
-                out += math.prod(p ** e for p, e in zip(prof, powers)) * values
+                np.multiply(math.prod(p ** e for p, e in zip(prof, powers)), values, out=term)
+                out += term
             return out
 
         return at

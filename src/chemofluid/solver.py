@@ -29,6 +29,12 @@ new step size. StepClock also owns the output schedule; two loops drive it,
 ``runner.trajectory`` (CFL levels) and ``mms.run_manufactured`` (fixed level).
 Each passes ``step`` the level next to the step the clock allowed.
 
+Every factored matrix is exactly symmetric, so a factor of A also solves with
+A^T: a single right-hand side takes SuperLU's transposed solve, which takes
+17-27% less time on every system at 96^2 to 256^2, and a block of right-hand
+sides the untransposed one, which is faster for blocks (LinearSystems has the
+numbers).
+
 Memory is bounded by design: the Helmholtz system and each viscous component
 hold one factor slot, and the single pressure factor is built once and kept,
 so at most one factor per system is ever held. A step the clock shortened to
@@ -74,12 +80,13 @@ DT_UNDERFLOW = 1e-12
 PROJECTION_TOL = 1e-8   # relative divergence left by the pressure projection
 # A clock-shortened step of dt >= level * PCG_MIN_RATIO is solved by CG on its
 # level's factor: the preconditioned spectrum lies in [dt/level, 1]. On the
-# 256^2 star a factorization costs as much as 21-23 solves, and CG takes 28-29
-# solves at 1/4 and 19 at 1/2 (random right-hand sides), so against one
-# factorization CG breaks even near 0.4. Factoring the step, though, evicts the
-# level's factor, so a run that goes on at its level factors that again: against
-# those two factorizations CG wins down to 1/4. CG stops at a relative residual
-# of PCG_TOL; after PCG_MAXITER iterations the step is factored instead.
+# 256^2 star a factorization costs as much as 27-33 (transposed) solves, and CG
+# takes 26-28 solves at 1/4 and 18-19 at 1/2 (random right-hand sides), so
+# against one factorization CG breaks even near 1/4. Factoring the step,
+# though, evicts the level's factor, so a run that goes on at its level factors
+# that again: against those two factorizations CG wins at 1/4. CG stops at a
+# relative residual of PCG_TOL; after PCG_MAXITER iterations the step is
+# factored instead.
 PCG_MIN_RATIO = 0.25
 PCG_TOL = 1e-14
 PCG_MAXITER = 50
@@ -212,6 +219,17 @@ def _laplacian(adj) -> sp.csr_matrix:
     return (adj - sp.diags(np.asarray(adj.sum(axis=1)).ravel())).tocsr()
 
 
+def _run_or_cells(cells: np.ndarray):
+    """Sorted cell positions as a slice when they are one contiguous run, else as given.
+
+    A slice indexes a view: the component's sums read the same numbers in the
+    same order as through the index array, without the gather and scatter.
+    """
+    if cells[-1] - cells[0] == cells.size - 1:
+        return slice(int(cells[0]), int(cells[-1]) + 1)
+    return cells
+
+
 class LinearSystems:
     """Sparse operators of the grid plus a bounded factorization cache.
 
@@ -232,6 +250,20 @@ class LinearSystems:
     factor slot, a (dt, LU) pair, and ``_solve`` applies the module's rule
     for steps the clock shortened; the pressure factor does not depend on the
     step and is kept for the object's lifetime.
+
+    All four matrices are exactly symmetric (the neighbour graph enters in
+    both orders, and the pressure pins keep their rows and columns alike), so
+    ``lu.solve(b, trans="T")`` solves A x = b. Every one-column solve takes
+    that path. SuperLU's untransposed solve makes two dense triangular solves
+    and one dense product per supernode, however many columns; the transposed
+    one walks the factor column by column with one small triangular solve per
+    supernode. On the 256^2 star a vector takes 1.0-1.1 ms per system
+    transposed and 1.2-1.4 ms untransposed. For a block of right-hand sides
+    the dense calls pay off: 8 columns take 6.9 ms untransposed and 8.8 ms
+    transposed, so blocks (``b.ndim == 2``, a one-column block too) are
+    solved untransposed. An operator that is not symmetric would be solved
+    wrongly, vector by vector; tests/test_solver.py asserts A == A^T for each
+    system.
     """
 
     def __init__(self, geom: GridGeometry):
@@ -246,8 +278,8 @@ class LinearSystems:
         self.vol = g.cell_vol[g.active]
         self.n_pressure, adj = _adjacency(g.interior)
         self.L_pressure = _laplacian(adj)
-        self.comp_cells = g.components
-        self.pressure_pins = np.array([cells[0] for cells in self.comp_cells], dtype=int)
+        self.pressure_pins = np.array([cells[0] for cells in g.components], dtype=int)
+        self.comp_cells = tuple(_run_or_cells(cells) for cells in g.components)
         self.n_u, adj = _adjacency(g.fluid_face_x)
         self.adj_u = adj.tocsr()
         self.n_v, adj = _adjacency(g.fluid_face_y)
@@ -287,11 +319,14 @@ class LinearSystems:
         return lu
 
     def _pcg(self, A, b, lu):
-        """CG on A x = b preconditioned by ``lu``, from lu.solve(b); None if it misses PCG_TOL."""
-        x = lu.solve(b)
+        """CG on A x = b preconditioned by ``lu``, from its solve of b; None if it misses PCG_TOL.
+
+        Every preconditioner solve is one column, so it is transposed.
+        """
+        x = lu.solve(b, trans="T")
         r = b - A @ x
         tol = PCG_TOL * np.linalg.norm(b)
-        p = z = lu.solve(r)
+        p = z = lu.solve(r, trans="T")
         rz = r @ z
         for k in range(PCG_MAXITER):
             if np.linalg.norm(r) <= tol:
@@ -301,7 +336,7 @@ class LinearSystems:
             alpha = rz / (p @ Ap)
             x = x + alpha * p
             r = r - alpha * Ap
-            z = lu.solve(r)
+            z = lu.solve(r, trans="T")
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
         self.pcg_iterations += PCG_MAXITER
@@ -310,12 +345,12 @@ class LinearSystems:
     def _solve(self, system: str, dt: float, level: float | None, build, b, mass=None):
         """Solve build(dt) x = b with the system's one factor slot; level None means dt.
 
-        ``b`` is one right-hand side, or a matrix with one per column; a
-        factor solves all columns in one ``lu.solve``, reading the factor
-        once. A step the clock shortened to dt >= PCG_MIN_RATIO * level, with
-        one right-hand side and no factor held at dt, is solved by ``_pcg`` on
-        the level's factor; ``mass``, the diagonal V of the Helmholtz system,
-        then adds the constant that makes sum(V x) == sum(b). Every other
+        ``b`` is one right-hand side, solved transposed, or a matrix with one
+        per column, solved untransposed in one ``lu.solve`` that reads the
+        factor once (the class docstring says why). A step the clock
+        shortened to dt >= PCG_MIN_RATIO * level, with one right-hand side
+        and no factor held at dt, is solved by ``_pcg`` on the level's
+        factor; ``mass``, the diagonal V of the Helmholtz system, then adds the constant that makes sum(V x) == sum(b). Every other
         solve, and a CG that misses PCG_TOL, uses the slot's factor at dt.
         Only the held step size is read here: a reference to the held factor
         would keep it alive while ``_held`` builds its replacement.
@@ -328,7 +363,7 @@ class LinearSystems:
                 if mass is not None:
                     x += (b.sum() - (mass * x).sum()) / mass.sum()
                 return x
-        return self._held(system, dt, build).solve(b)
+        return self._held(system, dt, build).solve(b, trans="T" if b.ndim == 1 else "N")
 
     def helmholtz_solve(self, dt: float, rhs: np.ndarray, level: float | None = None
                         ) -> np.ndarray:
@@ -392,7 +427,7 @@ class LinearSystems:
         b[self.pressure_pins] = 0.0
         if self._pressure_lu is None:
             self._pressure_lu = self._splu(build())
-        x = self._pressure_lu.solve(b)
+        x = self._pressure_lu.solve(b, trans="T")
         for cells in self.comp_cells:
             x[cells] -= x[cells].mean()
         out = np.zeros((g.nx, g.ny))
@@ -560,13 +595,18 @@ def step_n(state: SimState, c_new: ScalarField, dt: float, model: KineticsModel,
 
 def _upwind_diff(f: np.ndarray, a: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Difference of f along axis against the transport a: backward where a > 0,
-    forward elsewhere, zero where that neighbour is off the array."""
-    f, a = np.moveaxis(f, axis, 0), np.moveaxis(a, axis, 0)
-    d = (f[1:] - f[:-1]) / h
-    out = np.zeros_like(f)
-    np.copyto(out[1:], d, where=a[1:] > 0.0)
-    np.copyto(out[:-1], d, where=~(a[:-1] > 0.0))
-    return np.moveaxis(out, 0, axis)
+    forward elsewhere, zero where that neighbour is off the array.
+
+    The differences sit between zero pads along the axis, so the backward one
+    of point i is entry i and the forward one entry i + 1.
+    """
+    lead = (slice(None),) * axis
+    lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
+    d = np.zeros(f.shape[:axis] + (f.shape[axis] + 1,) + f.shape[axis + 1:])
+    inner = d[lead + (slice(1, -1),)]
+    np.subtract(f[hi], f[lo], out=inner)
+    inner /= h
+    return np.where(a > 0.0, d[lo], d[hi])
 
 
 def _mac_advection(vel: VectorField, kappa: float) -> VectorField:
@@ -574,15 +614,29 @@ def _mac_advection(vel: VectorField, kappa: float) -> VectorField:
     g = vel.geom
     h = g.h
     u, v = vel.u, vel.v
-    ax = -kappa * u
+
+    def tendency(f, a0, a1):
+        # -(a0 df/dx + a1 df/dy), formed in place
+        out = _upwind_diff(f, a0, 0, h)
+        out *= a0
+        d1 = _upwind_diff(f, a1, 1, h)
+        d1 *= a1
+        out += d1
+        return np.negative(out, out=out)
+
+    def average(a, b, c, d):
+        # -kappa/4 (a + b + c + d), summed left to right
+        out = a + b
+        out += c
+        out += d
+        out *= -kappa * 0.25
+        return out
+
     ay = np.zeros_like(u)
-    ay[1:-1, :] = -kappa * 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:])
-    tend_u = -(ax * _upwind_diff(u, ax, 0, h) + ay * _upwind_diff(u, ay, 1, h))
-    ayv = -kappa * v
+    ay[1:-1, :] = average(v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:])
     axv = np.zeros_like(v)
-    axv[:, 1:-1] = -kappa * 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
-    tend_v = -(axv * _upwind_diff(v, axv, 0, h) + ayv * _upwind_diff(v, ayv, 1, h))
-    return VectorField(g, tend_u, tend_v)
+    axv[:, 1:-1] = average(u[:-1, :-1], u[1:, :-1], u[:-1, 1:], u[1:, 1:])
+    return VectorField(g, tendency(u, -kappa * u, ay), tendency(v, axv, -kappa * v))
 
 
 def step_u(state: SimState, n_new: ScalarField, dt: float, model: KineticsModel,

@@ -8,14 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 import sympy as sym
 from sympy import QQ
 from sympy.polys.rings import ring
 
 import chemofluid
 from chemofluid.cli import main
-from chemofluid.mms import (_polynomials, _ring, build_manufactured, convergence_study,
-                            run_manufactured)
+from chemofluid.mms import (_polynomials, _profiles, _ring, _separable, build_manufactured,
+                            convergence_study, run_manufactured)
 
 
 def reference_manufactured(radius=1.0, kappa_ns=1.0, grav=0.5, amp_n=0.3, amp_c=0.2,
@@ -256,6 +257,46 @@ class TestRing:
                              (x.diff(y), X.diff(Y)), (a - a + 1, A - A + 1)):
             assert_same(ours, theirs)
         assert (a - a).terms() == [] and (a - a + 1).terms() == [((0, 0, 0), 1)]
+
+
+def parent_separable(poly):
+    """``mms._separable`` as it was: a fresh product array per term."""
+    groups = {}
+    for (i, j, *powers), coeff in poly.terms():
+        groups.setdefault(tuple(powers), []).append((i, j, float(coeff)))
+    tables = []
+    for powers, terms in groups.items():
+        i, j, coeff = (np.array(column) for column in zip(*terms))
+        dense = np.zeros((i.max() + 1, j.max() + 1))
+        dense[i, j] = coeff
+        tables.append((powers, dense))
+
+    def bind(X, Y):
+        X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+        spatial = [(powers, polyval2d(X, Y, dense)) for powers, dense in tables]
+
+        def at(t):
+            prof = _profiles(t)
+            out = np.zeros(X.shape)
+            for powers, values in spatial:
+                out += math.prod(p ** e for p, e in zip(prof, powers)) * values
+            return out
+
+        return at
+
+    return bind
+
+
+class TestSourceAccumulation:
+    @pytest.mark.parametrize("name", ["s_n", "s_c", "s_u", "s_v"])
+    def test_reused_buffer_keeps_the_bits(self, name):
+        poly = _polynomials(1.0, 1.0, 0.5, 0.3, 0.2, 0.25, 0.3)[name]
+        X, Y = np.meshgrid(np.linspace(-1.1, 1.1, 61), np.linspace(-1.1, 1.1, 53), indexing="ij")
+        got, want = _separable(poly)(X, Y), parent_separable(poly)(X, Y)
+        values = [got(t) for t in (0.0, 0.137, 0.25)]
+        for t, value in zip((0.0, 0.137, 0.25), values):
+            # each call returns its own array, which the next call leaves alone
+            assert np.array_equal(value, want(t)), t
 
 
 class TestRuntimeFootprint:

@@ -506,16 +506,21 @@ class TestBlockSolve:
 
     def test_columns_match_single_solves(self, grid96):
         # the factor's dense blocks go through BLAS kernels that round a column
-        # differently in a block than alone, at the last bit of a few cells
+        # differently in a block than alone, at the last bit of a few cells; a
+        # vector takes the transposed solve of the symmetric system, a block
+        # (one column too) the untransposed one
         lin = LinearSystems(grid96)
         B = self.block(lin, 5, 6)
         X = lin.helmholtz_solve(0.02, B)
         assert X.shape == B.shape
+        lu = lin._factors["helm"][1]
         for j in range(B.shape[1]):
             x = lin.helmholtz_solve(0.02, B[:, j])
             assert np.abs(X[:, j] - x).max() <= 1e-15 * np.abs(x).max()
-            # a one-column block is the vector solve, bit for bit
-            assert np.array_equal(lin.helmholtz_solve(0.02, B[:, j:j + 1])[:, 0], x)
+            assert np.array_equal(x, lu.solve(lin.vol * B[:, j], trans="T"))
+            one = lin.helmholtz_solve(0.02, B[:, j:j + 1])
+            assert np.abs(one[:, 0] - x).max() <= 1e-15 * np.abs(x).max()
+            assert np.array_equal(one, lu.solve(lin.vol[:, None] * B[:, j:j + 1], trans="N"))
         assert lin.factorizations == 1
 
     def test_shortened_step_factors_a_block(self, grid96):
@@ -573,6 +578,113 @@ class TestDirectSolves:
         if system == "pressure":
             for cells in lin.comp_cells:
                 assert abs(x[cells].mean()) <= 1e-12 * np.abs(x).max()
+
+
+class TestSymmetricSystems:
+    """Every factored system is exactly symmetric: its transposed vector solve solves it."""
+
+    @pytest.fixture(scope="class", params=["disk", "star", "annulus", "two_disks"])
+    def grid(self, request):
+        if request.param == "two_disks":
+            return request.getfixturevalue("two_disks")
+        return classify_cells(getattr(LevelSetDomain, request.param)(), 1.0 / 48.0)
+
+    @staticmethod
+    def factored(lin):
+        """Record each matrix ``lin`` factors, in order."""
+        matrices = []
+
+        def splu(matrix):
+            matrices.append(matrix)
+            return LinearSystems._splu(lin, matrix)
+
+        lin._splu = splu
+        return matrices
+
+    @staticmethod
+    def assert_solves(A, b, x, lu, tol=1e-13):
+        """x solves A x = b, which the held factor ``lu`` of A solves untransposed too."""
+        assert abs(A - A.T).max() == 0
+        want = spla.splu(A.tocsc()).solve(b)
+        assert np.abs(x - want).max() <= tol * np.abs(want).max()
+        want = lu.solve(b, trans="N")
+        assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("dt", [0.02, 0.005])
+    def test_helmholtz(self, grid, dt):
+        lin = LinearSystems(grid)
+        matrices = self.factored(lin)
+        rhs = np.random.default_rng(21).standard_normal(lin.n_scalar)
+        x = lin.helmholtz_solve(dt, rhs)
+        (A,) = matrices
+        self.assert_solves(A, lin.vol * rhs, x, lin._factors["helm"][1])
+
+    def test_viscous(self, grid):
+        lin = LinearSystems(grid)
+        matrices = self.factored(lin)
+        vel = VectorField.zeros(grid)
+        rng = np.random.default_rng(22)
+        vel.u[grid.fluid_face_x] = rng.standard_normal(lin.n_u)
+        vel.v[grid.fluid_face_y] = rng.standard_normal(lin.n_v)
+        out = lin.viscous_solve(0.02, vel)
+        for A, b, x, mask, system in zip(matrices, (vel.u, vel.v), (out.u, out.v),
+                                         (grid.fluid_face_x, grid.fluid_face_y),
+                                         ("visc_u", "visc_v")):
+            self.assert_solves(A, b[mask], x[mask], lin._factors[system][1])
+
+    def test_pinned_pressure(self, grid):
+        lin = LinearSystems(grid)
+        matrices = self.factored(lin)
+        b = np.random.default_rng(23).standard_normal(lin.n_pressure)
+        for cells in lin.comp_cells:
+            b[cells] -= b[cells].mean()
+        rhs = np.zeros((grid.nx, grid.ny))
+        rhs[grid.interior] = b
+        x = lin.pressure_solve(ScalarField(grid, rhs)).data[grid.interior]
+        (A,) = matrices
+        # the pinned system's right-hand side, and its solution before the gauge shift
+        b_pinned = -b * grid.h ** 2
+        b_pinned[lin.pressure_pins] = 0.0
+        for cells, pin in zip(lin.comp_cells, lin.pressure_pins):
+            x[cells] -= x[pin]
+        # the pinned Poisson system is the worst conditioned: any two factors'
+        # solutions differ by up to 4e-13 here, untransposed solves included
+        self.assert_solves(A, b_pinned, x, lin._pressure_lu, tol=1e-12)
+
+
+class TestInterleavedComponents:
+    """Two disks stacked along y: in raster order their interior cells alternate."""
+
+    @pytest.fixture(scope="class")
+    def stacked(self):
+        def phi(x, y):
+            return np.minimum((y + 0.5) ** 2, (y - 0.5) ** 2) + x ** 2 - 0.35 ** 2
+
+        g = classify_cells(LevelSetDomain(phi, (-0.5, 0.5, -1.0, 1.0)), 1.0 / 48.0)
+        assert g.n_components == 2
+        return g
+
+    def test_components_are_runs_or_cells(self, stacked, two_disks):
+        assert not any(isinstance(cells, slice) for cells in LinearSystems(stacked).comp_cells)
+        assert all(isinstance(cells, slice) for cells in LinearSystems(two_disks).comp_cells)
+
+    def test_projection_and_gauge(self, stacked):
+        g = stacked
+        lin = LinearSystems(g)
+        rng = np.random.default_rng(24)
+        vel = VectorField.zeros(g)
+        vel.u[g.fluid_face_x] = rng.standard_normal(lin.n_u)
+        vel.v[g.fluid_face_y] = rng.standard_normal(lin.n_v)
+        div = divergence(vel)
+        p = lin.pressure_solve(div).data
+        vel.u[1:-1, :] -= np.where(g.fluid_face_x[1:-1, :], (p[1:, :] - p[:-1, :]) / g.h, 0.0)
+        vel.v[:, 1:-1] -= np.where(g.fluid_face_y[:, 1:-1], (p[:, 1:] - p[:, :-1]) / g.h, 0.0)
+        after = np.abs(divergence(vel).data).max()
+        assert after <= solver.PROJECTION_TOL * np.abs(div.data).max()
+        p_cells = p[g.interior]
+        for cells in g.components:
+            assert abs(p_cells[cells].mean()) <= 1e-14 * np.abs(p_cells[cells]).max()
 
 
 class TestFactorOptions:
@@ -663,6 +775,32 @@ def reference_advect_conservative(s, vel):
     return ScalarField(g, out)
 
 
+def parent_upwind_diff(f, a, axis, h):
+    """``_upwind_diff`` as it was, with moveaxis and two masked copies."""
+    f, a = np.moveaxis(f, axis, 0), np.moveaxis(a, axis, 0)
+    d = (f[1:] - f[:-1]) / h
+    out = np.zeros_like(f)
+    np.copyto(out[1:], d, where=a[1:] > 0.0)
+    np.copyto(out[:-1], d, where=~(a[:-1] > 0.0))
+    return np.moveaxis(out, 0, axis)
+
+
+def parent_mac_advection(vel, kappa):
+    """``_mac_advection`` as it was, on ``parent_upwind_diff``."""
+    g = vel.geom
+    h = g.h
+    u, v = vel.u, vel.v
+    ax = -kappa * u
+    ay = np.zeros_like(u)
+    ay[1:-1, :] = -kappa * 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:])
+    tend_u = -(ax * parent_upwind_diff(u, ax, 0, h) + ay * parent_upwind_diff(u, ay, 1, h))
+    ayv = -kappa * v
+    axv = np.zeros_like(v)
+    axv[:, 1:-1] = -kappa * 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
+    tend_v = -(axv * parent_upwind_diff(v, axv, 0, h) + ayv * parent_upwind_diff(v, ayv, 1, h))
+    return VectorField(g, tend_u, tend_v)
+
+
 class TestTransportStencils:
     """The sliced stencils give the bits of the written-out references."""
 
@@ -683,6 +821,16 @@ class TestTransportStencils:
         want = reference_mac_advection(vel, kappa)
         assert np.array_equal(got.u[g.fluid_face_x], want.u[g.fluid_face_x])
         assert np.array_equal(got.v[g.fluid_face_y], want.v[g.fluid_face_y])
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.5])
+    def test_mac_advection_keeps_the_bits_of_the_masked_copies(self, star64, kappa):
+        # every face, fluid or not: the padded difference and one where() are
+        # the same arithmetic as the masked copies, in the same order
+        for seed in (13, 14):
+            vel = self.random_velocity(star64, np.random.default_rng(seed))
+            got = _mac_advection(vel, kappa)
+            want = parent_mac_advection(vel, kappa)
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
     @pytest.mark.parametrize("grid", ["disk64", "star64"])
     def test_advect_conservative_matches_reference(self, request, grid):
