@@ -9,7 +9,9 @@ Subcommands:
     scan-inequalities   randomized boundary/inequality scan
 
 Exit codes: 0 success/pass, 2 validation failure, 3 solver abort,
-4 configuration error.
+4 configuration error (a usage error too: an unknown flag, or one the
+subcommand does not read). ``--seed`` is taken by scan-inequalities alone,
+``--resolution`` by every subcommand but mms.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
+# the flags that override a config key, and the key
+OVERRIDES = {"seed": "run.seed", "resolution": "grid.n"}
+
 
 def _load_config(args):
     from chemofluid.config import RunConfig
@@ -30,10 +35,9 @@ def _load_config(args):
         rc = RunConfig.from_file(args.config)
     else:
         rc = RunConfig()
-    if getattr(args, "seed", None) is not None:
-        rc.override("run.seed", args.seed)
-    if getattr(args, "resolution", None) is not None:
-        rc.override("grid.n", args.resolution)
+    for flag, key in OVERRIDES.items():
+        if getattr(args, flag, None) is not None:
+            rc.override(key, getattr(args, flag))
     return rc
 
 
@@ -133,53 +137,55 @@ def cmd_scan(args) -> int:
     return EXIT_OK if result["ms_passed"] else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_CONFIG, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="chemofluid", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="chemofluid", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_default=None):
+    def command(name, func, help_text, *flags, out=False):
+        """A subcommand that reads --config and the OVERRIDES ``flags``; --out defaults to ``out``."""
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
         sp.add_argument("--config", type=str, default=None, help="config file path")
-        sp.add_argument("--seed", type=int, default=None, help="override run.seed")
-        sp.add_argument("--resolution", type=int, default=None, help="override grid.n")
-        if out_default is not None:
-            sp.add_argument("--out", type=str, default=out_default, help="output directory")
+        for flag in flags:
+            sp.add_argument("--" + flag, type=int, default=None, help=f"override {OVERRIDES[flag]}")
+        if out is not False:
+            sp.add_argument("--out", type=str, default=out, help="output directory")
 
-    common(sub.add_parser("run", help="run a simulation"), out_default="out")
-    common(sub.add_parser("validate-model", help="check kinetics assumptions"),
-           out_default=None)
-    sub.choices["validate-model"].add_argument("--out", type=str, default=None)
-    common(sub.add_parser("check-geometry", help="build and report the grid geometry"))
-    common(sub.add_parser("mms", help="manufactured-solution convergence study"))
-    common(sub.add_parser("scan-inequalities", help="randomized inequality scan"),
-           out_default="out")
+    command("run", cmd_run, "run a simulation", "resolution", out="out")
+    command("validate-model", cmd_validate_model, "check kinetics assumptions", "resolution",
+            out=None)
+    command("check-geometry", cmd_check_geometry, "build and report the grid geometry",
+            "resolution")
+    command("mms", cmd_mms, "manufactured-solution convergence study")
+    command("scan-inequalities", cmd_scan, "randomized inequality scan", "seed", "resolution",
+            out="out")
     return p
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a usage error exits EXIT_CONFIG from the parser."""
     args = build_parser().parse_args(argv)
     from chemofluid.config import ConfigError
     from chemofluid.geometry import DomainError, ResolutionError
     from chemofluid.gridio import FormatError
     from chemofluid.model import ModelError
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "validate-model":
-            return cmd_validate_model(args)
-        if args.command == "check-geometry":
-            return cmd_check_geometry(args)
-        if args.command == "mms":
-            return cmd_mms(args)
-        if args.command == "scan-inequalities":
-            return cmd_scan(args)
+        return args.func(args)
     except (ConfigError, DomainError, ResolutionError, FormatError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -78,21 +78,18 @@ class VectorField:
         return VectorField(geom, np.zeros((geom.nx + 1, geom.ny)), np.zeros((geom.nx, geom.ny + 1)))
 
     @staticmethod
-    def from_stream(geom: GridGeometry, psi: Callable | np.ndarray) -> "VectorField":
-        """Exactly divergence-free field from a stream function at grid nodes.
+    def from_stream(geom: GridGeometry, psi: Callable) -> "VectorField":
+        """Exactly divergence-free field from a stream function psi(x, y) at grid nodes.
 
         psi is zeroed at every node touching a non-interior cell, so the
         resulting field vanishes on and beyond the no-slip staircase while
         the discrete MAC divergence stays identically zero.
         """
         g = geom
-        if callable(psi):
-            Xn, Yn = np.meshgrid(g.xn, g.yn, indexing="ij")
-            pv = np.asarray(psi(Xn, Yn), dtype=float)
-        else:
-            pv = np.asarray(psi, dtype=float).copy()
+        Xn, Yn = np.meshgrid(g.xn, g.yn, indexing="ij")
+        pv = np.asarray(psi(Xn, Yn), dtype=float)
         if pv.shape != (g.nx + 1, g.ny + 1):
-            raise ValueError("stream function must be sampled on grid nodes")
+            raise ValueError("stream function must give one value per grid node")
         interior = g.interior
         pad = np.zeros((g.nx + 2, g.ny + 2), dtype=bool)
         pad[1:-1, 1:-1] = interior

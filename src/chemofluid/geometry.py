@@ -50,7 +50,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 EXTERIOR = 0
@@ -189,6 +189,31 @@ def _face_mask(cells: np.ndarray, axis: int) -> np.ndarray:
     """Faces normal to ``axis`` with both neighbour cells in ``cells``; edge faces are False."""
     pair = cells[:-1, :] & cells[1:, :] if axis == 0 else cells[:, :-1] & cells[:, 1:]
     return _read_only(np.pad(pair, [(1 - axis,) * 2, (axis,) * 2]))
+
+
+def neighbour_graph(mask: np.ndarray, wx=1.0, wy=1.0):
+    """Number the entries of ``mask``; their neighbour graph as (n, COO matrix).
+
+    The entries are numbered in raster order, as ``data[mask]`` reads them.
+    Each pair of x-neighbours, then each pair of y-neighbours, enters in both
+    orders, weighted by ``wx`` or ``wy``: a scalar, or one value per pair
+    (arrays shaped like mask[1:, :] and mask[:, 1:]). The operators of
+    ``solver.LinearSystems`` and ``GridGeometry.components`` are built on it,
+    so they number the same cells the same way.
+    """
+    idx = -np.ones(mask.shape, dtype=int)
+    n = int(mask.sum())
+    idx[mask] = np.arange(n)
+    mx = mask[:-1, :] & mask[1:, :]
+    my = mask[:, :-1] & mask[:, 1:]
+    lo_x, hi_x = idx[:-1, :][mx], idx[1:, :][mx]
+    lo_y, hi_y = idx[:, :-1][my], idx[:, 1:][my]
+    w_x = np.broadcast_to(wx, mx.shape)[mx]
+    w_y = np.broadcast_to(wy, my.shape)[my]
+    rows = np.concatenate([lo_x, hi_x, lo_y, hi_y])
+    cols = np.concatenate([hi_x, lo_x, hi_y, lo_y])
+    vals = np.concatenate([w_x, w_x, w_y, w_y])
+    return n, coo_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -337,18 +362,12 @@ class GridGeometry:
     def components(self) -> tuple[np.ndarray, ...]:
         """Connected parts of the interior (4-connectivity): cell positions in data[interior].
 
-        Labelled on the graph with one edge per fluid face. Its nodes are the
-        interior cells in raster order, and each part is numbered after the
-        parts of lower nodes, so the parts come in the raster order of their
-        first cell.
+        Labelled on ``neighbour_graph(interior)``, the graph of the pressure
+        operator, with one edge per fluid face. Its nodes are the interior
+        cells in raster order, and each part is numbered after the parts of
+        lower nodes, so the parts come in the raster order of their first cell.
         """
-        pos = np.cumsum(self.interior).reshape(self.interior.shape) - 1
-        ex, ey = self.fluid_face_x[1:-1, :], self.fluid_face_y[:, 1:-1]
-        rows = np.concatenate([pos[:-1, :][ex], pos[:, :-1][ey]])
-        cols = np.concatenate([pos[1:, :][ex], pos[:, 1:][ey]])
-        n = int(self.interior.sum())
-        graph = csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
-        ncomp, labels = connected_components(graph, directed=False)
+        ncomp, labels = connected_components(neighbour_graph(self.interior)[1], directed=False)
         return tuple(_read_only(np.nonzero(labels == k)[0]) for k in range(ncomp))
 
     @property

@@ -35,10 +35,11 @@ A^T: a single right-hand side takes SuperLU's transposed solve, which takes
 sides the untransposed one, which is faster for blocks (LinearSystems has the
 numbers).
 
-Memory is bounded by design: the Helmholtz system and each viscous component
-hold one factor slot, and the single pressure factor is built once and kept,
-so at most one factor per system is ever held. A step the clock shortened to
-dt >= level/4, with one right-hand side, is solved by conjugate gradients
+Memory is bounded by design: one slot per system, four systems (Helmholtz,
+each viscous component, and the pressure Poisson system, whose factor does
+not depend on the step and so is built once), so at most one factor per
+system is ever held. A step the clock shortened to dt >= level/4, with one
+right-hand side, is solved by conjugate gradients
 preconditioned with its level's factor (the preconditioned spectrum lies in
 [dt/level, 1]), so the remainder never needs a factor; the Helmholtz solution
 then gets the constant that restores its discrete mass to round-off. Every
@@ -73,7 +74,7 @@ from chemofluid.fields import (
     chemotactic_face_velocity,
     divergence,
 )
-from chemofluid.geometry import GridGeometry
+from chemofluid.geometry import GridGeometry, neighbour_graph
 from chemofluid.model import KineticsModel, buoyancy_force
 
 DT_UNDERFLOW = 1e-12
@@ -188,33 +189,11 @@ class InitialData:
 # implicit operators
 # ---------------------------------------------------------------------------
 
-def _adjacency(mask: np.ndarray, wx=1.0, wy=1.0):
-    """Number the entries of ``mask``; their neighbour graph as (n, COO matrix).
-
-    Each pair of x-neighbours, then each pair of y-neighbours, enters in both
-    orders, weighted by ``wx`` or ``wy``: a scalar, or one value per pair
-    (arrays shaped like mask[1:, :] and mask[:, 1:]).
-    """
-    idx = -np.ones(mask.shape, dtype=int)
-    n = int(mask.sum())
-    idx[mask] = np.arange(n)
-    mx = mask[:-1, :] & mask[1:, :]
-    my = mask[:, :-1] & mask[:, 1:]
-    lo_x, hi_x = idx[:-1, :][mx], idx[1:, :][mx]
-    lo_y, hi_y = idx[:, :-1][my], idx[:, 1:][my]
-    w_x = np.broadcast_to(wx, mx.shape)[mx]
-    w_y = np.broadcast_to(wy, my.shape)[my]
-    rows = np.concatenate([lo_x, hi_x, lo_y, hi_y])
-    cols = np.concatenate([hi_x, lo_x, hi_y, lo_y])
-    vals = np.concatenate([w_x, w_x, w_y, w_y])
-    return n, sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def _laplacian(adj) -> sp.csr_matrix:
     """The graph Laplacian adj - diag(row sums): sum over neighbours w (x_nb - x).
 
-    The row sums are taken over the COO entries of ``_adjacency`` in their
-    order, x-pairs before y-pairs, which fixes their rounding.
+    The row sums are taken over the COO entries of ``neighbour_graph`` in
+    their order, x-pairs before y-pairs, which fixes their rounding.
     """
     return (adj - sp.diags(np.asarray(adj.sum(axis=1)).ravel())).tocsr()
 
@@ -234,8 +213,8 @@ class LinearSystems:
     """Sparse operators of the grid plus a bounded factorization cache.
 
     All four operators come from one assembler, the masked neighbour graph
-    of ``_adjacency``. Scalar diffusion acts on active cells in flux form
-    (aperture-weighted faces over wet volumes), so the Helmholtz system is
+    of ``geometry.neighbour_graph``. Scalar diffusion acts on active cells in
+    flux form (aperture-weighted faces over wet volumes), so the Helmholtz system is
     symmetrized as (V - dt*L) x = V*b with V the wet-volume diagonal. Every
     face between two active cells carries an aperture of at least
     geometry.APERTURE_FLOOR, so the active mask alone decides the graph.
@@ -246,10 +225,10 @@ class LinearSystems:
     the pinned matrix stays symmetric) and the solution is then shifted to
     mean zero per component.
 
-    The step-dependent systems ("helm", "visc_u", "visc_v") each hold one
-    factor slot, a (dt, LU) pair, and ``_solve`` applies the module's rule
-    for steps the clock shortened; the pressure factor does not depend on the
-    step and is kept for the object's lifetime.
+    One slot per system, four systems: "helm", "visc_u", "visc_v" and
+    "pressure" each hold one factor, a (dt, LU) pair. ``_solve`` applies the
+    module's rule for steps the clock shortened. The pressure matrix does not
+    depend on the step, so its slot is keyed by one constant and filled once.
 
     All four matrices are exactly symmetric (the neighbour graph enters in
     both orders, and the pressure pins keep their rows and columns alike), so
@@ -268,21 +247,20 @@ class LinearSystems:
 
     def __init__(self, geom: GridGeometry):
         g = self.geom = geom
-        self._factors = {"helm": None, "visc_u": None, "visc_v": None}
-        self._pressure_lu = None
+        self._factors = {"helm": None, "visc_u": None, "visc_v": None, "pressure": None}
         self.factorizations = 0
         self.evictions = 0
         self.pcg_iterations = 0
-        self.n_scalar, adj = _adjacency(g.active, g.aperture_x[1:-1, :], g.aperture_y[:, 1:-1])
+        self.n_scalar, adj = neighbour_graph(g.active, g.aperture_x[1:-1, :], g.aperture_y[:, 1:-1])
         self.L_scalar = _laplacian(adj)
         self.vol = g.cell_vol[g.active]
-        self.n_pressure, adj = _adjacency(g.interior)
+        self.n_pressure, adj = neighbour_graph(g.interior)
         self.L_pressure = _laplacian(adj)
         self.pressure_pins = np.array([cells[0] for cells in g.components], dtype=int)
         self.comp_cells = tuple(_run_or_cells(cells) for cells in g.components)
-        self.n_u, adj = _adjacency(g.fluid_face_x)
+        self.n_u, adj = neighbour_graph(g.fluid_face_x)
         self.adj_u = adj.tocsr()
-        self.n_v, adj = _adjacency(g.fluid_face_y)
+        self.n_v, adj = neighbour_graph(g.fluid_face_y)
         self.adj_v = adj.tocsr()
 
     # -- solves --------------------------------------------------------
@@ -417,7 +395,7 @@ class LinearSystems:
                     f"pressure rhs incompatible on component {comp}: residual {resid:.3e}")
             b_cells[cells] -= b_cells[cells].mean()
 
-        def build():
+        def build(_):
             keep = np.ones(self.n_pressure)
             keep[self.pressure_pins] = 0.0
             return (sp.diags(keep) @ (-self.L_pressure) @ sp.diags(keep)
@@ -425,9 +403,8 @@ class LinearSystems:
 
         b = -b_cells * (g.h * g.h)
         b[self.pressure_pins] = 0.0
-        if self._pressure_lu is None:
-            self._pressure_lu = self._splu(build())
-        x = self._pressure_lu.solve(b, trans="T")
+        # no step size: one constant key, so the slot is filled once
+        x = self._solve("pressure", 0.0, None, build, b)
         for cells in self.comp_cells:
             x[cells] -= x[cells].mean()
         out = np.zeros((g.nx, g.ny))

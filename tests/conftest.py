@@ -41,6 +41,22 @@ def two_disks():
 
 
 @pytest.fixture(scope="session")
+def stacked():
+    """Two disks stacked along y: in raster order their interior cells interleave."""
+    def phi(x, y):
+        return np.minimum((y + 0.5) ** 2, (y - 0.5) ** 2) + x ** 2 - 0.35 ** 2
+
+    g = classify_cells(LevelSetDomain(phi, (-0.5, 0.5, -1.0, 1.0)), 1.0 / 48.0)
+    assert g.n_components == 2
+    return g
+
+
+@pytest.fixture(scope="session")
+def annulus48():
+    return classify_cells(LevelSetDomain.annulus(0.5, 1.0), 1.0 / 48.0)
+
+
+@pytest.fixture(scope="session")
 def lin_model():
     return linear_model(G=0.5)
 

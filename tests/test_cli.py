@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemofluid.cli import main
+from chemofluid.cli import build_parser, main
 from chemofluid.config import ConfigError, RunConfig, parse_config_text, schema_description
 
 from conftest import write_grid
@@ -221,6 +221,28 @@ class TestCliExitCodes:
         cfg = write_cfg(tmp_path, "domain.shape = annulus\ndomain.r_inner = 0.8\ngrid.n = 32\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         assert "refine the grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["mms", "--resolution", "64"], ["run", "--seed", "5"],
+                                      ["run", "--bogus"], ["check-geometry", "--resolution", "x"]],
+                             ids=["mms-resolution", "run-seed", "run-bogus", "bad-value"])
+    def test_usage_error_is_config_error(self, capsys, argv):
+        # a flag the subcommand does not read is refused, not ignored; exit 2
+        # stays a validation failure
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        assert "error:" in capsys.readouterr().err
+
+    def test_flags_where_the_subcommand_reads_them(self, tmp_path):
+        parser = build_parser()
+        for command in ("run", "validate-model", "check-geometry", "scan-inequalities"):
+            assert parser.parse_args([command, "--resolution", "32"]).resolution == 32
+        assert parser.parse_args(["scan-inequalities", "--seed", "5"]).seed == 5
+        # an inadmissible model through the flags that remain still exits 2
+        cfg = write_cfg(tmp_path, "scan.trials = 2\nmodel.f_coeffs = 0,0,1\n")
+        assert main(["scan-inequalities", "--config", cfg, "--seed", "5", "--resolution", "32",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert main(["validate-model", "--config", cfg, "--resolution", "32"]) == 2
 
     @pytest.mark.parametrize("command, line", [("mms", "mms.resolutions = 32"),
                                                ("mms", "mms.dt_ratio = 0"),
@@ -476,8 +498,8 @@ output.every_time = 0.01
 class TestDeterminism:
     def test_repeated_run_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "5"]) == 0
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "5"]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
         a = (tmp_path / "a" / "diagnostics.csv").read_bytes()
         b = (tmp_path / "b" / "diagnostics.csv").read_bytes()
         assert a == b
@@ -489,6 +511,14 @@ class TestDeterminism:
         assert main(["scan-inequalities", "--config", cfg, "--seed", "9",
                      "--out", str(tmp_path / "s2")]) == 0
         assert (tmp_path / "s1" / "scan.csv").read_bytes() == (tmp_path / "s2" / "scan.csv").read_bytes()
+        # the summary's maxima are those of the written columns
+        header, *lines = (tmp_path / "s1" / "scan.csv").read_text().splitlines()
+        columns = dict(zip(header.split(","), zip(*(map(float, line.split(",")) for line in lines))))
+        summary = json.loads((tmp_path / "s1" / "scan_summary.json").read_text())
+        for key, column in (("ms_worst", "ms_violation"), ("bt_integral_max", "bt_integral"),
+                            ("bt_integrand_max", "bt_integrand_max"),
+                            ("hess_pointwise_max", "hess_pointwise_max")):
+            assert summary[key] == max(columns[column]), key
 
     def test_scan_csv_does_not_depend_on_the_chunk(self, tmp_path, monkeypatch):
         # 10 trials: a full chunk of 8, then a partial one of 2. A block solve can

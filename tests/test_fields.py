@@ -215,6 +215,12 @@ class TestStreamFunction:
         assert np.abs(vel.u[~disk64.fluid_face_x]).max() == 0.0
         assert np.abs(vel.v[~disk64.fluid_face_y]).max() == 0.0
 
+    def test_values_must_have_the_node_shape(self, disk64):
+        with pytest.raises(ValueError, match="one value per grid node"):
+            VectorField.from_stream(disk64, lambda x, y: 1.0)
+        with pytest.raises(ValueError, match="one value per grid node"):
+            VectorField.from_stream(disk64, lambda x, y: x[:-1])
+
 
 def probe_reference(s, geom, depths=(2.0, 3.5, 5.0)):
     """normal_derivative_of_gradsq with every probe located and sampled per call."""

@@ -19,6 +19,7 @@ from chemofluid.geometry import (
     boundary_curvature,
     classify_cells,
     curvature_bound,
+    neighbour_graph,
     surface_integral,
     volume_integral,
 )
@@ -146,7 +147,7 @@ def arrays_in(value):
     return []
 
 
-@pytest.mark.parametrize("geom_name", ["disk64", "star64", "two_disks"])
+@pytest.mark.parametrize("geom_name", ["disk64", "star64", "annulus48", "two_disks", "stacked"])
 class TestGridCache:
     def test_cached_once_and_read_only(self, geom_name, request):
         g = request.getfixturevalue(geom_name)
@@ -169,6 +170,18 @@ class TestGridCache:
         assert g.n_components == len(g.components) == ncomp
         for k, cells in enumerate(g.components, start=1):
             assert np.array_equal(cells, np.nonzero(labels[g.interior] == k)[0])
+
+    def test_components_label_the_pressure_graph(self, geom_name, request):
+        # one edge per fluid face, in both orders, and none between two parts
+        g = request.getfixturevalue(geom_name)
+        n, adj = neighbour_graph(g.interior)
+        assert n == int(g.interior.sum())
+        assert adj.nnz == 2 * int(g.fluid_face_x.sum() + g.fluid_face_y.sum())
+        assert abs(adj - adj.T).max() == 0
+        label = np.empty(n, dtype=int)
+        for k, cells in enumerate(g.components):
+            label[cells] = k
+        assert np.array_equal(label[adj.row], label[adj.col])
 
     def test_segment_sample_is_bilinear_sample(self, geom_name, request):
         g = request.getfixturevalue(geom_name)

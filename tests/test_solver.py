@@ -346,11 +346,12 @@ STEP_SYSTEMS = {"helmholtz": "helm", "viscous_u": "visc_u", "viscous_v": "visc_v
 
 def held_step_sizes(lin):
     """The step size of each step-dependent system's held factor."""
-    return {system: held[0] for system, held in lin._factors.items()}
+    return {system: lin._factors[system][0] for system in STEP_SYSTEMS.values()}
 
 
 class TestFactorCache:
-    """Each step-dependent system holds the factor of one step size; no solve changes."""
+    """One factor slot per system: each step-dependent one holds the factor of one
+    step size, the pressure slot its one factor; no solve changes."""
 
     # a level, a hit on it, level changes and a short remainder of 0.02 (r =
     # 0.1, below PCG_MIN_RATIO), as (dt, level, factorizations, evictions):
@@ -368,11 +369,11 @@ class TestFactorCache:
 
     def test_bound_counters_and_solves(self, grid96, monkeypatch):
         lin = LinearSystems(grid96)
+        assert set(lin._factors) == {*STEP_SYSTEMS.values(), "pressure"}
         held_at_factoring = []
 
         def splu(*args, **kwargs):
-            held_at_factoring.append(sum(f is not None for f in lin._factors.values())
-                                     + (lin._pressure_lu is not None))
+            held_at_factoring.append(sum(f is not None for f in lin._factors.values()))
             return spla.splu(*args, **kwargs)
 
         monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
@@ -385,14 +386,15 @@ class TestFactorCache:
                       for name in ("helmholtz", "viscous_u", "viscous_v", "pressure")}
             assert held_step_sizes(lin) == dict.fromkeys(STEP_SYSTEMS.values(), dt)
             if pressure_lu is None:
-                pressure_lu = lin._pressure_lu
-            assert lin._pressure_lu is pressure_lu
+                pressure_lu = lin._factors["pressure"][1]
+            assert lin._factors["pressure"][1] is pressure_lu
             assert (lin.factorizations, lin.evictions) == (factorizations, evictions)
             solved.append(solves)
         # evicted before factoring: with the one being built, at most one factor
         # per system (three step-dependent, one pressure) is ever held
         assert len(held_at_factoring) == lin.factorizations
-        assert max(held_at_factoring) + 1 <= 4
+        assert max(held_at_factoring) + 1 <= len(lin._factors) == 4
+        assert lin.factorizations - lin.evictions == 4
         # the heap is trimmed once after every eviction
         assert trims == list(range(1, lin.evictions + 1))
         assert lin.pcg_iterations == 0
@@ -650,20 +652,14 @@ class TestSymmetricSystems:
             x[cells] -= x[pin]
         # the pinned Poisson system is the worst conditioned: any two factors'
         # solutions differ by up to 4e-13 here, untransposed solves included
-        self.assert_solves(A, b_pinned, x, lin._pressure_lu, tol=1e-12)
+        self.assert_solves(A, b_pinned, x, lin._factors["pressure"][1], tol=1e-12)
+        # a second solve finds the factor in its slot
+        lin.pressure_solve(ScalarField(grid, rhs))
+        assert (len(matrices), lin.factorizations, lin.evictions) == (1, 1, 0)
 
 
 class TestInterleavedComponents:
     """Two disks stacked along y: in raster order their interior cells alternate."""
-
-    @pytest.fixture(scope="class")
-    def stacked(self):
-        def phi(x, y):
-            return np.minimum((y + 0.5) ** 2, (y - 0.5) ** 2) + x ** 2 - 0.35 ** 2
-
-        g = classify_cells(LevelSetDomain(phi, (-0.5, 0.5, -1.0, 1.0)), 1.0 / 48.0)
-        assert g.n_components == 2
-        return g
 
     def test_components_are_runs_or_cells(self, stacked, two_disks):
         assert not any(isinstance(cells, slice) for cells in LinearSystems(stacked).comp_cells)
