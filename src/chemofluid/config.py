@@ -3,7 +3,7 @@
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
 Every key must appear in the schema below; unknown keys and malformed values
 are rejected before anything is allocated. A RunConfig can build the domain,
-grid, kinetics model and initial fields it describes.
+grid, kinetics model and initial state it describes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from chemofluid.fields import ScalarField, VectorField
 from chemofluid.geometry import GridGeometry, LevelSetDomain, classify_cells
 from chemofluid.model import KineticsModel, polynomial_model
-from chemofluid.solver import InitialData, SolverConfig
+from chemofluid.solver import SimState, SolverConfig
 
 
 class ConfigError(ValueError):
@@ -143,7 +143,8 @@ class RunConfig:
             raise ConfigError("need 0 <= init.c0_amp < init.c0_base for positive c0")
         if v["init.n0_base"] <= 0 or v["init.n0_amp"] < 0:
             raise ConfigError("n0 must be positive")
-        for key in ("solver.dt_max", "solver.end_time", "output.every_time"):
+        for key in ("init.n0_sigma", "init.u0_sigma", "solver.dt_max", "solver.end_time",
+                    "output.every_time", "mms.dt_ratio", "mms.end_time"):
             if v[key] <= 0:
                 raise ConfigError(f"{key} must be positive")
         if not 0 < v["solver.cfl_safety"] <= 1:
@@ -155,9 +156,6 @@ class RunConfig:
         for key in ("scan.trials", "scan.n_smooth"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be at least 1")
-        for key in ("mms.dt_ratio", "mms.end_time"):
-            if v[key] <= 0:
-                raise ConfigError(f"{key} must be positive")
 
     # -- builders --------------------------------------------------------
 
@@ -187,7 +185,8 @@ class RunConfig:
         return polynomial_model(v["model.chi_coeffs"], v["model.f_coeffs"],
                                 G=v["model.G"], kappa_ns=v["model.kappa_ns"])
 
-    def build_initial(self, geom: GridGeometry) -> InitialData:
+    def build_initial(self, geom: GridGeometry) -> SimState:
+        """The state at t = 0 on geom, zero pressure; ``solver.check_initial`` checks it."""
         v = self.values
         X, Y = geom.cell_centers()
         bump = v["init.n0_amp"] * np.exp(
@@ -202,7 +201,7 @@ class RunConfig:
         else:
             amp, sig = v["init.u0_amp"], v["init.u0_sigma"]
             u0 = VectorField.from_stream(geom, lambda x, y: amp * np.exp(-(x * x + y * y) / (2 * sig * sig)))
-        return InitialData(n0, c0, u0)
+        return SimState(n0, c0, u0, ScalarField.zeros(geom), 0.0)
 
     def solver_config(self) -> SolverConfig:
         v = self.values

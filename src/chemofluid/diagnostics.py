@@ -473,13 +473,6 @@ class ConvergenceVerdict:
     c_max_monotone: bool
     tail_monotone: dict
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status}: |n-n_inf| = {self.conv_n_end:.3e} (< {self.thresholds[0]:.3e}), "
-                f"|c| = {self.c_max_end:.3e} (< {self.thresholds[1]:.3e}), "
-                f"|u| = {self.u_sup_end:.3e} (< {self.thresholds[2]:.3e}), "
-                f"c_max monotone: {self.c_max_monotone}")
-
 
 def _tail_monotone(series: np.ndarray) -> bool:
     tail = series[len(series) // 2:]

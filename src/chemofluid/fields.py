@@ -49,10 +49,6 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.geom, self.data.copy())
 
-    def check_finite(self, label: str = "field"):
-        if not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"{label} contains NaN/Inf")
-
     def max_active(self) -> float:
         return float(self.data[self.geom.active].max())
 

@@ -38,9 +38,9 @@ Only open faces, those between two active cells (``open_face_x/y``), have
 nonzero aperture, which makes zero-flux boundary conditions automatic in flux form.
 
 Geometry objects are immutable after construction. Every other fact that
-depends on the grid alone (cell masks, fluid faces, interior components,
-kappa_max, mirror gathers, the stencils below the boundary segments) is a
-read-only ``cached_property`` of ``GridGeometry``, computed only there.
+depends on the grid alone (cell masks, fluid faces, the interior's graph and
+components, kappa_max, mirror gathers, the stencils below the boundary
+segments) is a read-only ``cached_property`` of ``GridGeometry``, computed only there.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class LevelSetDomain:
 
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bbox: tuple[float, float, float, float]  # (xlo, xhi, ylo, yhi)
-    tag: str = "custom"
 
     @staticmethod
     def disk(radius: float = 1.0, margin: float = 0.2) -> "LevelSetDomain":
@@ -113,7 +112,7 @@ class LevelSetDomain:
             return x ** 2 + y ** 2 - r2
 
         half = radius * (1.0 + margin)
-        return LevelSetDomain(phi, (-half, half, -half, half), tag="disk")
+        return LevelSetDomain(phi, (-half, half, -half, half))
 
     @staticmethod
     def annulus(r_inner: float = 0.5, r_outer: float = 1.0, margin: float = 0.2) -> "LevelSetDomain":
@@ -126,7 +125,7 @@ class LevelSetDomain:
             return (r2 - ri2) * (r2 - ro2)
 
         half = r_outer * (1.0 + margin)
-        return LevelSetDomain(phi, (-half, half, -half, half), tag="annulus")
+        return LevelSetDomain(phi, (-half, half, -half, half))
 
     @staticmethod
     def star(k: int = 3, amplitude: float = 0.4, margin: float = 0.2,
@@ -146,10 +145,10 @@ class LevelSetDomain:
             return r - base_radius * (1.0 + amplitude * np.cos(k * th))
 
         half = base_radius * (1.0 + amplitude) * (1.0 + margin)
-        return LevelSetDomain(phi, (-half, half, -half, half), tag=f"star({k},{amplitude})")
+        return LevelSetDomain(phi, (-half, half, -half, half))
 
     @staticmethod
-    def from_sampled(values: np.ndarray, bbox, tag: str = "sampled") -> "LevelSetDomain":
+    def from_sampled(values: np.ndarray, bbox) -> "LevelSetDomain":
         """Domain from phi sampled on a regular node grid covering bbox.
 
         values[i, j] is phi at (xlo + i*dx, ylo + j*dy) with dx = (xhi-xlo)/(nx-1).
@@ -168,16 +167,16 @@ class LevelSetDomain:
             fy = np.clip((np.asarray(y, dtype=float) - ylo) / dy, 0.0, ny - 1 - 1e-12)
             i0 = fx.astype(int)
             j0 = fy.astype(int)
-            tx = fx - i0
-            ty = fy - j0
-            v00 = vals[i0, j0]
-            v10 = vals[i0 + 1, j0]
-            v01 = vals[i0, j0 + 1]
-            v11 = vals[i0 + 1, j0 + 1]
-            return (v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty)
-                    + v01 * (1 - tx) * ty + v11 * tx * ty)
+            return _bilinear(vals[i0, j0], vals[i0 + 1, j0], vals[i0, j0 + 1],
+                             vals[i0 + 1, j0 + 1], fx - i0, fy - j0)
 
-        return LevelSetDomain(phi, (xlo, xhi, ylo, yhi), tag=tag)
+        return LevelSetDomain(phi, (xlo, xhi, ylo, yhi))
+
+
+def _bilinear(v00, v10, v01, v11, tx, ty):
+    """The bilinear blend of the corner values v00, v10, v01, v11 at (tx, ty) in the unit square."""
+    return (v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty)
+            + v01 * (1 - tx) * ty + v11 * tx * ty)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -198,8 +197,8 @@ def neighbour_graph(mask: np.ndarray, wx=1.0, wy=1.0):
     Each pair of x-neighbours, then each pair of y-neighbours, enters in both
     orders, weighted by ``wx`` or ``wy``: a scalar, or one value per pair
     (arrays shaped like mask[1:, :] and mask[:, 1:]). The operators of
-    ``solver.LinearSystems`` and ``GridGeometry.components`` are built on it,
-    so they number the same cells the same way.
+    ``solver.LinearSystems`` and ``GridGeometry.interior_graph`` are built on
+    it, so they number the same cells the same way.
     """
     idx = -np.ones(mask.shape, dtype=int)
     n = int(mask.sum())
@@ -236,10 +235,7 @@ class BilinearStencil:
 
     def sample(self, data: np.ndarray) -> np.ndarray:
         """Interpolated values of cell-centered data (nx, ny) at the points."""
-        d00, d10, d01, d11 = (data.take(k) for k in self.corners)
-        tx, ty = self.tx, self.ty
-        return (d00 * (1 - tx) * (1 - ty) + d10 * tx * (1 - ty)
-                + d01 * (1 - tx) * ty + d11 * tx * ty)
+        return _bilinear(*(data.take(k) for k in self.corners), self.tx, self.ty)
 
 
 @dataclass(frozen=True)
@@ -257,9 +253,7 @@ class GridGeometry:
     h: float
     nx: int
     ny: int
-    bbox: tuple[float, float, float, float]
     cell_class: np.ndarray          # (nx, ny) int8, EXTERIOR/INTERIOR/BAND
-    vol_frac: np.ndarray            # (nx, ny) raw linear wet fraction
     cell_vol: np.ndarray            # (nx, ny) floored volume, 0 on exterior
     aperture_x: np.ndarray          # (nx+1, ny) wet fraction of x-faces
     aperture_y: np.ndarray          # (nx, ny+1) wet fraction of y-faces
@@ -273,6 +267,10 @@ class GridGeometry:
     origin: tuple[int, int]         # first stored cell in the bounding-box grid
 
     # ---- derived masks and coordinates -------------------------------
+
+    @property
+    def bbox(self) -> tuple[float, float, float, float]:   # (xlo, xhi, ylo, yhi)
+        return self.domain.bbox
 
     @cached_property
     def interior(self) -> np.ndarray:
@@ -359,15 +357,26 @@ class GridGeometry:
         return _face_mask(self.interior, 1)
 
     @cached_property
+    def interior_graph(self):
+        """(n, CSR adjacency) of ``neighbour_graph(interior)``, one edge per fluid face.
+
+        ``components`` labels it and the pressure operator is its Laplacian.
+        """
+        n, adj = neighbour_graph(self.interior)
+        adj = adj.tocsr()
+        for arr in (adj.data, adj.indices, adj.indptr):
+            arr.setflags(write=False)
+        return n, adj
+
+    @cached_property
     def components(self) -> tuple[np.ndarray, ...]:
         """Connected parts of the interior (4-connectivity): cell positions in data[interior].
 
-        Labelled on ``neighbour_graph(interior)``, the graph of the pressure
-        operator, with one edge per fluid face. Its nodes are the interior
-        cells in raster order, and each part is numbered after the parts of
-        lower nodes, so the parts come in the raster order of their first cell.
+        Labelled on ``interior_graph``, whose nodes are the interior cells in
+        raster order; each part is numbered after the parts of lower nodes, so
+        the parts come in the raster order of their first cell.
         """
-        ncomp, labels = connected_components(neighbour_graph(self.interior)[1], directed=False)
+        ncomp, labels = connected_components(self.interior_graph[1], directed=False)
         return tuple(_read_only(np.nonzero(labels == k)[0]) for k in range(ncomp))
 
     @property
@@ -632,12 +641,11 @@ def classify_cells(domain: LevelSetDomain, h: float) -> GridGeometry:
 
     cell_vol = np.where(band, np.maximum(vol_frac, VOL_FRAC_FLOOR), vol_frac) * (h * h)
 
-    for arr in (cell_class, vol_frac, cell_vol, aperture_x, aperture_y,
+    for arr in (cell_class, cell_vol, aperture_x, aperture_y,
                 seg_mid, seg_normal, seg_weight, seg_curvature, seg_cell):
         arr.setflags(write=False)
     return GridGeometry(
-        domain=domain, h=h, nx=nx, ny=ny, bbox=domain.bbox,
-        cell_class=cell_class, vol_frac=vol_frac, cell_vol=cell_vol,
+        domain=domain, h=h, nx=nx, ny=ny, cell_class=cell_class, cell_vol=cell_vol,
         aperture_x=aperture_x, aperture_y=aperture_y, open_face_x=open_x, open_face_y=open_y,
         seg_mid=seg_mid, seg_normal=seg_normal, seg_weight=seg_weight,
         seg_curvature=seg_curvature, seg_cell=seg_cell, origin=(ox, oy),

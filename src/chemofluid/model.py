@@ -142,7 +142,6 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    c_max: float
     conditions: tuple[ConditionResult, ...]
 
     @property
@@ -207,7 +206,7 @@ def validate_assumptions(model: KineticsModel, c_max: float, n_samples: int = 10
         cond("(f/chi)'' <= 0", -gpp, s_g, 0.0, 1e-10),
         cond("(chi f)' >= 0", chif_p, s, 0.0, 1e-10),
     )
-    return AssumptionReport(c_max=c_max, conditions=conditions)
+    return AssumptionReport(conditions=conditions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Run orchestration: set-up, the time loop with diagnostics, CSV artifacts, summaries.
 
-``setup`` builds a run and ``trajectory``, shared with the acceptance suite,
-steps it at the quantized CFL level and leaves the schedule to StepClock
-(exact output times, no drift). The run emits a row whenever a step lands on
-an output. At every output time one diagnostics Frame is built over the
-state, and the row and both per-state inequality checks read their shared
+``setup`` builds each object of a run once, its checked first SimState at
+t = 0 included, and ``trajectory``, shared with the acceptance suite, steps
+from that state at the quantized CFL level and leaves the schedule to
+StepClock (exact output times, no drift). The run emits a row whenever a step
+lands on an output. At every output time one diagnostics Frame is built over
+the state, and the row and both per-state inequality checks read their shared
 intermediates from it. The DiagnosticsRecord fills each interior row's
 entropy-identity residual itself when the next row arrives, so no state is
 copied or held. Artifacts under the output directory:
@@ -57,11 +58,12 @@ from chemofluid.geometry import volume_integral
 from chemofluid.gridio import save_state
 from chemofluid.model import build_derived
 from chemofluid.solver import (
-    InitialData,
     LinearSystems,
+    SimState,
     SolverAbort,
     StepClock,
     cfl_dt,
+    check_initial,
     quantize_dt,
     step,
 )
@@ -99,42 +101,44 @@ def _ineq_csv(reports: list[InequalityReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def initial_data(rc: RunConfig) -> tuple[InitialData, float]:
-    """The run's checked initial data on its geometry, and the maximum of c0 there.
+def initial_data(rc: RunConfig) -> tuple[SimState, float]:
+    """The run's checked first state on its geometry, and the maximum of c there.
 
     That maximum is the c_max on which ``run`` (through ``build_derived``) and
-    ``validate-model`` check the kinetics assumptions.
+    ``validate-model`` check the kinetics assumptions. A state that
+    ``check_initial`` refuses raises ConfigError: the configuration made it.
     """
-    init = rc.build_initial(rc.build_geometry())
-    init.validate()
-    return init, init.c0.max_active()
+    state = rc.build_initial(rc.build_geometry())
+    try:
+        check_initial(state)
+    except ValueError as exc:
+        raise ConfigError(f"initial state refused: {exc}") from exc
+    return state, state.c.max_active()
 
 
 RunSetup = collections.namedtuple(
-    "RunSetup", "geom model derived cfg lin init c0_max n_inf amplitudes")
+    "RunSetup", "geom model derived cfg lin state c0_max n_inf amplitudes")
+RunSetup.__doc__ = ("A run before its first step. ``state`` is its checked first state at t = 0, "
+                    "which ``trajectory`` steps from: a step returns a new state.")
 
 
 def setup(rc: RunConfig) -> RunSetup:
-    """Everything a run builds before its first step; n_inf is the mean of n0.
+    """Everything a run builds before its first step, the first state included.
 
-    Raises ModelError when ``build_derived`` refuses the model.
+    Raises ConfigError when ``check_initial`` refuses the first state, and
+    ModelError when ``build_derived`` refuses the model.
     """
-    init, c0_max = initial_data(rc)
-    geom = init.n0.geom
+    state, c0_max = initial_data(rc)
+    geom = state.n.geom
     model = rc.build_model()
     derived = build_derived(model, c0_max)
     cfg = rc.solver_config()
     cfg.c_floor = derived.c_floor
     lin = LinearSystems(geom)
-    n_inf = volume_integral(init.n0, geom) / geom.area
-    amplitudes = (float(np.abs(init.n0.data[geom.active] - n_inf).max()),
-                  c0_max, max(init.u0.max_speed(), 1e-300))
-    return RunSetup(geom, model, derived, cfg, lin, init, c0_max, n_inf, amplitudes)
-
-
-def clock_for(cfg, every=None) -> StepClock:
-    """The clock of a ``trajectory`` over cfg: its ticks divide every level of cfg.dt_max."""
-    return StepClock(cfg.dt_max, cfg.end_time, every)
+    n_inf = volume_integral(state.n, geom) / geom.area
+    amplitudes = (float(np.abs(state.n.data[geom.active] - n_inf).max()),
+                  c0_max, max(state.u.max_speed(), 1e-300))
+    return RunSetup(geom, model, derived, cfg, lin, state, c0_max, n_inf, amplitudes)
 
 
 def trajectory(state, cfg, model, lin, clock):
@@ -163,11 +167,11 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
     """Execute the full time loop described by the configuration.
 
     Raises ConfigError first when the run would write fewer than three
-    output rows, the least the energy-inequality fit takes, and ModelError
-    from ``setup``, before the loop. On a SolverAbort it writes the CSVs'
-    rows so far, no summary.json, and lets the abort go on.
+    output rows, the least the energy-inequality fit takes, and ConfigError
+    or ModelError from ``setup``, before the loop. On a SolverAbort it writes
+    the CSVs' rows so far, no summary.json, and lets the abort go on.
     """
-    clock = clock_for(rc.solver_config(), rc["output.every_time"])
+    clock = StepClock(rc["solver.dt_max"], rc["solver.end_time"], rc["output.every_time"])
     if clock.targets < 2:   # row 0 is the initial state
         raise ConfigError(
             f"solver.end_time = {rc['solver.end_time']:g} with output.every_time = "
@@ -193,11 +197,10 @@ def run_simulation(rc: RunConfig, out_dir) -> RunSummary:
             save_state(out / f"snap_{index:04d}.bin", st)
         timings["diagnostics"] += time.perf_counter() - t_diag
 
-    state = run.init.make_state()
-    emit(state, 0)
+    emit(run.state, 0)
     try:
         t0 = time.perf_counter()
-        for state, _ in trajectory(state, run.cfg, run.model, run.lin, clock):
+        for state, _ in trajectory(run.state, run.cfg, run.model, run.lin, clock):
             timings["stepping"] += time.perf_counter() - t0
             if clock.output is not None:
                 emit(state, clock.output)

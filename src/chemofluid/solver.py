@@ -156,33 +156,31 @@ class SimState:
         return SimState(self.n.copy(), self.c.copy(), self.u.copy(), self.p.copy(), self.t)
 
 
-@dataclass
-class InitialData:
-    """Initial fields; validate() enforces positivity and solenoidality."""
+def _require_finite(state: SimState, error, prefix: str = ""):
+    """Raise ``error`` naming the first of the state's n, c and velocity that holds a NaN or Inf."""
+    for name, arrays in (("n", (state.n.data,)), ("c", (state.c.data,)),
+                         ("velocity", (state.u.u, state.u.v))):
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise error(f"{prefix}{name} contains NaN/Inf")
 
-    n0: ScalarField
-    c0: ScalarField
-    u0: VectorField
 
-    def validate(self, tol: float = 1e-10):
-        g = self.n0.geom
-        act = g.active
-        if np.any(self.n0.data[act] <= 0.0):
-            raise ValueError("n0 must be strictly positive on the domain")
-        if np.any(self.c0.data[act] <= 0.0):
-            raise ValueError("c0 must be strictly positive on the domain")
-        div = divergence(self.u0)
-        if np.abs(div.data).max() > tol * max(1.0, self.u0.max_speed() / g.h):
-            raise ValueError("u0 is not discretely divergence-free")
-        off_x = self.u0.u[~g.fluid_face_x]
-        off_y = self.u0.v[~g.fluid_face_y]
-        if (off_x.size and np.abs(off_x).max() > 0) or (off_y.size and np.abs(off_y).max() > 0):
-            raise ValueError("u0 must vanish on and beyond the boundary faces")
-
-    def make_state(self) -> SimState:
-        g = self.n0.geom
-        return SimState(self.n0.copy(), self.c0.copy(), self.u0.copy(),
-                        ScalarField.zeros(g), 0.0)
+def check_initial(state: SimState, tol: float = 1e-10):
+    """Raise ValueError unless the first state is finite, its n and c positive on the
+    domain, and its velocity discretely solenoidal and zero on and beyond the boundary."""
+    g = state.n.geom
+    act = g.active
+    _require_finite(state, ValueError, "initial ")
+    if np.any(state.n.data[act] <= 0.0):
+        raise ValueError("n0 must be strictly positive on the domain")
+    if np.any(state.c.data[act] <= 0.0):
+        raise ValueError("c0 must be strictly positive on the domain")
+    div = divergence(state.u)
+    if np.abs(div.data).max() > tol * max(1.0, state.u.max_speed() / g.h):
+        raise ValueError("u0 is not discretely divergence-free")
+    off_x = state.u.u[~g.fluid_face_x]
+    off_y = state.u.v[~g.fluid_face_y]
+    if (off_x.size and np.abs(off_x).max() > 0) or (off_y.size and np.abs(off_y).max() > 0):
+        raise ValueError("u0 must vanish on and beyond the boundary faces")
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +190,8 @@ class InitialData:
 def _laplacian(adj) -> sp.csr_matrix:
     """The graph Laplacian adj - diag(row sums): sum over neighbours w (x_nb - x).
 
-    The row sums are taken over the COO entries of ``neighbour_graph`` in
-    their order, x-pairs before y-pairs, which fixes their rounding.
+    The row sums are taken over the graph's entries in their order, x-pairs
+    before y-pairs, which fixes their rounding (unit weights sum exactly).
     """
     return (adj - sp.diags(np.asarray(adj.sum(axis=1)).ravel())).tocsr()
 
@@ -213,8 +211,10 @@ class LinearSystems:
     """Sparse operators of the grid plus a bounded factorization cache.
 
     All four operators come from one assembler, the masked neighbour graph
-    of ``geometry.neighbour_graph``. Scalar diffusion acts on active cells in
-    flux form (aperture-weighted faces over wet volumes), so the Helmholtz system is
+    of ``geometry.neighbour_graph``; the pressure operator's is the
+    geometry's ``interior_graph``, which its ``components`` label. Scalar
+    diffusion acts on active cells in flux form (aperture-weighted faces over
+    wet volumes), so the Helmholtz system is
     symmetrized as (V - dt*L) x = V*b with V the wet-volume diagonal. Every
     face between two active cells carries an aperture of at least
     geometry.APERTURE_FLOOR, so the active mask alone decides the graph.
@@ -254,7 +254,7 @@ class LinearSystems:
         self.n_scalar, adj = neighbour_graph(g.active, g.aperture_x[1:-1, :], g.aperture_y[:, 1:-1])
         self.L_scalar = _laplacian(adj)
         self.vol = g.cell_vol[g.active]
-        self.n_pressure, adj = neighbour_graph(g.interior)
+        self.n_pressure, adj = g.interior_graph
         self.L_pressure = _laplacian(adj)
         self.pressure_pins = np.array([cells[0] for cells in g.components], dtype=int)
         self.comp_cells = tuple(_run_or_cells(cells) for cells in g.components)
@@ -684,10 +684,7 @@ def step(state: SimState, config: SolverConfig, model: KineticsModel,
 
 def _check_state(state: SimState, dt: float):
     g = state.n.geom
-    state.n.check_finite("n")
-    state.c.check_finite("c")
-    if not (np.all(np.isfinite(state.u.u)) and np.all(np.isfinite(state.u.v))):
-        raise FloatingPointError("velocity contains NaN/Inf")
+    _require_finite(state, SolverAbort)
     div = divergence(state.u)
     div_tol = 10.0 * PROJECTION_TOL / dt * max(1.0, state.u.max_speed())
     worst = float(np.abs(div.data).max())

@@ -23,8 +23,8 @@ from chemofluid.diagnostics import (
 )
 from chemofluid.fields import ScalarField, divergence
 from chemofluid.geometry import volume_integral
-from chemofluid.runner import clock_for, run_inequality_scan, setup, trajectory
-from chemofluid.solver import PROJECTION_TOL
+from chemofluid.runner import run_inequality_scan, setup, trajectory
+from chemofluid.solver import PROJECTION_TOL, StepClock
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MATRIX = ("disk_stokes_small", "disk_ns_small", "star_stokes_small", "star_ns_small")
@@ -43,7 +43,7 @@ def instrumented_run(rc: RunConfig):
     """Full run with per-step probes and cadence diagnostics."""
     run = setup(rc)
     geom, derived = run.geom, run.derived
-    state = run.init.make_state()
+    state = run.state
     record = DiagnosticsRecord(geom, n_inf=run.n_inf, c0_max=run.c0_max)
     probes = {"c_max": [state.c.max_active()], "n_min": [state.n.min_active()],
               "n_max": [state.n.max_active()], "div_bound_ratio": [], "p_gauge_ratio": [],
@@ -58,7 +58,7 @@ def instrumented_run(rc: RunConfig):
                          hessian_pointwise_violation(st.n))
 
     emit(state)
-    clock = clock_for(run.cfg, rc["output.every_time"])
+    clock = StepClock(run.cfg.dt_max, run.cfg.end_time, rc["output.every_time"])
     for state, dt in trajectory(state, run.cfg, run.model, run.lin, clock):
         probes["dt"].append(dt)
         probes["c_max"].append(state.c.max_active())
@@ -125,11 +125,11 @@ def residual_studies():
                 "solver.dt_max": dt, "solver.end_time": 0.2,
             })
             run = setup(rc)
-            clock = clock_for(run.cfg, dt_cad)
+            clock = StepClock(run.cfg.dt_max, run.cfg.end_time, dt_cad)
             # the outputs around t = 0.12; the record fills the middle row's residual
             mid = round(0.12 / dt_cad)
             record = DiagnosticsRecord(run.geom, n_inf=run.n_inf, c0_max=run.c0_max)
-            for st, _ in trajectory(run.init.make_state(), run.cfg, run.model, run.lin, clock):
+            for st, _ in trajectory(run.state, run.cfg, run.model, run.lin, clock):
                 if clock.output in (mid - 1, mid, mid + 1):
                     record.append_state(Frame(st, run.derived))
             normalized.append(record.rows[1]["identity_residual"])
@@ -147,13 +147,14 @@ class TestCriterion1Mass:
         rc = RunConfig.from_file(CONFIG_DIR / "disk_ns_small.cfg")
         rc.override("solver.end_time", 1.0e9)   # never reached; step count bounds the run
         run = setup(rc)
-        state = run.init.make_state()
+        state = run.state
         mass0 = volume_integral(state.n, run.geom)
         worst = 0.0
         t_start = time.perf_counter()
         # no output times, so no step is clamped short of its CFL level
         for state, _ in itertools.islice(
-                trajectory(state, run.cfg, run.model, run.lin, clock_for(run.cfg)), 2000):
+                trajectory(state, run.cfg, run.model, run.lin,
+                           StepClock(run.cfg.dt_max, run.cfg.end_time)), 2000):
             worst = max(worst, abs(volume_integral(state.n, run.geom) - mass0) / mass0)
         wall = time.perf_counter() - t_start
         report("1 mass conservation",

@@ -58,7 +58,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             RunConfig({"mms.resolutions": (64,)})
         for bad in ({"scan.trials": 0}, {"scan.n_smooth": 0}, {"mms.dt_ratio": 0.0},
-                    {"mms.dt_ratio": -0.1}, {"mms.end_time": -1.0}):
+                    {"mms.dt_ratio": -0.1}, {"mms.end_time": -1.0}, {"init.n0_sigma": 0.0},
+                    {"init.u0_sigma": 0.0}, {"init.u0_sigma": -0.3}):
             with pytest.raises(ConfigError):
                 RunConfig(bad)
 
@@ -109,6 +110,36 @@ class TestCliExitCodes:
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "nonsense.key = 1\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize("command", ["run", "validate-model"])
+    @pytest.mark.parametrize("line", ["init.u0_sigma = 0", "init.n0_sigma = 0",
+                                      "init.n0_sigma = -0.1"])
+    def test_nonpositive_width_is_config_error(self, tmp_path, capsys, command, line):
+        # a zero vortex width puts grid nodes of the 64^2 disk on its centre, where
+        # the stream function is 0/0; a zero bump width drops the bump silently
+        cfg = write_cfg(tmp_path, "domain.shape = disk\ngrid.n = 64\n" + line + "\n")
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, "--config", cfg] + out) == 4
+        assert f"{line.split()[0]} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_refused_initial_state_is_config_error(self, tmp_path, monkeypatch, capsys):
+        build = RunConfig.build_initial
+
+        def with_nan(self, geom):
+            # as the stream function gives where a node sits on a zero-width vortex
+            state = build(self, geom)
+            state.u.u[tuple(np.argwhere(geom.fluid_face_x)[0])] = np.nan
+            return state
+
+        monkeypatch.setattr(RunConfig, "build_initial", with_nan)
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        for argv in (["validate-model", "--config", cfg],
+                     ["run", "--config", cfg, "--out", str(tmp_path / "o")]):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert "initial state refused: initial velocity contains NaN/Inf" in err, err
+        assert not (tmp_path / "o" / "diagnostics.csv").exists()
 
     def test_validate_model_pass(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.f_coeffs = 0,1\n")
@@ -487,6 +518,37 @@ output.every_time = 0.01
         err = capsys.readouterr().err.rstrip()
         assert "above tolerance after projection" in err
         assert err.endswith("[step 3, t = 0.02, dt = 0.01]"), err
+
+    def test_non_finite_state_aborts_and_keeps_the_rows(self, tmp_path, monkeypatch, capsys):
+        # a NaN velocity after step 3 (t = 0.02 -> 0.03): exit 3, the rows before it written
+        from chemofluid import solver
+        cfg = write_cfg(tmp_path, """
+domain.shape = disk
+grid.n = 32
+solver.end_time = 0.05
+solver.dt_max = 0.01
+output.every_time = 0.01
+""")
+        step_u = solver.step_u
+        calls = []
+
+        def nan_step_u(*args, **kwargs):
+            u, p = step_u(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 3:
+                u.v[tuple(np.argwhere(u.geom.fluid_face_y)[0])] = np.nan
+            return u, p
+
+        monkeypatch.setattr(solver, "step_u", nan_step_u)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.rstrip()
+        assert "solver abort: velocity contains NaN/Inf" in err
+        assert err.endswith("[step 3, t = 0.02, dt = 0.01]"), err
+        rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert [float(r.split(",", 1)[0]) for r in rows[1:]] == [j * 0.01 for j in range(3)]
+        assert len((out / "inequalities.csv").read_text().splitlines()) == 1 + 2 * 3
+        assert not (out / "summary.json").exists()
 
     def test_cfl_abort_names_the_step_being_attempted(self, tmp_path, capsys):
         # cfl_dt raises before the clock advances; the step is still number 1

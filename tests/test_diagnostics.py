@@ -22,7 +22,7 @@ from chemofluid.diagnostics import (
 from chemofluid.fields import ScalarField, VectorField, gradient_neumann, mac_grad_norm_sq, mac_norm_sq
 from chemofluid.geometry import LevelSetDomain, classify_cells, volume_integral
 from chemofluid.model import build_derived, linear_model
-from chemofluid.solver import InitialData, LinearSystems, SimState, SolverConfig, step
+from chemofluid.solver import LinearSystems, SimState, SolverConfig, step
 
 from conftest import entropy_functional, scalar_from_function
 
@@ -268,7 +268,7 @@ def trajectory(disk64):
     n0 = ScalarField(disk64, np.where(
         disk64.active, 1.0 + 0.4 * np.exp(-((X - 0.2) ** 2 + (Y - 0.1) ** 2) / 0.08), 0.0))
     u0 = VectorField.from_stream(disk64, lambda x, y: 0.15 * np.exp(-(x * x + y * y) / 0.18))
-    states = [InitialData(n0, scalar_from_function(disk64, bump_c), u0).make_state()]
+    states = [make_state(disk64, n0, scalar_from_function(disk64, bump_c), u0)]
     cfg = SolverConfig(dt_max=0.01)
     model = linear_model(G=0.5, kappa_ns=1.0)
     lin = LinearSystems(disk64)

@@ -4,13 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import ndimage
 from scipy.integrate import quad
+from scipy.sparse.csgraph import connected_components
 
 from chemofluid.geometry import (
     BAND,
     EXTERIOR,
     INTERIOR,
+    VOL_FRAC_FLOOR,
     BilinearStencil,
     DomainError,
     GridGeometry,
@@ -25,6 +28,7 @@ from chemofluid.geometry import (
 )
 from chemofluid.config import RunConfig, parse_config_text
 from chemofluid.diagnostics import random_neumann_field
+from chemofluid.solver import LinearSystems, _laplacian
 
 from conftest import write_grid
 
@@ -87,7 +91,7 @@ class TestClassification:
         assert abs(star64.perimeter - exact) / exact < 0.02
 
     def test_empty_interior_rejected(self):
-        dom = LevelSetDomain(lambda x, y: np.ones_like(x), (-1, 1, -1, 1), tag="empty")
+        dom = LevelSetDomain(lambda x, y: np.ones_like(x), (-1, 1, -1, 1))
         with pytest.raises(DomainError):
             classify_cells(dom, 1.0 / 32.0)
 
@@ -137,11 +141,13 @@ CACHED = [name for name, attr in vars(GridGeometry).items() if isinstance(attr, 
 
 
 def arrays_in(value):
-    """The arrays held by a cached value, through tuples and stencils."""
+    """The arrays held by a cached value, through tuples, stencils and sparse matrices."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, BilinearStencil):
         value = (*value.corners, value.tx, value.ty, value.valid)
+    if sp.issparse(value):
+        value = (value.data, value.indices, value.indptr)
     if isinstance(value, tuple):
         return [arr for v in value for arr in arrays_in(v)]
     return []
@@ -151,7 +157,8 @@ def arrays_in(value):
 class TestGridCache:
     def test_cached_once_and_read_only(self, geom_name, request):
         g = request.getfixturevalue(geom_name)
-        assert {"active", "components", "kappa_max", "seg_sample", "boundary_probes"} <= set(CACHED)
+        assert {"active", "interior_graph", "components", "kappa_max", "seg_sample",
+                "boundary_probes"} <= set(CACHED)
         for name in CACHED:
             value = getattr(g, name)
             assert getattr(g, name) is value, name
@@ -194,6 +201,46 @@ class TestGridCache:
         assert np.array_equal(g.seg_sample.valid, ok)
 
 
+class TestOneInteriorGraph:
+    def test_a_set_up_assembles_the_interior_graph_once(self, monkeypatch):
+        from chemofluid import geometry, solver
+        masks = []
+
+        def counted(mask, *args, **kwargs):
+            masks.append(mask)
+            return neighbour_graph(mask, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "neighbour_graph", counted)
+        monkeypatch.setattr(solver, "neighbour_graph", counted)
+        g = classify_cells(LevelSetDomain.star(3, 0.4), 1.0 / 32.0)
+        LinearSystems(g)
+        assert len(g.components) == 1
+        on_interior = [m for m in masks if m.shape == g.interior.shape
+                       and np.array_equal(m, g.interior)]
+        assert len(on_interior) == 1
+        # the other three: the active cells and the two sets of fluid faces
+        assert len(masks) == 4
+
+    @pytest.mark.parametrize("geom_name", ["disk64", "star64", "annulus48", "two_disks", "stacked"])
+    def test_graph_components_and_pressure_operator_agree(self, geom_name, request):
+        g = request.getfixturevalue(geom_name)
+        n, adj = neighbour_graph(g.interior)
+        assert g.interior_graph[0] == n and g.interior_graph[1].format == "csr"
+        assert (g.interior_graph[1] != adj.tocsr()).nnz == 0
+        ncomp, labels = connected_components(adj, directed=False)
+        assert len(g.components) == ncomp
+        for k, cells in enumerate(g.components):
+            assert np.array_equal(cells, np.nonzero(labels == k)[0])
+        # the pressure operator is the Laplacian of the graph, to the bit
+        lin = LinearSystems(g)
+        fresh = _laplacian(adj)
+        assert lin.n_pressure == n
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(lin.L_pressure, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert np.array_equal(lin.pressure_pins, [cells[0] for cells in g.components])
+
+
 def exact_wet_fraction(f):
     """Exact area of {phi < 0} in the unit cell, phi linear along its edges.
 
@@ -219,16 +266,25 @@ class TestCutCellVolumes:
     @pytest.mark.parametrize("domain, n", [(LevelSetDomain.disk(), 256),
                                            (LevelSetDomain.star(3, 0.4), 512)],
                              ids=["disk256", "star512"])
-    def test_fractions_are_the_exact_polygon_areas(self, domain, n):
+    def test_fractions_are_the_exact_polygon_areas(self, domain, n, monkeypatch):
         g = classify_cells(domain, (domain.bbox[1] - domain.bbox[0]) / n)
+        # without the floor a cut cell's volume is its raw wet fraction times h^2
+        from chemofluid import geometry
+        monkeypatch.setattr(geometry, "VOL_FRAC_FLOOR", 0.0)
+        raw = classify_cells(domain, (domain.bbox[1] - domain.bbox[0]) / n)
         # phi at the nodes as classify_cells samples it: on the whole box, then the window
         (ox, oy), (fx, fy), h = g.origin, g.bbox_shape, g.h
         X, Y = np.meshgrid(g.bbox[0] + np.arange(fx + 1) * h, g.bbox[2] + np.arange(fy + 1) * h,
                            indexing="ij")
         f = domain.phi(X, Y)[ox:ox + g.nx + 1, oy:oy + g.ny + 1]
-        err = [abs(float(exact_wet_fraction((f[i, j], f[i + 1, j], f[i + 1, j + 1], f[i, j + 1])))
-                   - g.vol_frac[i, j]) for i, j in g.seg_cell[::3]]
-        assert max(err) <= 2e-13
+        exact = [float(exact_wet_fraction((f[i, j], f[i + 1, j], f[i + 1, j + 1], f[i, j + 1])))
+                 for i, j in g.seg_cell[::3]]
+        cells = tuple(g.seg_cell[::3].T)
+        err = np.abs(np.array(exact) - raw.cell_vol[cells] / (h * h))
+        assert err.max() <= 2e-13
+        # and the floored volumes are the floored fractions
+        err = np.abs(np.maximum(exact, VOL_FRAC_FLOOR) - g.cell_vol[cells] / (h * h))
+        assert err.max() <= 2e-13
 
 
 class TestQuadrature:
@@ -337,7 +393,7 @@ class TestStoredWindow:
         assert base.h == wide.h == 1.0 / 64.0
         assert wide.bbox_shape == (base.bbox_shape[0] + 3, base.bbox_shape[1] + 4)
         assert wide.origin == (base.origin[0] + 3, base.origin[1] + 1)
-        for name in ("nx", "ny", "cell_class", "vol_frac", "cell_vol", "aperture_x",
+        for name in ("nx", "ny", "cell_class", "cell_vol", "aperture_x",
                      "aperture_y", "open_face_x", "open_face_y", "seg_mid", "seg_normal",
                      "seg_weight", "seg_curvature", "seg_cell", "xc", "yn"):
             assert np.array_equal(getattr(base, name), getattr(wide, name)), name

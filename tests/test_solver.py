@@ -19,7 +19,6 @@ from chemofluid.geometry import LevelSetDomain, classify_cells, volume_integral
 from chemofluid.model import linear_model
 from chemofluid.solver import (
     DT_UNDERFLOW,
-    InitialData,
     LinearSystems,
     SimState,
     SolverAbort,
@@ -27,6 +26,7 @@ from chemofluid.solver import (
     StepClock,
     _mac_advection,
     cfl_dt,
+    check_initial,
     quantize_dt,
     step,
     step_c,
@@ -204,7 +204,7 @@ class TestStepN:
         n0 = ScalarField(g, np.where(g.active, 1 + 0.5 * np.exp(-((X - 0.2) ** 2 + Y ** 2) / 0.05), 0.0))
         c0 = ScalarField(g, np.where(g.active, 1 + 0.2 * np.cos(2 * X) * np.cos(Y), 0.0))
         u0 = VectorField.from_stream(g, lambda x, y: 0.1 * np.exp(-(x * x + y * y) / 0.2))
-        st = InitialData(n0, c0, u0).make_state()
+        st = SimState(n0, c0, u0, ScalarField.zeros(g), 0.0)
         mass0 = volume_integral(n0, g)
         for _ in range(1000):
             st = step(st, cfg, model, lin, dt=0.01)
@@ -269,7 +269,7 @@ class TestFullStep:
         n0 = ScalarField(grid96, np.where(grid96.active, 1 + 0.3 * np.exp(-(X ** 2 + Y ** 2) / 0.1), 0.0))
         c0 = ScalarField.full(grid96, 1.0)
         u0 = VectorField.from_stream(grid96, lambda x, y: 0.3 * np.exp(-(x * x + y * y) / 0.15))
-        base = InitialData(n0, c0, u0).make_state()
+        base = SimState(n0, c0, u0, ScalarField.zeros(grid96), 0.0)
 
         lin = LinearSystems(grid96)
         stokes = step(base.copy(), cfg, linear_model(G=0.5, kappa_ns=0.0), lin, dt=0.01)
@@ -283,23 +283,55 @@ class TestFullStep:
         assert np.abs(s0.u.u - s1.u.u).max() == 0.0            # no flow: paths agree
 
 
+def initial_state(geom, n, c, u):
+    """The state at t = 0 with zero pressure, as RunConfig.build_initial makes it."""
+    return SimState(n, c, u, ScalarField.zeros(geom), 0.0)
+
+
 class TestInitialData:
     def test_rejects_nonpositive_n(self, grid96):
-        bad = InitialData(ScalarField.zeros(grid96), ScalarField.full(grid96, 1.0),
-                          VectorField.zeros(grid96))
+        bad = initial_state(grid96, ScalarField.zeros(grid96), ScalarField.full(grid96, 1.0),
+                            VectorField.zeros(grid96))
         with pytest.raises(ValueError):
-            bad.validate()
+            check_initial(bad)
 
     def test_rejects_divergent_u(self, grid96):
         u = VectorField.zeros(grid96)
         u.u[grid96.fluid_face_x] = 1.0   # pure x-flow with walls is not solenoidal
-        bad = InitialData(ScalarField.full(grid96, 1.0), ScalarField.full(grid96, 1.0), u)
+        bad = initial_state(grid96, ScalarField.full(grid96, 1.0), ScalarField.full(grid96, 1.0), u)
         with pytest.raises(ValueError):
-            bad.validate()
+            check_initial(bad)
 
     def test_accepts_stream_function(self, grid96):
         u = VectorField.from_stream(grid96, lambda x, y: 0.1 * np.exp(-x * x - y * y))
-        InitialData(ScalarField.full(grid96, 1.0), ScalarField.full(grid96, 1.0), u).validate()
+        check_initial(initial_state(grid96, ScalarField.full(grid96, 1.0),
+                                    ScalarField.full(grid96, 1.0), u))
+
+    @pytest.mark.parametrize("field, value", [("n", np.nan), ("c", np.inf), ("u", np.nan)])
+    def test_rejects_non_finite_fields(self, grid96, field, value):
+        # every comparison with NaN is false, so the positivity and divergence
+        # checks alone would let a NaN through
+        st = initial_state(grid96, ScalarField.full(grid96, 1.0), ScalarField.full(grid96, 1.0),
+                           VectorField.zeros(grid96))
+        cell = tuple(np.argwhere(grid96.interior)[0])
+        if field == "u":
+            st.u.u[tuple(np.argwhere(grid96.fluid_face_x)[0])] = value
+        else:
+            getattr(st, field).data[cell] = value
+        name = "velocity" if field == "u" else field
+        with pytest.raises(ValueError, match=f"initial {name} contains NaN/Inf"):
+            check_initial(st)
+
+    @pytest.mark.parametrize("field", ["n", "c", "u"])
+    def test_step_check_aborts_on_non_finite_fields(self, grid96, field):
+        st = uniform_state(grid96)
+        if field == "u":
+            st.u.v[tuple(np.argwhere(grid96.fluid_face_y)[0])] = np.nan
+        else:
+            getattr(st, field).data[tuple(np.argwhere(grid96.active)[0])] = np.inf
+        name = "velocity" if field == "u" else field
+        with pytest.raises(SolverAbort, match=f"^{name} contains NaN/Inf"):
+            solver._check_state(st, 0.01)
 
 
 class TestSolveSpd:
