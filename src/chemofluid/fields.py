@@ -12,7 +12,10 @@ Operators follow two conventions:
   integrate to zero against the cut-cell volumes;
 * pointwise derivatives (gradient, Hessian) use mirror ghost values at
   exterior neighbors, which realizes the homogeneous Neumann condition to
-  first order near the boundary and stays second order inside.
+  first order near the boundary and stays second order inside. The stencils
+  read the neighbours from shifted slices of the field and then overwrite
+  the wall cells, the only ones with a mirror ghost, from
+  ``GridGeometry.wall_mirrors``.
 
 All operators are pure: inputs are never mutated.
 """
@@ -123,14 +126,57 @@ class TensorField:
 # differential operators
 # ---------------------------------------------------------------------------
 
+# The combinations _mirror_stencil applies, of a cell's next, own and previous
+# value along an axis, written into ``out`` when it is given.
+
+def _next(nxt, own, prev, out=None):
+    return np.positive(nxt, out=out)
+
+
+def _previous(nxt, own, prev, out=None):
+    return np.positive(prev, out=out)
+
+
+def _difference(nxt, own, prev, out=None):
+    return np.subtract(nxt, prev, out=out)
+
+
+def _second_difference(nxt, own, prev, out=None):
+    out = np.subtract(nxt, 2.0 * own, out=out)
+    out += prev
+    return out
+
+
+def _mirror_stencil(d: np.ndarray, axis: int, wall, combine) -> np.ndarray:
+    """combine(next, own, previous) of d along ``axis`` at every cell, with mirror ghosts.
+
+    Read as one raster, the grid has a cell's neighbours along x ny entries
+    away and along y one entry away, so shifted slices of the raster serve
+    all cells at once. The cells they serve wrongly lie in the outermost
+    ring, which the exterior margin keeps inactive: the raster's first and
+    last ``step`` entries are left zero, and along y a cell at j = 0 or
+    j = ny - 1 reads the end of the neighbouring line. The wall cells, the
+    only active cells with a mirror ghost, are then overwritten from
+    ``GridGeometry.wall_mirrors``.
+    """
+    flat = d.reshape(-1)
+    step = d.shape[1] if axis == 0 else 1
+    out = np.empty(flat.shape, np.result_type(flat, 1.0))
+    out[:step] = out[-step:] = 0.0
+    combine(flat[2 * step:], flat[step:-step], flat[:-2 * step], out=out[step:-step])
+    cells, nxt, prev = wall[0], wall[1 + 2 * axis], wall[2 + 2 * axis]
+    out[cells] = combine(flat[nxt], flat[cells], flat[prev])
+    return out.reshape(d.shape)
+
+
 def gradient_neumann(s: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Cell-centered gradient, centered differences with Neumann mirror ghosts."""
     g = s.geom
-    sE, sW, sN, sS = (s.data.take(ix) for ix in g.mirror_gathers)
-    gx = (sE - sW) / (2.0 * g.h)
-    gy = (sN - sS) / (2.0 * g.h)
-    gx[~g.active] = 0.0
-    gy[~g.active] = 0.0
+    gx, gy = (_mirror_stencil(s.data, axis, g.wall_mirrors, _difference) for axis in (0, 1))
+    inactive = ~g.active
+    for arr in (gx, gy):
+        arr /= 2.0 * g.h
+        np.copyto(arr, 0.0, where=inactive)
     return ScalarField(g, gx), ScalarField(g, gy)
 
 
@@ -144,7 +190,8 @@ def laplacian_neumann(s: ScalarField) -> ScalarField:
     d = s.data
     # a neighbor across a zero-aperture face carries no flux, so its mirror
     # ghost serves as well as its value
-    sE, sW, sN, sS = (d.take(ix) for ix in g.mirror_gathers)
+    sE, sW, sN, sS = (_mirror_stencil(d, axis, g.wall_mirrors, pick)
+                      for axis in (0, 1) for pick in (_next, _previous))
     # face flux = (a h) * (s_j - s_i)/h = a (s_j - s_i); divide by wet volume
     net = (g.aperture_x[1:, :] * (sE - d) + g.aperture_x[:-1, :] * (sW - d)
            + g.aperture_y[:, 1:] * (sN - d) + g.aperture_y[:, :-1] * (sS - d))
@@ -157,17 +204,20 @@ def hessian(s: ScalarField) -> TensorField:
     """Second derivatives: centered with mirror ghosts, cross term by nested
     first differences (symmetrized)."""
     g = s.geom
-    d = s.data
-    h2 = g.h * g.h
-    E, W, N, S = g.mirror_gathers
-    xx = (d.take(E) - 2.0 * d + d.take(W)) / h2
-    yy = (d.take(N) - 2.0 * d + d.take(S)) / h2
+    wall = g.wall_mirrors
+    xx, yy = (_mirror_stencil(s.data, axis, wall, _second_difference) for axis in (0, 1))
+    xx /= g.h * g.h
+    yy /= g.h * g.h
     gx, gy = gradient_neumann(s)
-    dyx = (gx.data.take(N) - gx.data.take(S)) / (2.0 * g.h)
-    dxy = (gy.data.take(E) - gy.data.take(W)) / (2.0 * g.h)
-    xy = 0.5 * (dxy + dyx)
+    xy = _mirror_stencil(gy.data, 0, wall, _difference)
+    xy /= 2.0 * g.h
+    dyx = _mirror_stencil(gx.data, 1, wall, _difference)
+    dyx /= 2.0 * g.h
+    xy += dyx
+    xy *= 0.5
+    inactive = ~g.active
     for arr in (xx, xy, yy):
-        arr[~g.active] = 0.0
+        np.copyto(arr, 0.0, where=inactive)
     return TensorField(g, xx, xy, yy)
 
 

@@ -39,8 +39,9 @@ nonzero aperture, which makes zero-flux boundary conditions automatic in flux fo
 
 Geometry objects are immutable after construction. Every other fact that
 depends on the grid alone (cell masks, fluid faces, the interior's graph and
-components, kappa_max, mirror gathers, the stencils below the boundary
-segments) is a read-only ``cached_property`` of ``GridGeometry``, computed only there.
+components, kappa_max, the wall cells and their mirror neighbours, the
+stencils below the boundary segments) is a read-only ``cached_property`` of
+``GridGeometry``, computed only there.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 EXTERIOR = 0
@@ -357,16 +358,22 @@ class GridGeometry:
         return _face_mask(self.interior, 1)
 
     @cached_property
-    def interior_graph(self):
-        """(n, CSR adjacency) of ``neighbour_graph(interior)``, one edge per fluid face.
+    def interior_graph(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(n, indptr, indices): the CSR structure of ``neighbour_graph(interior)``.
 
-        ``components`` labels it and the pressure operator is its Laplacian.
+        One edge per fluid face, each of weight 1, so the structure is all
+        that is kept; ``interior_adjacency`` rebuilds the matrix from it.
+        ``components`` labels the graph and the pressure operator is its
+        Laplacian.
         """
         n, adj = neighbour_graph(self.interior)
         adj = adj.tocsr()
-        for arr in (adj.data, adj.indices, adj.indptr):
-            arr.setflags(write=False)
-        return n, adj
+        return n, _read_only(adj.indptr), _read_only(adj.indices)
+
+    def interior_adjacency(self) -> csr_matrix:
+        """The unit-weight adjacency matrix of ``interior_graph``, new on every call."""
+        n, indptr, indices = self.interior_graph
+        return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
 
     @cached_property
     def components(self) -> tuple[np.ndarray, ...]:
@@ -376,7 +383,7 @@ class GridGeometry:
         raster order; each part is numbered after the parts of lower nodes, so
         the parts come in the raster order of their first cell.
         """
-        ncomp, labels = connected_components(self.interior_graph[1], directed=False)
+        ncomp, labels = connected_components(self.interior_adjacency(), directed=False)
         return tuple(_read_only(np.nonzero(labels == k)[0]) for k in range(ncomp))
 
     @property
@@ -405,25 +412,26 @@ class GridGeometry:
         return _read_only(ok)
 
     @cached_property
-    def mirror_gathers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat gather indices of the east, west, north and south mirror neighbours.
+    def wall_mirrors(self) -> tuple[np.ndarray, ...]:
+        """(cells, E, W, N, S): flat indices of the wall cells and of their mirror neighbours.
 
-        ``data.take(ix)`` is the neighbour's value where that neighbour is
-        active and the cell's own value otherwise: the mirror ghost that
-        realizes the homogeneous Neumann condition. Off-grid neighbours count
-        as inactive; the 2-cell exterior margin keeps them out of every
-        active-cell stencil.
+        A wall cell is an active cell with a neighbour that is not active. Its
+        mirror neighbour in a direction is that neighbour where it is active
+        and the cell itself otherwise: the mirror ghost that realizes the
+        homogeneous Neumann condition. Off-grid neighbours count as inactive.
+        Every other active cell has four active neighbours, so the stencils of
+        :mod:`chemofluid.fields` read them from shifted slices and overwrite
+        only the wall cells.
         """
         act = self.active
-        own = np.arange(self.nx * self.ny).reshape(self.nx, self.ny)
-        gathers = []
-        for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-            ok = np.roll(act, -shift, axis=axis)
-            edge = [slice(None), slice(None)]
-            edge[axis] = -1 if shift == 1 else 0
-            ok[tuple(edge)] = False
-            gathers.append(_read_only(np.where(ok, np.roll(own, -shift, axis=axis), own)))
-        return tuple(gathers)
+        pad = np.pad(act, 1)
+        # whether each cell's east, west, north and south neighbour is active
+        has = (pad[2:, 1:-1], pad[:-2, 1:-1], pad[1:-1, 2:], pad[1:-1, :-2])
+        i, j = np.nonzero(act & ~np.logical_and.reduce(has))
+        cells = i * self.ny + j
+        mirrors = (np.where(ok[i, j], cells + step, cells)
+                   for ok, step in zip(has, (self.ny, -self.ny, 1, -1)))
+        return tuple(_read_only(a) for a in (cells, *mirrors))
 
     def bilinear_stencil(self, x, y) -> BilinearStencil:
         """Four-cell interpolation stencils of cell-centered data at points (x, y)."""

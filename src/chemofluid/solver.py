@@ -61,7 +61,8 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -151,6 +152,27 @@ class SimState:
     u: VectorField
     p: ScalarField
     t: float
+    # (c, chi, chi(c) grad c) as last given to keep_drift
+    _drift: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def chemotactic_drift(self, chi: Callable) -> VectorField:
+        """chi(c) grad c at the faces (``chemotactic_face_velocity``), built on first use.
+
+        The state keeps it, and builds it again only when its c or chi is not
+        the object it was built from.
+        """
+        held = self._drift
+        if held is None or held[0] is not self.c or held[1] is not chi:
+            self.keep_drift(chi, chemotactic_face_velocity(self.c, chi))
+        return self._drift[2]
+
+    def keep_drift(self, chi: Callable, drift: VectorField):
+        """Hold ``drift``, chi(c) grad c of this state's c, for ``chemotactic_drift``.
+
+        ``step`` builds the drift of its new c once, for ``step_n`` and for the
+        new state, whose ``cfl_dt`` reads it.
+        """
+        self._drift = (self.c, chi, drift)
 
     def copy(self) -> "SimState":
         return SimState(self.n.copy(), self.c.copy(), self.u.copy(), self.p.copy(), self.t)
@@ -254,7 +276,8 @@ class LinearSystems:
         self.n_scalar, adj = neighbour_graph(g.active, g.aperture_x[1:-1, :], g.aperture_y[:, 1:-1])
         self.L_scalar = _laplacian(adj)
         self.vol = g.cell_vol[g.active]
-        self.n_pressure, adj = g.interior_graph
+        adj = g.interior_adjacency()
+        self.n_pressure = adj.shape[0]
         self.L_pressure = _laplacian(adj)
         self.pressure_pins = np.array([cells[0] for cells in g.components], dtype=int)
         self.comp_cells = tuple(_run_or_cells(cells) for cells in g.components)
@@ -437,7 +460,7 @@ def cfl_dt(state: SimState, config: SolverConfig, model: KineticsModel) -> float
     with a blow-up report.
     """
     g = state.n.geom
-    chem = chemotactic_face_velocity(state.c, model.chi)
+    chem = state.chemotactic_drift(model.chi)
     out_u = _outflow_sum(state.u.u, state.u.v, g)
     out_w = _outflow_sum(state.u.u + chem.u, state.u.v + chem.v, g)
     out = np.maximum(out_u, out_w)[g.active]
@@ -555,12 +578,13 @@ def step_c(state: SimState, dt: float, model: KineticsModel, lin: LinearSystems,
     return ScalarField(g, out)
 
 
-def step_n(state: SimState, c_new: ScalarField, dt: float, model: KineticsModel,
-           lin: LinearSystems, source: np.ndarray | None = None,
-           level: float | None = None) -> ScalarField:
-    """Upwind transport by u + chi(c) grad c, then implicit diffusion; ``level`` as in step_c."""
+def step_n(state: SimState, chem: VectorField, dt: float, lin: LinearSystems,
+           source: np.ndarray | None = None, level: float | None = None) -> ScalarField:
+    """Upwind transport by u + chi(c) grad c, then implicit diffusion; ``level`` as in step_c.
+
+    ``chem`` is chi(c) grad c of the new c at the faces (``chemotactic_face_velocity``).
+    """
     g = state.n.geom
-    chem = chemotactic_face_velocity(c_new, model.chi)
     drift = VectorField(g, state.u.u + chem.u, state.u.v + chem.v)
     n_new = _transport_diffuse(state.n, drift, dt, lin, source, level)
     n_max = n_new.max_active()
@@ -671,10 +695,12 @@ def step(state: SimState, config: SolverConfig, model: KineticsModel,
     src = {k: f(t_start) for k, f in (sources or {}).items()}
     try:
         c_new = step_c(state, dt, model, lin, config.c_floor, source=src.get("c"), level=level)
-        n_new = step_n(state, c_new, dt, model, lin, source=src.get("n"), level=level)
+        chem = chemotactic_face_velocity(c_new, model.chi)
+        n_new = step_n(state, chem, dt, lin, source=src.get("n"), level=level)
         u_new, p_new = step_u(state, n_new, dt, model, lin,
                               source_u=src.get("u"), source_v=src.get("v"), level=level)
         new = SimState(n_new, c_new, u_new, p_new, t_start + dt)
+        new.keep_drift(model.chi, chem)
         _check_state(new, dt)
     except SolverAbort as exc:
         exc.t, exc.dt = t_start, dt

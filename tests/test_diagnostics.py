@@ -392,6 +392,58 @@ class TestIdentityResidual:
             entropy_identity_residual(tuple(sts), derived_linear)
 
 
+# the fluid terms of the entropy identity on the unit disk: a Neumann c (grad c
+# . (x, y) = 0.3 x (3 - 3 r^2) / 2 vanishes at r = 1) in the strained no-slip
+# flow u = grad-perp psi, with psi vanishing to second order at r = 1
+FLUID_A, FLUID_AMP = 4.0, 0.3
+
+
+def fluid_c(x, y):
+    return 1.0 + FLUID_AMP * x * (3.0 - x * x - y * y) / 2.0
+
+
+def fluid_psi(x, y):
+    return FLUID_A * (1.0 - x * x - y * y) ** 2 * x * y
+
+
+def fluid_terms_exact():
+    """(t1, t2) = (-1/2 int g'/g^2 |grad c|^2 u.grad c, int lap c / g u.grad c) for g(c) = c.
+
+    Polar quadrature: Gauss-Legendre in r, the periodic trapezoid rule in theta.
+    """
+    r, wr = np.polynomial.legendre.leggauss(48)
+    r, wr = 0.5 * (r + 1.0), 0.5 * wr
+    th = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    R, TH = np.meshgrid(r, th, indexing="ij")
+    x, y = R * np.cos(TH), R * np.sin(TH)
+    q = 1.0 - x * x - y * y
+    u = FLUID_A * x * q * (q - 4.0 * y * y)      # d psi / dy
+    v = -FLUID_A * y * q * (q - 4.0 * x * x)     # -d psi / dx
+    cx, cy = FLUID_AMP * (3.0 - 3.0 * x * x - y * y) / 2.0, -FLUID_AMP * x * y
+    c = fluid_c(x, y)
+    u_dot_gc = u * cx + v * cy
+    w = wr[:, None] * R * (2.0 * np.pi / th.size)
+    t1 = -0.5 * np.sum(w * (cx * cx + cy * cy) * u_dot_gc / c ** 2)
+    t2 = np.sum(w * (-4.0 * FLUID_AMP * x) * u_dot_gc / c)
+    return t1, t2
+
+
+class TestIdentityFluidTerms:
+    def test_transport_terms_against_quadrature(self, disk_domain, derived_linear):
+        # linear model: g = c, g' = 1
+        exact = np.array(fluid_terms_exact())
+        assert np.all(np.abs(exact) > 1e-3)
+        errs = []
+        for n in (40, 80):
+            g = classify_cells(disk_domain, 1.0 / n)
+            st = SimState(ScalarField.full(g, 1.0), scalar_from_function(g, fluid_c),
+                          VectorField.from_stream(g, fluid_psi), ScalarField.zeros(g), 0.0)
+            t1, t2, _, _ = identity_source_terms(Frame(st, derived_linear))
+            errs.append(np.abs(np.array([t1, t2]) / exact - 1.0))
+        assert np.all(errs[1] < 0.02)
+        assert np.all(np.log2(errs[0] / errs[1]) >= 1.0)
+
+
 class TestPointwiseHessian:
     def test_random_fields(self, disk64):
         rng = np.random.default_rng(41)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from chemofluid.fields import (
     mac_norm_sq,
     normal_derivative_of_gradsq,
 )
-from chemofluid.geometry import LevelSetDomain, ResolutionError, classify_cells, volume_integral
+from chemofluid.geometry import (
+    BAND, LevelSetDomain, ResolutionError, classify_cells, volume_integral)
 
 from conftest import deep_interior, scalar_from_function
 
@@ -42,19 +45,111 @@ def mirror_reference(data, active, dx, dy):
     return np.where(ok, nb, data)
 
 
+def mirror_neighbours(data, active):
+    """East, west, north and south mirror neighbours of every cell, from mirror_reference."""
+    return [mirror_reference(data, active, dx, dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+
+
+def reference_gradient(s):
+    g = s.geom
+    E, W, N, S = mirror_neighbours(s.data, g.active)
+    gx = (E - W) / (2.0 * g.h)
+    gy = (N - S) / (2.0 * g.h)
+    gx[~g.active] = 0.0
+    gy[~g.active] = 0.0
+    return gx, gy
+
+
+def reference_laplacian(s):
+    g, d = s.geom, s.data
+    E, W, N, S = mirror_neighbours(d, g.active)
+    net = (g.aperture_x[1:, :] * (E - d) + g.aperture_x[:-1, :] * (W - d)
+           + g.aperture_y[:, 1:] * (N - d) + g.aperture_y[:, :-1] * (S - d))
+    out = np.zeros_like(d)
+    np.divide(net, g.cell_vol, out=out, where=g.active)
+    return out
+
+
+def reference_hessian(s):
+    g, d = s.geom, s.data
+    E, W, N, S = mirror_neighbours(d, g.active)
+    xx = (E - 2.0 * d + W) / (g.h * g.h)
+    yy = (N - 2.0 * d + S) / (g.h * g.h)
+    gx, gy = reference_gradient(s)
+    _, _, gxN, gxS = mirror_neighbours(gx, g.active)
+    gyE, gyW, _, _ = mirror_neighbours(gy, g.active)
+    xy = 0.5 * ((gyE - gyW) / (2.0 * g.h) + (gxN - gxS) / (2.0 * g.h))
+    for arr in (xx, xy, yy):
+        arr[~g.active] = 0.0
+    return xx, xy, yy
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def neck(two_disks):
+    """The two disks joined by a neck one cell high, with a stub one cell wide on it.
+
+    Neck cells have no neighbour to the north or south, stub cells none to
+    the east or west, and the stub's top cell has only its southern one.
+    """
+    g = two_disks
+    cls, vol = g.cell_class.copy(), g.cell_vol.copy()
+    j0 = g.ny // 2
+    row = np.nonzero(g.active[:, j0])[0]
+    gap = np.arange(row.min(), row.max() + 1)
+    gap = gap[~g.active[gap, j0]]
+    i0 = gap[gap.size // 2]
+    cells = [(i, j0) for i in gap] + [(i0, j0 + k) for k in (1, 2, 3)]
+    for i, j in cells:
+        cls[i, j], vol[i, j] = BAND, g.h * g.h
+    out = dataclasses.replace(g, cell_class=cls, cell_vol=vol)
+    act = out.active[1:-1, 1:-1]
+    assert (act & ~out.active[1:-1, 2:] & ~out.active[1:-1, :-2]).any()
+    assert (act & ~out.active[2:, 1:-1] & ~out.active[:-2, 1:-1]).any()
+    return out
+
+
 class TestMirrorGathers:
-    @pytest.mark.parametrize("geom_name", ["disk64", "star64"])
+    """The stencils, read from shifted slices with the wall cells overwritten,
+    against the mirror ghosts built from copies, bit for bit."""
+
+    @pytest.mark.parametrize("geom_name", ["disk64", "star64", "annulus48", "two_disks", "neck"])
     def test_equal_to_copies(self, geom_name, request):
         g = request.getfixturevalue(geom_name)
-        data = np.random.default_rng(13).standard_normal((g.nx, g.ny))
-        for ix, (dx, dy) in zip(g.mirror_gathers, ((1, 0), (-1, 0), (0, 1), (0, -1))):
-            assert np.array_equal(data.take(ix), mirror_reference(data, g.active, dx, dy))
+        rng = np.random.default_rng(13)
+        # values on the exterior cells too, which a missed mirror ghost would read
+        for data in (rng.standard_normal((g.nx, g.ny)),
+                     np.where(g.active, rng.standard_normal((g.nx, g.ny)), 0.0)):
+            s = ScalarField(g, data)
+            gx, gy = gradient_neumann(s)
+            rx, ry = reference_gradient(s)
+            assert same_bits(gx.data, rx) and same_bits(gy.data, ry)
+            assert same_bits(laplacian_neumann(s).data, reference_laplacian(s))
+            H = hessian(s)
+            for got, want in zip((H.xx, H.xy, H.yy), reference_hessian(s)):
+                assert same_bits(got, want)
 
     def test_cached_read_only(self, disk64):
         assert disk64.active is disk64.active
-        assert disk64.mirror_gathers is disk64.mirror_gathers
-        for arr in (disk64.active, disk64.interior) + disk64.mirror_gathers:
+        assert disk64.wall_mirrors is disk64.wall_mirrors
+        for arr in (disk64.active, disk64.interior) + disk64.wall_mirrors:
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("geom_name", ["disk64", "star64", "neck"])
+    def test_wall_cells(self, geom_name, request):
+        # exactly the active cells with a neighbour that is not active, with
+        # the mirror neighbour of mirror_reference in each direction
+        g = request.getfixturevalue(geom_name)
+        cells, *mirrors = g.wall_mirrors
+        own = np.arange(g.nx * g.ny).reshape(g.nx, g.ny).astype(float)
+        refs = mirror_neighbours(own, g.active)
+        has_all = np.logical_and.reduce([ref != own for ref in refs])
+        assert np.array_equal(cells, np.flatnonzero(g.active & ~has_all))
+        for mirror, ref in zip(mirrors, refs):
+            assert np.array_equal(mirror, ref.reshape(-1)[cells])
 
 
 class TestGradient:

@@ -225,8 +225,12 @@ class TestOneInteriorGraph:
     def test_graph_components_and_pressure_operator_agree(self, geom_name, request):
         g = request.getfixturevalue(geom_name)
         n, adj = neighbour_graph(g.interior)
-        assert g.interior_graph[0] == n and g.interior_graph[1].format == "csr"
-        assert (g.interior_graph[1] != adj.tocsr()).nnz == 0
+        csr = adj.tocsr()
+        n_graph, indptr, indices = g.interior_graph
+        assert n_graph == n
+        assert np.array_equal(indptr, csr.indptr) and np.array_equal(indices, csr.indices)
+        assert g.interior_adjacency().format == "csr"
+        assert (g.interior_adjacency() != csr).nnz == 0
         ncomp, labels = connected_components(adj, directed=False)
         assert len(g.components) == ncomp
         for k, cells in enumerate(g.components):

@@ -179,8 +179,9 @@ class TestStepN:
                       ScalarField.zeros(grid96), 0.0)
         mass0 = volume_integral(n0, grid96)
         spread0 = n0.max_active() - n0.min_active()
+        chem = st.chemotactic_drift(linear_model(G=0.0).chi)
         for _ in range(100):
-            st.n = step_n(st, st.c, 0.02, linear_model(G=0.0), systems96)
+            st.n = step_n(st, chem, 0.02, systems96)
         assert abs(volume_integral(st.n, grid96) - mass0) / mass0 < 1e-10
         assert (st.n.max_active() - st.n.min_active()) < 0.05 * spread0
 
@@ -192,7 +193,7 @@ class TestStepN:
                                             1.0 + np.exp(-(X ** 2 + Y ** 2) / 0.02), 0.0))
         st.c = ScalarField(grid96, np.where(grid96.active, 70.0 + 50.0 * X, 0.0))
         with pytest.raises(SolverAbort):
-            step_n(st, st.c, 1.0, linear_model(), systems96)
+            step_n(st, st.chemotactic_drift(linear_model().chi), 1.0, systems96)
 
     def test_mass_over_thousand_steps(self):
         dom = LevelSetDomain.disk(1.0)
@@ -906,7 +907,7 @@ class TestTransportDirection:
         flat = ScalarField.full(grid96, 1.0)               # flat c: no chemotactic drift
         st = SimState(ScalarField(grid96, flat.data + bump), flat, vortex,
                       ScalarField.zeros(grid96), 0.0)
-        n_new = step_n(st, flat, 0.02, linear_model(), systems96)
+        n_new = step_n(st, st.chemotactic_drift(linear_model().chi), 0.02, systems96)
         self.assert_moved_along_u(grid96, bump, n_new.data - flat.data, 0.02)
 
     def test_u_gains_the_mac_advection(self, grid96, systems96):
