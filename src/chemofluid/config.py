@@ -205,9 +205,7 @@ class RunConfig:
 
     def solver_config(self) -> SolverConfig:
         v = self.values
-        return SolverConfig(
-            dt_max=v["solver.dt_max"], cfl_safety=v["solver.cfl_safety"],
-            end_time=v["solver.end_time"])
+        return SolverConfig(dt_max=v["solver.dt_max"], cfl_safety=v["solver.cfl_safety"])
 
     def config_lines(self) -> list[str]:
         out = []

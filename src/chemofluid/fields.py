@@ -7,14 +7,17 @@ other faces pinned to zero (no-slip, first order at the embedded boundary).
 
 Operators follow two conventions:
 
-* zero-flux boundary handling is conservative: fluxes carry the face aperture,
-  so faces adjacent to exterior cells transport nothing and tendencies
-  integrate to zero against the cut-cell volumes;
-* pointwise derivatives (gradient, Hessian) use mirror ghost values at
-  exterior neighbors, which realizes the homogeneous Neumann condition to
-  first order near the boundary and stays second order inside. The stencils
-  read the neighbours from shifted slices of the field and then overwrite
-  the wall cells, the only ones with a mirror ghost, from
+* zero-flux boundary handling is conservative: the Laplacian and the
+  advection are divergences of face fluxes that carry the face aperture
+  (``_flux_divergence``). They rely on every face that is not open having
+  aperture zero, so faces adjacent to exterior cells transport nothing, no
+  ghost value is read, and tendencies integrate to zero against the
+  cut-cell volumes;
+* pointwise derivatives (gradient, Hessian), and only they, use mirror ghost
+  values at exterior neighbors, which realizes the homogeneous Neumann
+  condition to first order near the boundary and stays second order inside.
+  The stencils read the neighbours from shifted slices of the field and then
+  overwrite the wall cells, the only ones with a mirror ghost, from
   ``GridGeometry.wall_mirrors``.
 
 All operators are pure: inputs are never mutated.
@@ -129,14 +132,6 @@ class TensorField:
 # The combinations _mirror_stencil applies, of a cell's next, own and previous
 # value along an axis, written into ``out`` when it is given.
 
-def _next(nxt, own, prev, out=None):
-    return np.positive(nxt, out=out)
-
-
-def _previous(nxt, own, prev, out=None):
-    return np.positive(prev, out=out)
-
-
 def _difference(nxt, own, prev, out=None):
     return np.subtract(nxt, prev, out=out)
 
@@ -180,24 +175,36 @@ def gradient_neumann(s: ScalarField) -> tuple[ScalarField, ScalarField]:
     return ScalarField(g, gx), ScalarField(g, gy)
 
 
-def laplacian_neumann(s: ScalarField) -> ScalarField:
-    """Conservative zero-flux Laplacian: aperture-weighted face fluxes over wet volumes.
+def _flux_divergence(g: GridGeometry, fx: np.ndarray, fy: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Net outward flux over the wet volume of each active cell, zero elsewhere.
 
-    Adjoint-consistent: the result integrates to zero against the cell
-    volumes exactly (fluxes telescope).
+    ``fx`` (nx - 1, ny) and ``fy`` (nx, ny - 1) are the +x and +y fluxes
+    through the faces between two cells. The outermost ring of cells, which
+    the exterior margin keeps inactive, is not written. The result has the
+    shape and dtype of ``like``.
+    """
+    net = fx[1:, 1:-1] - fx[:-1, 1:-1] + fy[1:-1, 1:] - fy[1:-1, :-1]
+    out = np.zeros_like(like)
+    np.divide(net, g.cell_vol[1:-1, 1:-1], out=out[1:-1, 1:-1], where=g.active[1:-1, 1:-1])
+    return out
+
+
+def laplacian_neumann(s: ScalarField) -> ScalarField:
+    """Conservative zero-flux Laplacian: face fluxes a (s_j - s_i) over wet volumes.
+
+    Every face that is not open has aperture a = 0, so no flux crosses the
+    boundary and no mirror ghost is read. Adjoint-consistent: the result
+    integrates to zero against the cell volumes exactly (fluxes telescope).
     """
     g = s.geom
     d = s.data
-    # a neighbor across a zero-aperture face carries no flux, so its mirror
-    # ghost serves as well as its value
-    sE, sW, sN, sS = (_mirror_stencil(d, axis, g.wall_mirrors, pick)
-                      for axis in (0, 1) for pick in (_next, _previous))
-    # face flux = (a h) * (s_j - s_i)/h = a (s_j - s_i); divide by wet volume
-    net = (g.aperture_x[1:, :] * (sE - d) + g.aperture_x[:-1, :] * (sW - d)
-           + g.aperture_y[:, 1:] * (sN - d) + g.aperture_y[:, :-1] * (sS - d))
-    out = np.zeros_like(d)
-    np.divide(net, g.cell_vol, out=out, where=g.active)
-    return ScalarField(g, out)
+    fx = g.aperture_x[1:-1, :] * (d[1:, :] - d[:-1, :])
+    fy = g.aperture_y[:, 1:-1] * (d[:, 1:] - d[:, :-1])
+    # a zero aperture times a negative difference is -0: adding +0 keeps a
+    # cell whose four fluxes vanish at +0, as for a constant field
+    fx += 0.0
+    fy += 0.0
+    return ScalarField(g, _flux_divergence(g, fx, fy, d))
 
 
 def hessian(s: ScalarField) -> TensorField:
@@ -232,16 +239,12 @@ def advect_conservative(s: ScalarField, vel: VectorField) -> ScalarField:
     g = s.geom
     d = s.data
     h = g.h
-    # the edge faces border the exterior margin (aperture 0) and carry no flux
-    fx = np.zeros((g.nx + 1, g.ny))
     ux = vel.u[1:-1, :]
-    fx[1:-1, :] = g.aperture_x[1:-1, :] * h * ux * np.where(ux >= 0.0, d[:-1, :], d[1:, :])
-    fy = np.zeros((g.nx, g.ny + 1))
+    fx = g.aperture_x[1:-1, :] * h * ux * np.where(ux >= 0.0, d[:-1, :], d[1:, :])
     vy = vel.v[:, 1:-1]
-    fy[:, 1:-1] = g.aperture_y[:, 1:-1] * h * vy * np.where(vy >= 0.0, d[:, :-1], d[:, 1:])
-    net = fx[1:, :] - fx[:-1, :] + fy[:, 1:] - fy[:, :-1]
-    out = np.zeros_like(d)
-    np.divide(-net, g.cell_vol, out=out, where=g.active)
+    fy = g.aperture_y[:, 1:-1] * h * vy * np.where(vy >= 0.0, d[:, :-1], d[:, 1:])
+    out = _flux_divergence(g, fx, fy, d)
+    np.negative(out, out=out, where=g.active)
     return ScalarField(g, out)
 
 

@@ -419,9 +419,9 @@ class GridGeometry:
         mirror neighbour in a direction is that neighbour where it is active
         and the cell itself otherwise: the mirror ghost that realizes the
         homogeneous Neumann condition. Off-grid neighbours count as inactive.
-        Every other active cell has four active neighbours, so the stencils of
-        :mod:`chemofluid.fields` read them from shifted slices and overwrite
-        only the wall cells.
+        Every other active cell has four active neighbours, so the gradient
+        and Hessian stencils of :mod:`chemofluid.fields` read them from
+        shifted slices and overwrite only the wall cells.
         """
         act = self.active
         pad = np.pad(act, 1)

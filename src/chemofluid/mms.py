@@ -37,11 +37,13 @@ from chemofluid.solver import LinearSystems, SimState, SolverConfig, StepClock, 
 
 @dataclass
 class ManufacturedSolution:
-    """Exact fields and the matching sources.
+    """Exact fields and the matching sources, each a binder to points.
 
-    ``n``, ``c``, ``u``, ``v`` map (X, Y, t) to an array of the shape of the
-    points. Each ``sources`` entry ('n', 'c', 'u', 'v') binds to points:
-    (X, Y) -> (t -> array), the form ``solver.step`` takes.
+    The exact fields ``n``, ``c``, ``u``, ``v`` and each ``sources`` entry
+    ('n', 'c', 'u', 'v') map points to a function of time,
+    (X, Y) -> (t -> array of the points' shape): bound to a grid's points
+    once, they evaluate their spatial factors there once. Bound sources are
+    the form ``solver.step`` takes.
     """
 
     n: callable
@@ -169,16 +171,6 @@ def _separable(poly):
     return bind
 
 
-def _field(poly):
-    """(X, Y, t) -> array of a polynomial in x, y and the profiles."""
-    bind = _separable(poly)
-
-    def field(X, Y, t):
-        return bind(X, Y)(t)
-
-    return field
-
-
 def _exact(value: float) -> Fraction:
     """The exact binary value of a float as a rational."""
     return Fraction(float(value))
@@ -237,7 +229,7 @@ def build_manufactured(radius: float = 1.0, kappa_ns: float = 1.0, grav: float =
     """
     p = _polynomials(radius, kappa_ns, grav, amp_n, amp_c, amp_u, tilt)
     return ManufacturedSolution(
-        n=_field(p["n"]), c=_field(p["c"]), u=_field(p["u"]), v=_field(p["v"]),
+        n=_separable(p["n"]), c=_separable(p["c"]), u=_separable(p["u"]), v=_separable(p["v"]),
         sources={k: _separable(p["s_" + k]) for k in ("n", "c", "u", "v")},
         model=linear_model(G=grav, kappa_ns=kappa_ns), radius=radius)
 
@@ -247,25 +239,27 @@ def run_manufactured(ms: ManufacturedSolution, n_side: int, end_time: float,
     """Integrate with injected sources.
 
     Returns the sup-norm errors for n, c and u, the grid spacing ``h`` and the
-    number of ``steps`` taken. Each source is bound to its grid points once.
+    number of ``steps`` taken. Each exact field and source is bound to its
+    grid points once.
     Not ``runner.trajectory``: the level is fixed, and ``perfbench`` times ``mms.step``.
     """
     dom = LevelSetDomain.disk(ms.radius)
     side = dom.bbox[1] - dom.bbox[0]
     g = classify_cells(dom, side / n_side)
     dt = dt_ratio * g.h
-    cfg = SolverConfig(dt_max=dt, end_time=end_time)
+    cfg = SolverConfig(dt_max=dt)
     lin = LinearSystems(g)
     X, Y = g.cell_centers()
     Xu, Yu = np.meshgrid(g.xn, g.yc, indexing="ij")
     Xv, Yv = np.meshgrid(g.xc, g.yn, indexing="ij")
     points = {"n": (X, Y), "c": (X, Y), "u": (Xu, Yu), "v": (Xv, Yv)}
     sources = {k: ms.sources[k](*xy) for k, xy in points.items()}
-    n0 = ScalarField(g, np.where(g.active, ms.n(X, Y, 0.0), 0.0))
-    c0 = ScalarField(g, np.where(g.active, ms.c(X, Y, 0.0), 0.0))
+    exact = {k: getattr(ms, k)(*xy) for k, xy in points.items()}
+    n0 = ScalarField(g, np.where(g.active, exact["n"](0.0), 0.0))
+    c0 = ScalarField(g, np.where(g.active, exact["c"](0.0), 0.0))
     u0 = VectorField.zeros(g)
-    u0.u[:] = np.where(g.fluid_face_x, ms.u(Xu, Yu, 0.0), 0.0)
-    u0.v[:] = np.where(g.fluid_face_y, ms.v(Xv, Yv, 0.0), 0.0)
+    u0.u[:] = np.where(g.fluid_face_x, exact["u"](0.0), 0.0)
+    u0.v[:] = np.where(g.fluid_face_y, exact["v"](0.0), 0.0)
     state = SimState(n0, c0, u0, ScalarField.zeros(g), 0.0)
     clock = StepClock(dt, end_time)
     while not clock.done:
@@ -273,10 +267,10 @@ def run_manufactured(ms: ManufacturedSolution, n_side: int, end_time: float,
         state.t = clock.t
     T = state.t
     act = g.active
-    err_n = float(np.abs(state.n.data - np.where(act, ms.n(X, Y, T), 0.0))[act].max())
-    err_c = float(np.abs(state.c.data - np.where(act, ms.c(X, Y, T), 0.0))[act].max())
-    eu = np.abs(state.u.u - np.where(g.fluid_face_x, ms.u(Xu, Yu, T), 0.0))[g.fluid_face_x]
-    ev = np.abs(state.u.v - np.where(g.fluid_face_y, ms.v(Xv, Yv, T), 0.0))[g.fluid_face_y]
+    err_n = float(np.abs(state.n.data - np.where(act, exact["n"](T), 0.0))[act].max())
+    err_c = float(np.abs(state.c.data - np.where(act, exact["c"](T), 0.0))[act].max())
+    eu = np.abs(state.u.u - np.where(g.fluid_face_x, exact["u"](T), 0.0))[g.fluid_face_x]
+    ev = np.abs(state.u.v - np.where(g.fluid_face_y, exact["v"](T), 0.0))[g.fluid_face_y]
     err_u = float(max(eu.max(initial=0.0), ev.max(initial=0.0)))
     return {"n": err_n, "c": err_c, "u": err_u, "h": g.h, "steps": clock.steps}
 

@@ -281,26 +281,25 @@ def run_inequality_scan(rc: RunConfig, out_dir) -> dict:
     rows = []
     i33_violations = 0
     trials = rc["scan.trials"]
-    fields = []
-    for trial in range(trials):
-        if not fields:
-            fields = random_neumann_field(geom, lin, rng, amplitude=rc["scan.amplitude"],
-                                          smooth_len=rc["scan.smooth_len"],
-                                          n_smooth=rc["scan.n_smooth"],
-                                          count=min(SCAN_CHUNK, trials - trial))
-        z = fields.pop(0)
-        c = ScalarField(geom, np.where(geom.active, c_base + z.data, 0.0))
-        frame = Frame(c, derived)
-        ms = check_ms_lemma(frame, c_check=rc["check.ms_c"])
-        bt = boundary_term(frame)
-        _, _, ok = frame.boundary_probes
-        bt_ptw = float(np.where(ok, frame.boundary_integrand, -np.inf).max())
-        i33 = check_inequality_33(frame)
-        hv = hessian_pointwise_violation(c)
-        rows.append((trial, ms.violation, ms.tolerance, bt, bt_ptw, i33.lhs, i33.rhs, hv))
-        # the rows hold no i33 tolerance, so the violations are counted here
-        if i33.lhs > i33.rhs + i33.tolerance:
-            i33_violations += 1
+    for first in range(0, trials, SCAN_CHUNK):
+        fields = random_neumann_field(geom, lin, rng, amplitude=rc["scan.amplitude"],
+                                      smooth_len=rc["scan.smooth_len"],
+                                      n_smooth=rc["scan.n_smooth"],
+                                      count=min(SCAN_CHUNK, trials - first))
+        for trial in range(first, first + len(fields)):
+            z = fields.pop(0)   # freed once checked, so the chunk is not held whole
+            c = ScalarField(geom, np.where(geom.active, c_base + z.data, 0.0))
+            frame = Frame(c, derived)
+            ms = check_ms_lemma(frame, c_check=rc["check.ms_c"])
+            bt = boundary_term(frame)
+            _, _, ok = frame.boundary_probes
+            bt_ptw = float(np.where(ok, frame.boundary_integrand, -np.inf).max())
+            i33 = check_inequality_33(frame)
+            hv = hessian_pointwise_violation(c)
+            rows.append((trial, ms.violation, ms.tolerance, bt, bt_ptw, i33.lhs, i33.rhs, hv))
+            # the rows hold no i33 tolerance, so the violations are counted here
+            if i33.lhs > i33.rhs + i33.tolerance:
+                i33_violations += 1
     column = dict(zip(SCAN_HEADER.split(","), zip(*rows)))
     worst_ms = max(column["ms_violation"])
     lines = [SCAN_HEADER]

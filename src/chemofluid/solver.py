@@ -135,11 +135,10 @@ class SolverAbort(RuntimeError):
 class SolverConfig:
     dt_max: float = 0.05
     cfl_safety: float = 0.5
-    end_time: float = 1.0
     c_floor: float = 1e-10
 
     def __post_init__(self):
-        if min(self.dt_max, self.cfl_safety, self.end_time) <= 0:
+        if min(self.dt_max, self.cfl_safety) <= 0:
             raise ValueError("solver parameters must be positive")
         if self.cfl_safety > 1.0:
             raise ValueError("cfl_safety must be <= 1")
@@ -503,6 +502,8 @@ class StepClock:
     """
 
     def __init__(self, dt_max: float, end_time: float, every: float | None = None):
+        if end_time <= 0:
+            raise ValueError("end_time must be positive")
         self.tick = quantize_dt(DT_UNDERFLOW, dt_max)
         self.ticks = 0
         self.steps = 0

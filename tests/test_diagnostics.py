@@ -102,9 +102,9 @@ class TestDissipation:
         assert hess == pytest.approx(exact, rel=0.06)
 
 
-def annulus_profile(r):
-    """G(r) with G'(0.5) = G'(1) = 0, so G(r) cos 2 theta is Neumann on 0.5 < r < 1."""
-    return r ** 3 / 3 - 0.75 * r ** 2 + 0.5 * r
+def annulus_profile(r, r_in=0.5):
+    """G(r) with G'(r_in) = G'(1) = 0, so G(r) cos 2 theta is Neumann on r_in < r < 1."""
+    return r ** 3 / 3 - (1 + r_in) * r ** 2 / 2 + r_in * r
 
 
 def circle_boundary_term(radius, kappa, amp):
@@ -119,33 +119,45 @@ def circle_boundary_term(radius, kappa, amp):
     return 0.5 * np.mean(-2.0 * kappa * dtau_c ** 2 / c) * 2.0 * np.pi * radius
 
 
+def annulus_case(r_in, sign, bounds):
+    """The annulus r_in < r < 1 with w = G(r) cos 2 theta; its inner circle has kappa = -1/r_in."""
+    return (LevelSetDomain.annulus(r_in, 1.0),
+            lambda x, y: annulus_profile(np.hypot(x, y), r_in) * (x * x - y * y) / (x * x + y * y),
+            [(1.0, 1.0, annulus_profile(1.0, r_in)), (r_in, -1.0 / r_in, annulus_profile(r_in, r_in))],
+            sign, bounds)
+
+
 # domain, Neumann field w, (radius, curvature, amplitude of w) per boundary
-# circle, bound on the relative error at h = 1/80
+# circle, the sign of the exact term, and bounds on the relative error by
+# grid side n (h = 2.4 / n)
 EXACT_BOUNDARY_TERMS = {
     "disk": (LevelSetDomain.disk(),
              lambda x, y: (x * x - y * y) * (1.0 - (x * x + y * y) / 2.0),
-             [(1.0, 1.0, 0.5)], 0.15),
-    "annulus": (LevelSetDomain.annulus(0.5, 1.0),
-                lambda x, y: annulus_profile(np.hypot(x, y)) * (x * x - y * y) / (x * x + y * y),
-                [(1.0, 1.0, annulus_profile(1.0)), (0.5, -2.0, annulus_profile(0.5))], 0.05),
+             [(1.0, 1.0, 0.5)], -1.0, {192: 0.15}),
+    "annulus": annulus_case(0.5, 1.0, {192: 0.05}),
+    "annulus_r0.25": annulus_case(0.25, 1.0, {384: 0.04}),
+    "annulus_r0.15": annulus_case(0.15, -1.0, {384: 0.12}),
 }
 
 
 class TestBoundaryTerm:
     @pytest.mark.parametrize("name", sorted(EXACT_BOUNDARY_TERMS))
     def test_converges_to_the_exact_value(self, name, derived_linear):
-        # the annulus's inner circle (kappa = -2) makes the term positive,
-        # a sign no convex domain can give
-        domain, w, circles, bound = EXACT_BOUNDARY_TERMS[name]
+        # an annulus's inner circle (kappa = -1/r_in) makes the term positive,
+        # a sign no convex domain can give, unless the outer circle's term
+        # outweighs it, as at r_in = 0.15
+        domain, w, circles, sign, bounds = EXACT_BOUNDARY_TERMS[name]
         exact = sum(circle_boundary_term(*circle) for circle in circles)
-        assert (exact > 0.0) == (name == "annulus")
-        errors = []
+        assert np.sign(exact) == sign, exact
+        errors = {}
         for n in (96, 192, 384):   # h = 1/40, 1/80, 1/160
             geom = classify_cells(domain, 2.4 / n)
             c = scalar_from_function(geom, lambda x, y: 1.0 + 0.2 * w(x, y))
-            errors.append(abs(boundary_term(Frame(c, derived_linear)) - exact) / abs(exact))
-        assert np.all(np.log2(np.array(errors[:-1]) / errors[1:]) >= 1.0), errors
-        assert errors[1] <= bound, errors
+            errors[n] = abs(boundary_term(Frame(c, derived_linear)) - exact) / abs(exact)
+        rel = list(errors.values())
+        print(f"{name}: exact {exact:+.3e}, relative errors {', '.join(f'{e:.1%}' for e in rel)}")
+        assert np.all(np.log2(np.array(rel[:-1]) / rel[1:]) >= 1.0), errors
+        assert all(errors[n] <= bound for n, bound in bounds.items()), errors
 
     def test_constant_field(self, disk64, derived_linear):
         st = make_state(disk64, 1.0, 1.2)

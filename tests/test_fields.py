@@ -120,9 +120,11 @@ class TestMirrorGathers:
     def test_equal_to_copies(self, geom_name, request):
         g = request.getfixturevalue(geom_name)
         rng = np.random.default_rng(13)
-        # values on the exterior cells too, which a missed mirror ghost would read
+        # values on the exterior cells too, which a missed mirror ghost would
+        # read; a constant field, whose stencils sum zeros only, checks their signs
         for data in (rng.standard_normal((g.nx, g.ny)),
-                     np.where(g.active, rng.standard_normal((g.nx, g.ny)), 0.0)):
+                     np.where(g.active, rng.standard_normal((g.nx, g.ny)), 0.0),
+                     np.where(g.active, 3.0, 0.0)):
             s = ScalarField(g, data)
             gx, gy = gradient_neumann(s)
             rx, ry = reference_gradient(s)

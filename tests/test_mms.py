@@ -92,13 +92,13 @@ class TestManufactured:
         th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         xb, yb = np.cos(th), np.sin(th)
         # u vanishes on the wall
-        assert np.abs(ms.u(xb, yb, 0.3)).max() < 1e-12
-        assert np.abs(ms.v(xb, yb, 0.3)).max() < 1e-12
+        assert np.abs(ms.u(xb, yb)(0.3)).max() < 1e-12
+        assert np.abs(ms.v(xb, yb)(0.3)).max() < 1e-12
         # radial derivative of n and c vanishes on the wall
         eps = 1e-6
         for f in (ms.n, ms.c):
-            outer = f((1 + eps) * xb, (1 + eps) * yb, 0.3)
-            inner = f((1 - eps) * xb, (1 - eps) * yb, 0.3)
+            outer = f((1 + eps) * xb, (1 + eps) * yb)(0.3)
+            inner = f((1 - eps) * xb, (1 - eps) * yb)(0.3)
             assert np.abs(outer - inner).max() / (2 * eps) < 1e-4
 
     def test_single_level_runs(self):
@@ -178,9 +178,9 @@ class TestManufactured:
         X, Y = rng.uniform(-1.2, 1.2, size=(2, 200))   # the disk's bounding box
         times = (0.0, 0.1234, 0.25, 1.7)
         for name in ("n", "c", "u", "v"):
-            for got_fn, ref_fn in ((getattr(ms, name), ref[name]),
-                                   (lambda X, Y, t: ms.sources[name](X, Y)(t), ref["s_" + name])):
-                got = np.array([got_fn(X, Y, t) for t in times])
+            for bind, ref_fn in ((getattr(ms, name), ref[name]), (ms.sources[name], ref["s_" + name])):
+                at = bind(X, Y)
+                got = np.array([at(t) for t in times])
                 want = np.array([ref_fn(X, Y, t) for t in times])
                 # the pure-heat velocity and its sources are all-zero polynomials:
                 # they must bind to zeros of the points' shape, not a scalar

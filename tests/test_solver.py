@@ -136,6 +136,11 @@ class TestCfl:
         # output indices are consecutive from 1, one per target, the last at end_time
         assert landed == list(enumerate(targets, start=1))
 
+    @pytest.mark.parametrize("end_time", [0.0, -0.3])
+    def test_clock_refuses_nonpositive_end_time(self, end_time):
+        with pytest.raises(ValueError, match="end_time must be positive"):
+            StepClock(0.02, end_time)
+
 
 class TestStepC:
     def test_pure_heat_monotone_and_conservative(self, grid96, systems96):
@@ -198,7 +203,7 @@ class TestStepN:
     def test_mass_over_thousand_steps(self):
         dom = LevelSetDomain.disk(1.0)
         g = classify_cells(dom, 2.4 / 64)
-        cfg = SolverConfig(dt_max=0.01, end_time=10.0)
+        cfg = SolverConfig(dt_max=0.01)
         lin = LinearSystems(g)
         model = linear_model(G=0.5, kappa_ns=1.0)
         X, Y = g.cell_centers()
@@ -255,7 +260,7 @@ class TestStepU:
 
 class TestFullStep:
     def test_steady_state_is_fixed_point(self, grid96):
-        cfg = SolverConfig(dt_max=0.02, end_time=1.0)
+        cfg = SolverConfig(dt_max=0.02)
         lin = LinearSystems(grid96)
         model = linear_model(G=0.7)
         st = uniform_state(grid96, n=1.4, c=0.0)
@@ -265,7 +270,7 @@ class TestFullStep:
         assert new.u.max_speed() < 1e-11
 
     def test_stokes_vs_navier_stokes_paths(self, grid96):
-        cfg = SolverConfig(dt_max=0.01, end_time=1.0)
+        cfg = SolverConfig(dt_max=0.01)
         X, Y = grid96.cell_centers()
         n0 = ScalarField(grid96, np.where(grid96.active, 1 + 0.3 * np.exp(-(X ** 2 + Y ** 2) / 0.1), 0.0))
         c0 = ScalarField.full(grid96, 1.0)
